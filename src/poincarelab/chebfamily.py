@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dyncore import Cycle, QuadMap, order_from_multiplier
 from .errors import (
@@ -102,6 +101,8 @@ def find_superattracting(q: int, bracket) -> ParamSearchResult:
     if first_exact is not None and (first_flip is None or first_exact <= first_flip):
         root = float(grid[first_exact])
     elif first_flip is not None:
+        from scipy.optimize import brentq  # imported here: loading scipy.optimize costs ~50 MB
+
         i = int(first_flip)
         root = float(brentq(_critical_orbit_value, grid[i], grid[i + 1],
                             args=(q,), xtol=1e-15, rtol=8.9e-16))

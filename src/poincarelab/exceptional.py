@@ -11,6 +11,10 @@ Because |z(k)| grows like |mu|^k, counting at the geometric radii
 r_k = |mu|^k * C1 makes count(r_k)/log(r_k) approach 1/log|mu|, which equals
 rho/log 2 for the order rho of f.  The liminf proxy reported for each w is
 the minimum of that ratio over the last ten radii.
+
+C1 is the largest of |g0(center)| and the |g0(P^{-k} w)| that the call
+itself continued, so a report is a function of its inputs alone, whatever
+the branch cache held before.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,23 +89,35 @@ def _escaped(points, k_max: int) -> bool:
     return not any(hit for k, _, hit in points if k >= cutoff)
 
 
+def _records(ib: InverseBranch, S: SetModel, ws: list, k_max: int):
+    """(per-w records, C1) for the points ws, all orbits from one
+    orbit_preimages call."""
+    g, z = orbit_preimages(ib, np.array(ws, dtype=complex), k_max)
+    c1 = max([abs(ib.base_point)] + [abs(v) for v in g.ravel().tolist()])
+    flags = np.asarray(S.contains_many(z), dtype=bool).tolist()
+    abs_mu = abs(ib.pm.mu)
+    records = []
+    for w, zs, hits in zip(ws, z.tolist(), flags):
+        points = list(zip(range(k_max + 1), zs, hits))
+        rows = _ratio_rows(points, abs_mu, c1)
+        records.append(WRecord(
+            w=w,
+            points=points,
+            ratio_rows=rows,
+            liminf_proxy=_liminf_proxy(rows),
+            escaped=_escaped(points, k_max),
+            conditional=S.certificate is None,
+        ))
+    return records, c1
+
+
 def exceptional_count(ib: InverseBranch, S: SetModel, w: complex,
                       k_max: int) -> WRecord:
     """Per-w record: orbit points with S membership, the count/log r table at
-    r_k = |mu|^k * C1, the liminf proxy, and the escape flag."""
-    pts = orbit_preimages(ib, w, k_max)
-    flags = S.contains_many(np.array([z for _, z in pts], dtype=complex))
-    points = [(k, z, bool(hit)) for (k, z), hit in zip(pts, flags)]
-    c1 = ib.c1()
-    rows = _ratio_rows(points, abs(ib.pm.mu), c1)
-    return WRecord(
-        w=complex(w),
-        points=points,
-        ratio_rows=rows,
-        liminf_proxy=_liminf_proxy(rows),
-        escaped=_escaped(points, k_max),
-        conditional=S.certificate is None,
-    )
+    r_k = |mu|^k * C1 (C1 from this w's own orbit), the liminf proxy, and
+    the escape flag."""
+    records, _ = _records(ib, S, [complex(w)], k_max)
+    return records[0]
 
 
 def _descriptor(ib: InverseBranch) -> str:
@@ -118,37 +133,17 @@ def _set_descriptor(S: SetModel) -> str:
 
 def exceptional_survey(ib: InverseBranch, S: SetModel, w_count: int, k_max: int,
                        seed: int, threads: int = 1) -> ExceptionalReport:
-    """Monte Carlo over w in W. Orbit points for all w are computed first so
-    the ambient constant C1 is identical for every ratio table; the report's
-    own table uses the median count across w at each radius."""
+    """Monte Carlo over w in W.  The orbits of all w are continued together
+    in one orbit_preimages call, so C1 is the same for every ratio table;
+    the report's own table uses the median count across w at each radius.
+
+    threads has no effect (the work is one batched numpy computation); it
+    is kept for the callers that pass it."""
     if w_count < 10:
         raise BadParams("w_count must be >= 10")
     ws = [complex(w) for w in sub_siegel_sample(ib.sm, w_count, seed)]
-
-    def orbit_for(w):
-        return orbit_preimages(ib, w, k_max)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            orbits = list(ex.map(orbit_for, ws))
-    else:
-        orbits = [orbit_for(w) for w in ws]
-
-    c1 = ib.c1()
+    records, c1 = _records(ib, S, ws, k_max)
     abs_mu = abs(ib.pm.mu)
-    records = []
-    for w, pts in zip(ws, orbits):
-        flags = S.contains_many(np.array([z for _, z in pts], dtype=complex))
-        points = [(k, z, bool(hit)) for (k, z), hit in zip(pts, flags)]
-        rows = _ratio_rows(points, abs_mu, c1)
-        records.append(WRecord(
-            w=w,
-            points=points,
-            ratio_rows=rows,
-            liminf_proxy=_liminf_proxy(rows),
-            escaped=_escaped(points, k_max),
-            conditional=S.certificate is None,
-        ))
 
     median_rows = []
     for i in range(k_max + 1):

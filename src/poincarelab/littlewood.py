@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BadParams, InsufficientData
 
@@ -308,6 +307,8 @@ def cs_bound(degree: int) -> float:
 def monomial_integral_oracle(n: int) -> float:
     """Independent 1-D reduction for P = z^n:
     Int_D (z^n)^# dA = 4 pi Int_0^1 u^{1/n} / (1+u^2) du."""
+    from scipy.integrate import quad  # imported here: loading scipy.integrate costs ~50 MB
+
     val, _ = quad(lambda u: u ** (1.0 / n) / (1.0 + u * u), 0.0, 1.0,
                   epsabs=1e-13, epsrel=1e-13)
     return 4.0 * math.pi * val

@@ -18,19 +18,26 @@ r0 caps the radius handed to the truncated series.  Two effects limit it:
 the tail certificate (truncation) and the majorant sum |a_n| r^n
 (cancellation, which eats eps * majorant in absolute error).  r0 takes the
 smaller of the two bounds; see conditioning_radius.
+
+poincare_eval and poincare_derivative_eval take a complex number or an array
+of independent lanes.  Lanes are grouped by pullback depth and every lane is
+computed by the same numpy operations whatever the array around it, so a
+lane's value does not depend on the batch it was evaluated in.  An array call
+marks a lane whose pullback overflows with NaN and leaves the other lanes
+alone; a scalar call evaluates one lane and raises OverflowSentinel instead.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linearize import conjugacy_coeffs
 from .dyncore import QuadMap, multiplier_at, order_from_multiplier, repelling_fixed_point
 from .errors import BadParams, NotRepelling, OverflowSentinel
-from .series import TruncatedSeries, make_series, series_derivative, series_eval
+from .series import TruncatedSeries, log_bisect, make_series, series_derivative, series_eval
 
 OVERFLOW_BOUND = 1e290
 LOG_SWITCH = 1e100
@@ -49,10 +56,7 @@ class PoincareMap:
     mu: complex
     series_f: TruncatedSeries  # center 0, coeffs[0]=z0, coeffs[1]=1
     r0: float  # pullback base radius
-
-    @property
-    def series_df(self) -> TruncatedSeries:
-        return series_derivative(self.series_f)
+    series_df: TruncatedSeries = field(repr=False)  # f', built once with the map
 
 
 @dataclass(frozen=True)
@@ -105,14 +109,7 @@ def conditioning_radius(series: TruncatedSeries, scale: float) -> float:
     lo = hi * 1e-9
     if _log_majorant(series.coeffs, lo) > log_cap:
         return lo
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(80):
-        mid = 0.5 * (llo + lhi)
-        if _log_majorant(series.coeffs, math.exp(mid)) <= log_cap:
-            llo = mid
-        else:
-            lhi = mid
-    return math.exp(llo)
+    return log_bisect(lambda r: _log_majorant(series.coeffs, r) <= log_cap, lo, hi)
 
 
 def build_poincare_map(qmap: QuadMap, z0: complex | None = None, N: int = 64) -> PoincareMap:
@@ -132,7 +129,7 @@ def build_poincare_map(qmap: QuadMap, z0: complex | None = None, N: int = 64) ->
     r0 = min(0.5 * series.safe_radius,
              conditioning_radius(series, 1.0 + abs(z0)))
     return PoincareMap(map=qmap, z0=complex(z0), mu=complex(mu),
-                       series_f=series, r0=r0)
+                       series_f=series, r0=r0, series_df=series_derivative(series))
 
 
 def pullback_depth(pm: PoincareMap, abs_z: float) -> int:
@@ -142,53 +139,105 @@ def pullback_depth(pm: PoincareMap, abs_z: float) -> int:
     return max(0, math.ceil(math.log(abs_z / pm.r0) / math.log(abs(pm.mu))))
 
 
-def _eval_core(pm: PoincareMap, z, k: int):
-    u = series_eval(pm.series_f, np.asarray(z, dtype=complex) / pm.mu**k)
-    u = np.asarray(u, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            u = pm.map(u)
-            m = np.max(np.abs(u))
-            if not np.isfinite(m) or m > OVERFLOW_BOUND:
-                raise OverflowSentinel(
-                    "iterate exceeded 1e290; use log_modulus_eval for growth queries"
-                )
-    return u
+def pullback_depths(pm: PoincareMap, abs_z) -> np.ndarray:
+    """pullback_depth of every element of an array of moduli, equal to the
+    scalar function element by element.  Non-finite moduli get depth 0; the
+    evaluators fail those lanes before using a depth."""
+    a = np.asarray(abs_z, dtype=float)
+    depth = np.zeros(a.shape, dtype=np.int64)
+    outside = (a > pm.r0) & np.isfinite(a)
+    x = np.log(a[outside] / pm.r0) / math.log(abs(pm.mu))
+    k = np.ceil(x)
+    # numpy's log can round one ulp away from math.log, which moves the
+    # ceiling only when x sits within rounding of an integer: those few
+    # moduli take the scalar path
+    near = np.flatnonzero(np.abs(x - np.rint(x)) <= 1e-9 * np.maximum(1.0, x))
+    k[near] = [pullback_depth(pm, v) for v in a[outside][near]]
+    depth[outside] = k
+    return depth
 
 
-def poincare_eval(pm: PoincareMap, z: complex, depth: int | None = None) -> complex:
-    """f(z) anywhere in the plane (depth is normally chosen automatically;
-    forcing a larger depth is allowed and must not change the value)."""
-    k = pullback_depth(pm, abs(z)) if depth is None else int(depth)
-    if depth is not None and k < pullback_depth(pm, abs(z)):
-        raise BadParams("forced depth too small for |z|")
-    return complex(_eval_core(pm, z, k))
+def _pullback(pm: PoincareMap, z: np.ndarray, depths: np.ndarray, derivative: bool):
+    """(f, f', ok) on a 1-D array of lanes, each pulled back through its own
+    depth; f' is None unless derivative.  A lane that is not finite, or
+    whose iterate or derivative passes OVERFLOW_BOUND, gets ok False and NaN
+    values."""
+    f = np.full(z.shape, complex(math.nan, math.nan))
+    df = f.copy() if derivative else None
+    ok = np.zeros(z.shape, dtype=bool)
+    live = np.isfinite(z)
+    for k in np.unique(depths[live]):
+        idx = np.flatnonzero(live & (depths == k))
+        scale = pm.mu ** int(k)
+        zk = z[idx] / scale
+        u = series_eval(pm.series_f, zk)
+        d = series_eval(pm.series_df, zk) / scale if derivative else None
+        good = np.ones(idx.size, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k):
+                if derivative:
+                    d = pm.map.deriv(u) * d
+                    good &= np.abs(d) <= OVERFLOW_BOUND
+                u = pm.map(u)
+                good &= np.abs(u) <= OVERFLOW_BOUND
+        f[idx[good]] = u[good]
+        if derivative:
+            df[idx[good]] = d[good]
+        ok[idx] = good
+    return f, df, ok
+
+
+def _lanes(pm: PoincareMap, z, depth: int | None, derivative: bool):
+    """The lanes of z, flattened, evaluated at their own or a forced depth."""
+    lanes = np.asarray(z, dtype=complex).reshape(-1)
+    depths = pullback_depths(pm, np.abs(lanes))
+    if depth is not None:
+        if np.any(depths > int(depth)):
+            raise BadParams("forced depth too small for |z|")
+        depths = np.full_like(depths, int(depth))
+    return _pullback(pm, lanes, depths, derivative)
+
+
+def _one_lane(values, ok, z) -> complex:
+    if not ok[0]:
+        raise OverflowSentinel(
+            f"pullback at z = {complex(z)} passed 1e290 (or z is not finite); "
+            "use log_modulus_eval for growth queries"
+        )
+    return complex(values[0])
+
+
+def poincare_eval(pm: PoincareMap, z, depth: int | None = None):
+    """f(z) anywhere in the plane, for a complex z or an array of lanes.
+
+    Each lane is pulled back through its own depth (normally chosen
+    automatically; forcing a larger depth is allowed and must not change the
+    value).  An array call returns one value per lane, NaN where the
+    pullback overflowed; a scalar call raises OverflowSentinel there."""
+    f, _, ok = _lanes(pm, z, depth, derivative=False)
+    if np.ndim(z) == 0:
+        return _one_lane(f, ok, z)
+    return f.reshape(np.shape(z))
 
 
 def poincare_eval_many(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
-    """Vector evaluation, grouping points by pullback depth."""
-    z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    depths = np.array([pullback_depth(pm, a) for a in np.abs(flat)])
-    out = np.empty(len(flat), dtype=complex)
-    for k in np.unique(depths):
-        idx = depths == k
-        out[idx] = _eval_core(pm, flat[idx], int(k))
-    return out.reshape(z.shape)
+    """Vector evaluation, grouping points by pullback depth; OverflowSentinel
+    if any point overflows."""
+    f, _, ok = _lanes(pm, z, None, derivative=False)
+    if not np.all(ok):
+        raise OverflowSentinel(
+            "iterate exceeded 1e290; use log_modulus_eval for growth queries"
+        )
+    return f.reshape(np.shape(z))
 
 
-def poincare_derivative_eval(pm: PoincareMap, z: complex, depth: int | None = None) -> complex:
-    """f'(z) by the chain rule through the pullback."""
-    k = pullback_depth(pm, abs(z)) if depth is None else int(depth)
-    zk = complex(z) / pm.mu**k
-    u = complex(series_eval(pm.series_f, zk))
-    d = complex(series_eval(pm.series_df, zk)) / pm.mu**k
-    for _ in range(k):
-        d = pm.map.deriv(u) * d
-        u = pm.map(u)
-        if not (np.isfinite(abs(u)) and np.isfinite(abs(d))) or max(abs(u), abs(d)) > OVERFLOW_BOUND:
-            raise OverflowSentinel("derivative pullback exceeded 1e290")
-    return d
+def poincare_derivative_eval(pm: PoincareMap, z, depth: int | None = None):
+    """f'(z) by the chain rule through the pullback, for a complex z or an
+    array of lanes, with the lane rules of poincare_eval."""
+    _, df, ok = _lanes(pm, z, depth, derivative=True)
+    if np.ndim(z) == 0:
+        return _one_lane(df, ok, z)
+    return df.reshape(np.shape(z))
 
 
 def _circle(pm: PoincareMap, r: float, n: int):
@@ -199,18 +248,11 @@ def _circle(pm: PoincareMap, r: float, n: int):
 def eval_on_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES):
     """(z, f(z), f'(z)) on |z|=r, all at the circle's common pullback depth."""
     z = _circle(pm, r, n)
-    k = pullback_depth(pm, r)
-    zk = z / pm.mu**k
-    u = series_eval(pm.series_f, zk)
-    d = series_eval(pm.series_df, zk) / pm.mu**k
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            d = pm.map.deriv(u) * d
-            u = pm.map(u)
-            m = np.max(np.abs(u))
-            if not np.isfinite(m) or m > OVERFLOW_BOUND:
-                raise OverflowSentinel("circle evaluation exceeded 1e290")
-    return z, u, d
+    depths = np.full(z.shape, pullback_depth(pm, r))
+    f, df, ok = _pullback(pm, z, depths, derivative=True)
+    if not np.all(ok):
+        raise OverflowSentinel("circle evaluation exceeded 1e290")
+    return z, f, df
 
 
 def log_modulus_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES) -> np.ndarray:

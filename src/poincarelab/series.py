@@ -9,10 +9,11 @@ nonzero coefficient a_M, bound the unseen tail by the geometric majorant
     q = max( largest of the last 8 stepwise coefficient ratios,
              root-test growth rate over the last quarter of coefficients ),
 
-and solve  T(r) = |a_M| * r**M * q*r / (1 - q*r) = tail_eps  for r.  Siegel
-series have irregular ratios (small divisors), which is why the root test is
-folded in; when the observed ratios exceed 1 the certificate is flagged as
-empirical beyond the root-test radius.
+and solve  T(r) = |a_M| * r**M * q*r / (1 - q*r) = tail_eps  for r by
+bisection in log r (T increases with r).  Siegel series have irregular
+ratios (small divisors), which is why the root test is folded in; when the
+observed ratios exceed 1 the certificate is flagged as empirical beyond the
+root-test radius.
 
 Exact polynomials are a separate regime: their tail is genuinely zero, so
 construction with exact=True (and the degenerate top-half-zero detection in
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadParams, NotInvertible, OutOfSafeRadius
 
@@ -112,9 +112,24 @@ def _certificate(coeffs: np.ndarray, eps: float) -> RadiusCertificate:
         if log_tail_minus_eps(lo_r) > 0.0:
             safe = lo_r  # pathological growth; only a token disk is certified
         else:
-            safe = float(brentq(log_tail_minus_eps, lo_r, hi,
-                                xtol=1e-300, rtol=1e-14))
+            safe = log_bisect(lambda r: log_tail_minus_eps(r) <= 0.0, lo_r, hi)
     return RadiusCertificate(safe, root_radius, float(q), False, irregular)
+
+
+def log_bisect(holds, lo: float, hi: float, iters: int = 80) -> float:
+    """Largest radius in [lo, hi], to within 2^-iters of log(hi/lo) in log r,
+    at which the monotone predicate `holds` is still true.
+
+    `holds(lo)` must be true; the radius returned always satisfies it, so a
+    bound found this way errs on the safe side."""
+    llo, lhi = math.log(lo), math.log(hi)
+    for _ in range(iters):
+        mid = 0.5 * (llo + lhi)
+        if holds(math.exp(mid)):
+            llo = mid
+        else:
+            lhi = mid
+    return math.exp(llo)
 
 
 def make_series(

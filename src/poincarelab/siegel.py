@@ -361,21 +361,29 @@ def h_inverse_many(sm: SiegelMap, w: np.ndarray) -> np.ndarray:
     return u
 
 
-def p_inverse_on_disk(sm: SiegelMap, w: complex, k: int) -> complex:
-    """The k-th inverse iterate of w under the conjugated map, staying in W.
+def p_inverse_many(sm: SiegelMap, w, ks) -> np.ndarray:
+    """P^{-k}(w) for every w (rows) and every k in ks (columns), staying in W.
 
     Computed as h(rot^{-k} h^{-1}(w)) where rot is the rotation by the
-    linearized angle; for a period-q cycle one application of the conjugated
-    map is the q-fold composition of the quadratic.
+    linearized angle, so h^{-1} is solved once per w whatever the number of
+    k; for a period-q cycle one application of the conjugated map is the
+    q-fold composition of the quadratic.  OutOfDomain when some w is not in
+    h(D_{R/2}).
     """
-    if k < 0:
+    ks = [int(k) for k in ks]
+    if any(k < 0 for k in ks):
         raise BadParams("k must be >= 0")
-    u = h_inverse(sm, w)
-    if k == 0:
-        return sm.center_value + complex(horner_unchecked(sm.series_h.coeffs, u))
+    u = h_inverse_many(sm, np.asarray(w, dtype=complex).reshape(-1))
     phase = cmath.phase(sm.series_lambda)
-    rot = cmath.exp(-1j * math.fmod(phase * k, TWO_PI))
-    return sm.center_value + complex(horner_unchecked(sm.series_h.coeffs, u * rot))
+    rot = np.array([cmath.exp(-1j * math.fmod(phase * k, TWO_PI)) if k else 1.0
+                    for k in ks], dtype=complex)
+    return sm.center_value + horner_unchecked(sm.series_h.coeffs, u[:, None] * rot)
+
+
+def p_inverse_on_disk(sm: SiegelMap, w: complex, k: int) -> complex:
+    """The k-th inverse iterate of w under the conjugated map, staying in W
+    (one entry of p_inverse_many)."""
+    return complex(p_inverse_many(sm, [w], [k])[0, 0])
 
 
 def sub_siegel_sample(sm: SiegelMap, count: int, seed: int) -> np.ndarray:

@@ -175,13 +175,22 @@ def test_render_deterministic(tmp_path):
 
 
 def test_reruns_byte_identical(tmp_path):
-    d1 = tmp_path / "one"
-    d2 = tmp_path / "two"
-    for d in (d1, d2):
-        assert main(["poincare", "--c", "-2,0", "--eval", "7,3",
-                     "--out-dir", str(d)]) == 0
-    for name in ("poincare_series.json", "poincare_eval.csv"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    runs = [
+        (["poincare", "--c", "-2,0", "--eval", "7,3"],
+         ("poincare_series.json", "poincare_eval.csv")),
+        (["exceptional", "--set", "powerlaw", "--samples", "10", "--kmax", "8"],
+         ("exceptional_report.json", "exceptional_ratio_table.csv")),
+        (["preimages", "--lambda-gamma", "golden", "--w", "0.02,0.01", "--r", "400",
+          "--kmax", "6", "--set", "powerlaw"],
+         ("preimage_report.csv", "preimage_report.json")),
+    ]
+    for i, (argv, names) in enumerate(runs):
+        d1 = tmp_path / f"{i}-one"
+        d2 = tmp_path / f"{i}-two"
+        for d in (d1, d2):
+            assert main(argv + ["--out-dir", str(d)]) == 0
+        for name in names:
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
 def test_console_entry_point(tmp_path):

@@ -14,6 +14,7 @@ from poincarelab.exceptional import (
     ratio_table_csv,
     report_to_json,
 )
+from poincarelab.preimage import InverseBranch
 from poincarelab.sets import make_custom_set, make_empty_set, make_powerlaw_set
 
 
@@ -70,6 +71,18 @@ def test_survey_deterministic_across_threads(golden_branch):
     a = exceptional_survey(golden_branch, S, w_count=10, k_max=10, seed=7, threads=1)
     b = exceptional_survey(golden_branch, S, w_count=10, k_max=10, seed=7, threads=4)
     assert report_to_json(a) == report_to_json(b)
+
+
+def test_survey_does_not_depend_on_branch_history(golden_branch):
+    def fresh():
+        return InverseBranch(golden_branch.pm, golden_branch.sm, golden_branch.base_point)
+
+    S = make_powerlaw_set(10.0, 0.5, seed=7)
+    first = report_to_json(exceptional_survey(fresh(), S, w_count=10, k_max=12, seed=11))
+    used = fresh()
+    exceptional_survey(used, make_empty_set(), w_count=40, k_max=12, seed=3)
+    again = report_to_json(exceptional_survey(used, S, w_count=10, k_max=12, seed=11))
+    assert again == first
 
 
 def test_survey_seed_matters(golden_branch):

@@ -19,6 +19,7 @@ from poincarelab.poincare import (
     poincare_eval,
     poincare_eval_many,
     pullback_depth,
+    pullback_depths,
 )
 
 
@@ -104,6 +105,46 @@ def test_explicit_depth_must_reach_disk(cheb_poincare):
 def test_overflow_sentinel(cheb_poincare):
     with pytest.raises(OverflowSentinel):
         poincare_eval(cheb_poincare, 1e6 + 0j)
+    with pytest.raises(OverflowSentinel):
+        poincare_derivative_eval(cheb_poincare, 1e6 + 0j)
+    with pytest.raises(OverflowSentinel):
+        poincare_eval_many(cheb_poincare, np.array([1.0, 1e6], dtype=complex))
+
+
+def test_depth_helper_matches_scalar_depth(golden_poincare, cheb_poincare):
+    rng = np.random.default_rng(12)
+    for pm in (golden_poincare, cheb_poincare):
+        mu = abs(pm.mu)
+        random_radii = pm.r0 * np.exp(rng.uniform(-3.0, 45.0 * math.log(mu), 1 << 18))
+        edges = pm.r0 * mu ** np.arange(46.0)
+        radii = np.concatenate([random_radii, [0.0, pm.r0], edges,
+                                np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+        got = pullback_depths(pm, radii)
+        want = np.array([pullback_depth(pm, a) for a in radii.tolist()])
+        assert np.array_equal(got, want)
+
+
+def test_scalar_eval_is_the_one_lane_array_eval(golden_poincare, cheb_poincare):
+    rng = np.random.default_rng(8)
+    for pm in (golden_poincare, cheb_poincare):
+        # moduli spread over pullback depths 0 to 4 or 5
+        z = pm.r0 * np.exp(rng.uniform(-2.0, 5.0, 40)) * np.exp(2j * np.pi * rng.random(40))
+        f = poincare_eval(pm, z)
+        df = poincare_derivative_eval(pm, z)
+        for i, zi in enumerate(z.tolist()):
+            assert complex(f[i]) == poincare_eval(pm, zi)
+            assert complex(df[i]) == poincare_derivative_eval(pm, zi)
+        assert f.tobytes() == poincare_eval_many(pm, z).tobytes()
+
+
+def test_array_eval_fails_only_overflowing_lanes(cheb_poincare):
+    z = np.array([5.0, 1e6, -30.0 + 4.0j, np.nan], dtype=complex)
+    f = poincare_eval(cheb_poincare, z)
+    df = poincare_derivative_eval(cheb_poincare, z)
+    assert np.isnan(f[1]) and np.isnan(df[1]) and np.isnan(f[3]) and np.isnan(df[3])
+    for i in (0, 2):
+        assert f[i] == poincare_eval(cheb_poincare, complex(z[i]))
+        assert df[i] == poincare_derivative_eval(cheb_poincare, complex(z[i]))
 
 
 def test_log_modulus_beyond_overflow(cheb_poincare):

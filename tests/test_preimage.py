@@ -7,11 +7,13 @@ from poincarelab import QuadMap
 from poincarelab.errors import BadParams
 from poincarelab.poincare import poincare_eval
 from poincarelab.preimage import (
+    InverseBranch,
     argument_principle_count,
     branch_continue,
     build_preimage_report,
     find_base_preimage,
     koebe_density_transfer,
+    newton_solve,
     orbit_preimages,
     report_to_csv,
     report_to_json,
@@ -41,6 +43,53 @@ def test_branch_continue_solves_and_caches(golden_branch, golden_poincare, golde
     assert abs(poincare_eval(golden_poincare, z1) - w) < 1e-10 * (1 + abs(w))
     z2 = branch_continue(golden_branch, w)
     assert z1 == z2  # served from the continuation cache
+
+
+def _fresh(ib):
+    return InverseBranch(ib.pm, ib.sm, ib.base_point)
+
+
+def test_newton_lane_alone_matches_full_batch(golden_poincare, golden_siegel):
+    # the 24 x 32 seed grid of find_base_preimage at radius 20 r0
+    R = 20.0 * golden_poincare.r0
+    angles = 2.0 * np.pi * np.arange(32) / 32
+    seeds = (np.geomspace(0.05 * R, R, 24)[:, None] * np.exp(1j * angles)).reshape(-1)
+    target = golden_siegel.center_value
+    z, ok = newton_solve(golden_poincare, target, seeds)
+    assert z.shape == ok.shape == (768,) and ok.any() and not ok.all()
+    lanes = set(range(0, 768, 16)) | set(np.flatnonzero(~ok)[:8].tolist())
+    for i in sorted(lanes):
+        zi, oki = newton_solve(golden_poincare, target, seeds[i])
+        assert zi.tobytes() == z[i:i + 1].tobytes()
+        assert oki[0] == ok[i]
+
+
+def test_newton_overflow_fails_only_its_lane(cheb_poincare):
+    # f(z) = 2 cosh(sqrt z) = 3 has simple roots (acosh(1.5) + 2 pi i m)^2;
+    # f overflows at the seed 1e6
+    seeds = np.array([1.0, -36.0 + 10.0j, -150.0 + 20.0j, 1e6, -350.0 + 30.0j])
+    z, ok = newton_solve(cheb_poincare, 3.0, seeds)
+    assert ok.tolist() == [True, True, True, False, True]
+    for i in (0, 1, 2, 4):
+        assert abs(poincare_eval(cheb_poincare, complex(z[i])) - 3.0) <= 4e-12
+        zi, _ = newton_solve(cheb_poincare, 3.0, seeds[i])
+        assert zi[0] == z[i]
+
+
+def test_branch_continue_array_matches_elementwise(golden_branch, golden_siegel):
+    ws = sub_siegel_sample(golden_siegel, 6, seed=41).reshape(2, 3)
+    batch = branch_continue(_fresh(golden_branch), ws)
+    assert batch.shape == (2, 3)
+    for w, z in zip(ws.ravel().tolist(), batch.ravel().tolist()):
+        assert branch_continue(_fresh(golden_branch), w) == z
+
+
+def test_orbit_preimages_batch_matches_single(golden_branch, golden_siegel):
+    ws = sub_siegel_sample(golden_siegel, 3, seed=9)
+    g, z = orbit_preimages(_fresh(golden_branch), ws, k_max=6)
+    assert g.shape == z.shape == (3, 7)
+    for w, row in zip(ws.tolist(), z.tolist()):
+        assert orbit_preimages(_fresh(golden_branch), w, k_max=6) == list(enumerate(row))
 
 
 def test_orbit_preimages_verify(golden_branch, golden_siegel):
