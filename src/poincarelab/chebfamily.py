@@ -27,13 +27,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dyncore import Cycle, QuadMap, order_from_multiplier
+from .dyncore import Cycle, QuadMap, cycle_through, iterate_with_deriv, order_from_multiplier
 from .errors import (
     BadParams,
     CycleCollision,
     NoConvergence,
     NoSignChange,
-    NotRepelling,
     PoincareLabError,
 )
 from .siegel import RotationAngle, build_cycle_siegel_map
@@ -42,7 +41,6 @@ _SCAN_POINTS = 4096
 _CONT_STEPS = 32
 _COLLISION_GAP = 1e-8
 _NEWTON_ITERS = 60
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,8 @@ def find_superattracting(q: int, bracket) -> ParamSearchResult:
     if resid >= 1e-12:
         raise NoConvergence(f"bisection residual {resid:.3e} at c={root}")
     qm = QuadMap(kind="c", param=complex(root))
-    pts = []
-    z = 0.0 + 0.0j
-    for _ in range(q):
-        pts.append(z)
-        z = qm(z)
-    cyc = Cycle(points=tuple(pts), period=q, multiplier=0.0 + 0.0j)
+    cyc = Cycle(points=cycle_through(qm, 0.0 + 0.0j, q).points, period=q,
+                multiplier=0.0 + 0.0j)
     return ParamSearchResult(c=complex(root), q=q, cycle=cyc,
                              multiplier=0.0 + 0.0j, residual=resid,
                              kind="Superattracting")
@@ -127,11 +121,7 @@ def _refine_cycle_point(c: complex, z: complex, q: int) -> complex:
     """Newton on P_c^q(z) - z from z."""
     qm = QuadMap(kind="c", param=c)
     for _ in range(_NEWTON_ITERS):
-        w = z
-        d = 1.0 + 0.0j
-        for _ in range(q):
-            d *= qm.deriv(w)
-            w = qm(w)
+        w, d = iterate_with_deriv(qm, z, q)
         g = w - z
         if abs(g) < 1e-14 * (1.0 + abs(z)):
             return z
@@ -139,39 +129,19 @@ def _refine_cycle_point(c: complex, z: complex, q: int) -> complex:
         if abs(dg) < 1e-14:
             raise NoConvergence("degenerate Newton step while tracking the cycle")
         z = z - g / dg
-    qm2 = QuadMap(kind="c", param=c)
-    w = z
-    for _ in range(q):
-        w = qm2(w)
-    if abs(w - z) < 1e-10 * (1.0 + abs(z)):
+    if abs(iterate_with_deriv(qm, z, q)[0] - z) < 1e-10 * (1.0 + abs(z)):
         return z
     raise NoConvergence("cycle refinement did not converge")
 
 
-def _cycle_points(c: complex, z1: complex, q: int):
-    qm = QuadMap(kind="c", param=c)
-    pts = [z1]
-    for _ in range(q - 1):
-        pts.append(qm(pts[-1]))
-    return pts
-
-
-def _check_distinct(pts, c: complex):
-    scale = max(1.0, max(abs(p) for p in pts))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) < _COLLISION_GAP * scale:
-                raise CycleCollision(
-                    f"cycle points merged during continuation at c={c}"
-                )
-
-
-def _multiplier(c: complex, pts) -> complex:
-    qm = QuadMap(kind="c", param=c)
-    m = 1.0 + 0.0j
-    for p in pts:
-        m *= qm.deriv(p)
-    return m
+def _cycle(c: complex, z1: complex, q: int) -> Cycle:
+    """The period-q cycle of z^2 + c through z1; CycleCollision when two of
+    its points have merged (a period halving)."""
+    cyc = cycle_through(QuadMap(kind="c", param=c), z1, q)
+    scale = max(1.0, max(abs(p) for p in cyc.points))
+    if cyc.min_gap() < _COLLISION_GAP * scale:
+        raise CycleCollision(f"cycle points merged during continuation at c={c}")
+    return cyc
 
 
 def _continue_cycle(z1: complex, q: int, c_from: complex, c_to: complex) -> complex:
@@ -179,7 +149,7 @@ def _continue_cycle(z1: complex, q: int, c_from: complex, c_to: complex) -> comp
     for t in np.linspace(0.0, 1.0, _CONT_STEPS + 1)[1:]:
         c_t = c_from + t * (c_to - c_from)
         z1 = _refine_cycle_point(c_t, z1, q)
-        _check_distinct(_cycle_points(c_t, z1, q), c_t)
+        _cycle(c_t, z1, q)
     return z1
 
 
@@ -189,14 +159,12 @@ def find_multiplier_param(q: int, target: complex, seed_c: complex) -> ParamSear
     target = complex(target)
     c = complex(seed_c)
     z1 = _refine_cycle_point(c, 0.0 + 0.0j, q)
-    pts = _cycle_points(c, z1, q)
-    _check_distinct(pts, c)
 
     def m_of(c_new: complex, z_anchor: complex, c_anchor: complex):
         z_new = _continue_cycle(z_anchor, q, c_anchor, c_new)
-        return _multiplier(c_new, _cycle_points(c_new, z_new, q)), z_new
+        return cycle_through(QuadMap(kind="c", param=c_new), z_new, q).multiplier, z_new
 
-    m = _multiplier(c, pts)
+    m = _cycle(c, z1, q).multiplier
     res = abs(m - target)
     for _ in range(_NEWTON_ITERS):
         if res < 1e-10:
@@ -231,8 +199,7 @@ def find_multiplier_param(q: int, target: complex, seed_c: complex) -> ParamSear
             break
     if res >= 1e-8:
         raise NoConvergence(f"multiplier Newton stalled at residual {res:.3e}")
-    pts = _cycle_points(c, z1, q)
-    _check_distinct(pts, c)
+    cyc = _cycle(c, z1, q)
     if target == 0:
         kind = "Superattracting"
     elif target == -1:
@@ -242,9 +209,7 @@ def find_multiplier_param(q: int, target: complex, seed_c: complex) -> ParamSear
     else:
         kind = "MultiplierTarget"
     return ParamSearchResult(
-        c=c, q=q,
-        cycle=Cycle(points=tuple(pts), period=q, multiplier=m),
-        multiplier=m, residual=res, kind=kind,
+        c=c, q=q, cycle=cyc, multiplier=m, residual=res, kind=kind,
     )
 
 

@@ -21,8 +21,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadParams, NoConvergence, NotRepelling
 
 NEWTON_MAX_ITER = 200
@@ -61,10 +59,6 @@ class QuadMap:
         if self.kind == "lambda":
             return self.param + 2.0 * z
         return 2.0 * z
-
-    def local_poly(self, zeta: complex) -> np.ndarray:
-        """Taylor coefficients of P(zeta + u) - P(zeta) in u: [0, P'(zeta), 1]."""
-        return np.array([0.0, self.deriv(zeta), 1.0], dtype=complex)
 
     def to_c_form(self) -> tuple["QuadMap", complex]:
         """Return (c-form map, shift) with conj(w) = w + shift."""
@@ -123,12 +117,26 @@ class Cycle:
         )
 
 
-def _iterate_with_deriv(qmap: QuadMap, z: complex, q: int) -> tuple[complex, complex]:
+def iterate_with_deriv(qmap: QuadMap, z: complex, q: int) -> tuple[complex, complex]:
+    """(P^q(z), (P^q)'(z)), the derivative by the chain rule along the orbit."""
     w, d = z, 1.0 + 0.0j
     for _ in range(q):
         d = d * qmap.deriv(w)
         w = qmap(w)
     return w, d
+
+
+def cycle_through(qmap: QuadMap, z: complex, q: int) -> Cycle:
+    """The orbit z, P(z), ..., P^{q-1}(z) of a period-q point, with the
+    multiplier taken as the product of P' over those points.  The values
+    keep the scalar type of z and of the map's parameter."""
+    pts = [z]
+    for _ in range(q - 1):
+        pts.append(qmap(pts[-1]))
+    mult = 1.0 + 0.0j
+    for p in pts:
+        mult *= qmap.deriv(p)
+    return Cycle(points=tuple(pts), period=q, multiplier=mult)
 
 
 def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
@@ -141,7 +149,7 @@ def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
     if q < 1:
         raise BadParams("cycle period must be >= 1")
     z = complex(seed)
-    fz, dz = _iterate_with_deriv(qmap, z, q)
+    fz, dz = iterate_with_deriv(qmap, z, q)
     res = fz - z
     for _ in range(NEWTON_MAX_ITER):
         scale = 1.0 + abs(z)
@@ -154,7 +162,7 @@ def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
         # damping: halve until the residual actually drops
         for _ in range(NEWTON_MAX_HALVINGS):
             z_new = z + step
-            fz_new, dz_new = _iterate_with_deriv(qmap, z_new, q)
+            fz_new, dz_new = iterate_with_deriv(qmap, z_new, q)
             res_new = fz_new - z_new
             if abs(res_new) < abs(res):
                 break
@@ -165,17 +173,9 @@ def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
     else:
         raise NoConvergence(f"cycle Newton did not converge from seed {seed}")
 
-    pts = []
-    w = z
-    for _ in range(q):
-        pts.append(w)
-        w = qmap(w)
-    mult = 1.0 + 0.0j
-    for p in pts:
-        mult *= qmap.deriv(p)
-    cyc = Cycle(points=tuple(pts), period=q, multiplier=complex(mult))
-    for p in pts:
-        if abs(_iterate_with_deriv(qmap, p, q)[0] - p) >= CYCLE_RTOL * (1.0 + abs(p)):
+    cyc = cycle_through(qmap, z, q)
+    for p in cyc.points:
+        if abs(iterate_with_deriv(qmap, p, q)[0] - p) >= CYCLE_RTOL * (1.0 + abs(p)):
             raise NoConvergence("cycle residual check failed after Newton")
     return cyc
 

@@ -66,16 +66,20 @@ class ExceptionalReport:
     k_max: int
 
 
+def _ratio_row(r: float, count) -> RatioRow:
+    """The row at radius r for a count, or for a median count, which is
+    rounded for the count column but not for the ratio."""
+    log_r = math.log(r) if r > 0 else -math.inf
+    return RatioRow(r=r, count=int(round(count)),
+                    ratio=count / log_r if log_r > 0 else math.nan)
+
+
 def _ratio_rows(points, abs_mu: float, c1: float):
     rows = []
     for k, _, _ in points:
         r = abs_mu**k * c1
-        count = sum(
-            1 for _kk, z, hit in points if abs(z) <= r and not hit
-        )
-        log_r = math.log(r) if r > 0 else -math.inf
-        ratio = count / log_r if log_r > 0 else math.nan
-        rows.append(RatioRow(r=r, count=count, ratio=ratio))
+        count = sum(1 for _kk, z, hit in points if abs(z) <= r and not hit)
+        rows.append(_ratio_row(r, count))
     return rows
 
 
@@ -144,17 +148,11 @@ def exceptional_survey(ib: InverseBranch, S: SetModel, w_count: int, k_max: int,
     ws = [complex(w) for w in sub_siegel_sample(ib.sm, w_count, seed)]
     records, c1 = _records(ib, S, ws, k_max)
     abs_mu = abs(ib.pm.mu)
-
-    median_rows = []
-    for i in range(k_max + 1):
-        r = abs_mu**i * c1
-        med = float(np.median([rec.ratio_rows[i].count for rec in records]))
-        log_r = math.log(r) if r > 0 else -math.inf
-        median_rows.append(RatioRow(
-            r=r,
-            count=int(round(med)),
-            ratio=med / log_r if log_r > 0 else math.nan,
-        ))
+    median_rows = [
+        _ratio_row(abs_mu**i * c1,
+                   float(np.median([rec.ratio_rows[i].count for rec in records])))
+        for i in range(k_max + 1)
+    ]
 
     rho = order_from_multiplier(ib.pm.mu)
     return ExceptionalReport(

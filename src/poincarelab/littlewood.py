@@ -36,7 +36,6 @@ _MAX_LEVELS = 48
 _MC_SEED = 0x5EED
 _MC_PER_CELL = 32
 _MC_BLOCK = 1 << 14  # cells sampled per fallback batch (bounds memory)
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -161,7 +160,7 @@ def _seed_radial_edges(ev: PolyEvaluator, degree: int):
     ladder = ladder[ladder <= 0.26]
 
     scan_r = np.linspace(1.0 / 512.0, 1.0, 512)
-    scan_t = np.arange(32) * (TWO_PI / 32.0)
+    scan_t = np.arange(32) * (math.tau / 32.0)
     grid = scan_r[:, None] * np.exp(1j * scan_t[None, :])
     v, _ = ev(grid.ravel())
     mag = np.abs(v).reshape(grid.shape) - 1.0
@@ -202,7 +201,7 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
         degree = ev.degree
 
     r_edges, evals = _seed_radial_edges(ev, degree)
-    t_edges = np.linspace(0.0, TWO_PI, 17)
+    t_edges = np.linspace(0.0, math.tau, 17)
     nr = r_edges.size - 1
     r0 = np.repeat(r_edges[:-1], 16)
     r1 = np.repeat(r_edges[1:], 16)
@@ -301,7 +300,7 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
 
 def cs_bound(degree: int) -> float:
     """The Cauchy-Schwarz ceiling 2 pi sqrt(degree)."""
-    return TWO_PI * math.sqrt(degree)
+    return math.tau * math.sqrt(degree)
 
 
 def monomial_integral_oracle(n: int) -> float:

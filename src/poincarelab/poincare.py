@@ -42,7 +42,6 @@ from .series import TruncatedSeries, log_bisect, make_series, series_derivative,
 OVERFLOW_BOUND = 1e290
 LOG_SWITCH = 1e100
 CIRCLE_SAMPLES = 512
-TWO_PI = 2.0 * math.pi
 # Horner roundoff at radius r is ~eps * sum |a_n| r^n; keep that majorant small
 # enough that base-level evaluations carry ~3e-12 absolute error before the
 # pullback squarings amplify it.
@@ -241,7 +240,7 @@ def poincare_derivative_eval(pm: PoincareMap, z, depth: int | None = None):
 
 
 def _circle(pm: PoincareMap, r: float, n: int):
-    theta = np.arange(n) * (TWO_PI / n)
+    theta = np.arange(n) * (math.tau / n)
     return r * np.exp(1j * theta)
 
 

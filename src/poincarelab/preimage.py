@@ -17,10 +17,12 @@ each: newton_solve runs damped Newton on every lane at once, with the step
 rules of a scalar solver applied per lane, and a lane that fails (overflow
 included) fails only itself.  find_base_preimage solves its whole seed grid
 in one call, and branch_continue continues every point it is given along
-its own segment, with the segment parameter t as the outer loop.  Because
-numpy computes each lane by the same operations at any position in any
-array, a lane's result does not depend on its batch, and the continuation
-cache holds the same value whichever call filled it.
+its own segment, with the segment parameter t as the outer loop.  The
+segments end at h^{-1}(w), from siegel.h_inverse_many, again one lane-wise
+Newton, which raises OutOfDomain for a w outside the sub-Siegel disk.
+Because numpy computes each lane by the same operations at any position in
+any array, a lane's result does not depend on its batch, and the
+continuation cache holds the same value whichever call filled it.
 
 Also here: brute-force counting of all preimages in a disk by the argument
 principle, and an empirical density-transfer probe for thin target sets.
@@ -37,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dyncore import QuadMap
 from .errors import BadParams, ContinuationLost, NoCertificate, NoConvergence, NotFound
 from .poincare import PoincareMap, eval_on_circle, poincare_derivative_eval, poincare_eval
 from .sets import SetModel, certified_bound
@@ -59,7 +60,6 @@ CACHE_RESIDUAL = 1e-10
 _GRID_MODULI = 24
 _GRID_ANGLES = 32
 _MAX_SEGMENT_STEPS = 512
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -72,10 +72,6 @@ class InverseBranch:
     sm: SiegelMap
     base_point: complex
     _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def center(self) -> complex:
-        return self.sm.center_value
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
         raise BadParams("Poincare and Siegel structures built from different maps")
     center = sm.center_value
     scale = 1.0 + abs(center)
-    angles = np.arange(_GRID_ANGLES) * (TWO_PI / _GRID_ANGLES)
+    angles = np.arange(_GRID_ANGLES) * (math.tau / _GRID_ANGLES)
     unit = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
     for grid_radius in (20.0 * pm.r0, 40.0 * pm.r0):
         moduli = np.geomspace(0.05 * grid_radius, grid_radius, _GRID_MODULI)
@@ -161,7 +157,7 @@ def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
             if all(abs(z - r) > 1e-6 * (1.0 + abs(r)) for r in roots):
                 roots.append(z)
         if roots:
-            roots.sort(key=lambda z: (abs(z), math.atan2(z.imag, z.real) % TWO_PI))
+            roots.sort(key=lambda z: (abs(z), math.atan2(z.imag, z.real) % math.tau))
             base = roots[0]
             if abs(poincare_eval(pm, base) - center) > CACHE_RESIDUAL * scale:
                 continue
@@ -266,8 +262,8 @@ def argument_principle_count(pm: PoincareMap, w: complex, r: float) -> int:
     """Number of solutions of f(z) = w in D_r, with multiplicity, by the
     winding integral (1/2pi) Int Re[ f'(z) z / (f(z)-w) ] dtheta with node
     doubling until two consecutive estimates settle on one integer."""
-    if r <= 0.0:
-        raise BadParams("r must be positive")
+    if not 0.0 < r < math.inf:
+        raise BadParams(f"r must be positive and finite, got {r}")
     w = complex(w)
     r_eff = float(r)
     for attempt in range(2):

@@ -13,11 +13,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadParams
-from .poincare import PoincareMap, log_modulus_circle, poincare_eval_many
+from .poincare import PoincareMap, poincare_eval_many
 from .sets import SetModel, disk_pack
 from .siegel import SiegelMap, h_eval, sub_siegel_sample
-
-TWO_PI = 2.0 * math.pi
 
 
 def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -49,36 +47,46 @@ def _grid(r: float, size: int) -> np.ndarray:
     return xs[None, :] + 1j * ys[:, None]
 
 
-def domain_coloring_ppm(pm: PoincareMap, r: float, size: int = 512) -> bytes:
-    """Phase-and-modulus coloring of the Poincare function on the square
-    circumscribing D_r."""
-    z = _grid(r, size)
+def _domain_rgb(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
+    """RGB in [0, 1] for f at each z: hue from the phase, brightness banded
+    by log2 |f|."""
     f = poincare_eval_many(pm, z)
     with np.errstate(divide="ignore"):
         logm = np.log(np.abs(f))
     logm[~np.isfinite(logm)] = -30.0
-    hue = (np.angle(f) / TWO_PI) % 1.0
-    band = (logm / math.log(2.0)) % 1.0
-    val = 0.35 + 0.55 * band
-    sat = np.full_like(val, 0.85)
-    outside = np.abs(z) > r
-    rgb = _hsv_to_rgb(hue, sat, val)
-    rgb[outside] = 0.08
+    hue = (np.angle(f) / math.tau) % 1.0
+    val = 0.35 + 0.55 * ((logm / math.log(2.0)) % 1.0)
+    return _hsv_to_rgb(hue, np.full_like(val, 0.85), val)
+
+
+def domain_coloring_ppm(pm: PoincareMap, r: float, size: int = 512) -> bytes:
+    """Phase-and-modulus coloring of the Poincare function on the square
+    circumscribing D_r."""
+    z = _grid(r, size)
+    rgb = _domain_rgb(pm, z)
+    rgb[np.abs(z) > r] = 0.08
     return ppm_bytes(rgb)
+
+
+def _siegel_scatter(sm: SiegelMap, samples: int, seed: int, n_boundary: int):
+    """(sampled points, h at n_boundary equally spaced points of the
+    sub-disk's boundary circle, half-width of a view around the center that
+    holds both)."""
+    pts = sub_siegel_sample(sm, samples, seed)
+    theta = np.arange(n_boundary) * (math.tau / n_boundary)
+    boundary = np.array([
+        h_eval(sm, sm.sub_fraction * sm.radius_hat * complex(math.cos(t), math.sin(t)))
+        for t in theta
+    ])
+    span = 1.3 * float(np.max(np.abs(np.concatenate([pts, boundary]) - sm.center_value))) + 1e-12
+    return pts, boundary, span
 
 
 def siegel_scatter_ppm(sm: SiegelMap, size: int = 512, samples: int = 4000,
                        seed: int = 7) -> bytes:
     """Sampled sub-Siegel disk (light dots) with its boundary image (bright)
     on a dark background."""
-    pts = sub_siegel_sample(sm, samples, seed)
-    theta = np.arange(720) * (TWO_PI / 720)
-    boundary = np.array([
-        h_eval(sm, sm.sub_fraction * sm.radius_hat * complex(math.cos(t), math.sin(t)))
-        for t in theta
-    ])
-    allpts = np.concatenate([pts, boundary])
-    span = 1.3 * float(np.max(np.abs(allpts - sm.center_value))) + 1e-12
+    pts, boundary, span = _siegel_scatter(sm, samples, seed, 720)
     img = np.full((size, size, 3), 0.06)
 
     def paint(zs, color):
@@ -154,14 +162,7 @@ def orbit_ppm(points: Iterable[complex], S: SetModel | None, r: float,
 
 def domain_coloring_svg(pm: PoincareMap, r: float, cells: int = 64) -> str:
     """Coarse vector version of the domain coloring (one rect per cell)."""
-    z = _grid(r, cells)
-    f = poincare_eval_many(pm, z)
-    with np.errstate(divide="ignore"):
-        logm = np.log(np.abs(f))
-    logm[~np.isfinite(logm)] = -30.0
-    hue = (np.angle(f) / TWO_PI) % 1.0
-    val = 0.35 + 0.55 * ((logm / math.log(2.0)) % 1.0)
-    rgb = np.clip(_hsv_to_rgb(hue, np.full_like(val, 0.85), val) * 255.0, 0, 255)
+    rgb = np.clip(_domain_rgb(pm, _grid(r, cells)) * 255.0, 0, 255)
     step = 2.0 * r / cells
     parts = [_svg_header(800, 800, r)]
     for i in range(cells):
@@ -179,13 +180,7 @@ def domain_coloring_svg(pm: PoincareMap, r: float, cells: int = 64) -> str:
 
 def siegel_scatter_svg(sm: SiegelMap, samples: int = 1500, seed: int = 7) -> str:
     """Vector scatter of the sub-Siegel disk with its boundary image."""
-    pts = sub_siegel_sample(sm, samples, seed)
-    theta = np.arange(360) * (TWO_PI / 360)
-    boundary = np.array([
-        h_eval(sm, sm.sub_fraction * sm.radius_hat * complex(math.cos(t), math.sin(t)))
-        for t in theta
-    ])
-    span = 1.3 * float(np.max(np.abs(np.concatenate([pts, boundary]) - sm.center_value))) + 1e-12
+    pts, boundary, span = _siegel_scatter(sm, samples, seed, 360)
     parts = [_svg_header(800, 800, span)]
     dot = 0.006 * span
     for p in pts:
@@ -202,35 +197,3 @@ def siegel_scatter_svg(sm: SiegelMap, samples: int = 1500, seed: int = 7) -> str
         )
     parts.append("</svg>\n")
     return "".join(parts)
-
-
-def growth_curve_svg(pm: PoincareMap, k_max: int, width: int = 800) -> str:
-    """log log M(r) against log r on geometric radii, as a polyline."""
-    if k_max < 6:
-        raise BadParams("k_max must be >= 6")
-    abs_mu = abs(pm.mu)
-    pts = []
-    for k in range(1, k_max + 1):
-        r = abs_mu**k * pm.r0
-        m = float(np.max(log_modulus_circle(pm, r)))
-        if m > 0:
-            pts.append((math.log(r), math.log(m)))
-    if len(pts) < 2:
-        raise BadParams("not enough usable radii for a growth curve")
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    span_x = (x1 - x0) or 1.0
-    span_y = (y1 - y0) or 1.0
-    coords = " ".join(
-        f"{(x - x0) / span_x * width:.2f},{(1.0 - (y - y0) / span_y) * width * 0.6:.2f}"
-        for x, y in pts
-    )
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{int(width * 0.6)}">\n'
-        f'<rect width="100%" height="100%" fill="#101018"/>\n'
-        f'<polyline points="{coords}" fill="none" stroke="#ffcc40" '
-        f'stroke-width="2"/>\n</svg>\n'
-    )

@@ -60,6 +60,16 @@ class TruncatedSeries:
         return series_eval(self, z)
 
 
+def root_test_rate(a: np.ndarray, nz: np.ndarray) -> float:
+    """Root-test growth rate max |a_k|^{1/k} over the last quarter of the
+    nonzero support: a holds the moduli |a_k|, nz the indices where they are
+    nonzero, ending at the top degree M >= 1; 1/rate estimates the radius of
+    convergence."""
+    M = int(nz[-1])
+    ks = nz[nz >= max(1, (3 * M) // 4)]
+    return float(np.max(a[ks] ** (1.0 / ks)))
+
+
 def _certificate(coeffs: np.ndarray, eps: float) -> RadiusCertificate:
     a = np.abs(np.asarray(coeffs, dtype=complex))
     n = len(a)
@@ -72,13 +82,7 @@ def _certificate(coeffs: np.ndarray, eps: float) -> RadiusCertificate:
         # top half identically zero: treat as an exact polynomial
         return RadiusCertificate(math.inf, math.inf, 0.0, True, False)
 
-    # root test over the last quarter of the nonzero support
-    lo = max(1, (3 * M) // 4)
-    ks = nz[nz >= lo]
-    if len(ks) == 0:
-        ks = nz[nz >= 1]
-    rates = a[ks] ** (1.0 / ks)
-    root_rate = float(np.max(rates))
+    root_rate = root_test_rate(a, nz)
     root_radius = math.inf if root_rate == 0.0 else 1.0 / root_rate
 
     # stepwise ratios between consecutive nonzero coefficients (last 8)
@@ -175,9 +179,7 @@ def series_eval(s: TruncatedSeries, z):
             raise OutOfSafeRadius(
                 f"|z - center| = {worst:.6g} exceeds safe radius {s.safe_radius:.6g}"
             )
-    val = np.zeros_like(dz)
-    for a in s.coeffs[::-1]:
-        val = val * dz + a
+    val = horner_unchecked(s.coeffs, dz)
     if np.ndim(z) == 0:
         return complex(val)
     return val

@@ -31,7 +31,6 @@ from .errors import BadParams, NoCertificate
 SAMPLE_BLOCK = 1 << 16
 _PACK_TRIES = 200
 _OVERLAP_TOL = 0.10
-TWO_PI = 2.0 * math.pi
 
 
 def safety_factor(delta: float) -> float:
@@ -108,25 +107,20 @@ def _pack_annulus(C: float, delta: float, seed: int, j: int):
     placed_r = []
     lo_band, hi_band = 2.0**j, 2.0 ** (j + 1)
     for r_i in radii:
-        chosen = None
-        for _ in range(_PACK_TRIES):
+        for attempt in range(_PACK_TRIES + 1):
             mod = rng.uniform(lo_band + r_i, hi_band - r_i)
-            ang = rng.uniform(0.0, TWO_PI)
+            ang = rng.uniform(0.0, math.tau)
             cand = mod * complex(math.cos(ang), math.sin(ang))
+            if attempt == _PACK_TRIES:
+                break  # give up on separation; overlap only lowers the true density
             overlap = 0.0
             for c_k, r_k in zip(centers, placed_r):
                 overlap += _lens_area(abs(cand - c_k), r_i, r_k)
                 if overlap > _OVERLAP_TOL * math.pi * r_i * r_i:
                     break
             if overlap <= _OVERLAP_TOL * math.pi * r_i * r_i:
-                chosen = cand
                 break
-        if chosen is None:
-            # give up on separation; overlap only lowers the true density
-            mod = rng.uniform(lo_band + r_i, hi_band - r_i)
-            ang = rng.uniform(0.0, TWO_PI)
-            chosen = mod * complex(math.cos(ang), math.sin(ang))
-        centers.append(chosen)
+        centers.append(cand)
         placed_r.append(r_i)
     return np.array(centers, dtype=complex), np.array(placed_r, dtype=float)
 
@@ -222,14 +216,14 @@ def make_sector_set(C: float, delta: float) -> SetModel:
     F = safety_factor(delta)
 
     def phi(j):
-        return TWO_PI * F * min(1.0, C * 2.0 ** (-j * delta))
+        return math.tau * F * min(1.0, C * 2.0 ** (-j * delta))
 
     def member(z: complex) -> bool:
         a = abs(z)
         if a < 1.0 or not math.isfinite(a):
             return False
         j = int(math.floor(math.log2(a)))
-        ang = math.atan2(z.imag, z.real) % TWO_PI
+        ang = math.atan2(z.imag, z.real) % math.tau
         return ang < phi(j)
 
     def member_bulk(z: np.ndarray) -> np.ndarray:
@@ -240,8 +234,8 @@ def make_sector_set(C: float, delta: float) -> SetModel:
         ok = (a >= 1.0) & np.isfinite(a)
         if np.any(ok):
             jj = np.floor(np.log2(a[ok])).astype(int)
-            ang = np.mod(np.angle(flat[ok]), TWO_PI)
-            phis = TWO_PI * F * np.minimum(1.0, C * 2.0 ** (-jj * delta))
+            ang = np.mod(np.angle(flat[ok]), math.tau)
+            phis = math.tau * F * np.minimum(1.0, C * 2.0 ** (-jj * delta))
             out[np.nonzero(ok)[0]] = ang < phis
         return out.reshape(z.shape)
 
@@ -294,7 +288,7 @@ def density_estimate(S: SetModel, r: float, samples: int, seed: int) -> DensityE
         rng = np.random.default_rng(np.random.SeedSequence([seed, block_index]))
         u = rng.random(n)
         v = rng.random(n)
-        z = r * np.sqrt(u) * np.exp(1j * TWO_PI * v)
+        z = r * np.sqrt(u) * np.exp(1j * math.tau * v)
         hits += int(np.count_nonzero(S.contains_many(z)))
         done += n
         block_index += 1

@@ -22,16 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linearize import conjugacy_coeffs
-from .dyncore import QuadMap
+from .dyncore import QuadMap, iterate_with_deriv
 from .errors import BadParams, NoConvergence, OutOfDomain
 from .series import (
     TruncatedSeries,
     horner_unchecked,
     make_series,
+    root_test_rate,
     series_derivative,
 )
 
-TWO_PI = 2.0 * math.pi
 H_INV_NEWTON_ITERS = 50
 H_INV_TOL = 1e-12
 RESIDUAL_SCAN_THRESHOLD = 1e-8
@@ -104,12 +104,7 @@ class SiegelMap:
         if self.period == 1 and self.map.kind == "lambda":
             return self.map.param
         # multiplier of the q-fold map at the cycle point
-        d = 1.0 + 0.0j
-        w = self.center_value
-        for _ in range(self.period):
-            d *= self.map.deriv(w)
-            w = self.map(w)
-        return d
+        return iterate_with_deriv(self.map, self.center_value, self.period)[1]
 
 
 def siegel_coefficients(qmap: QuadMap, N: int) -> TruncatedSeries:
@@ -130,7 +125,7 @@ def siegel_coefficients(qmap: QuadMap, N: int) -> TruncatedSeries:
 
 
 def _residual_on_circle(series, center, lam, forward, r, n_angles=128):
-    theta = np.arange(n_angles) * (TWO_PI / n_angles)
+    theta = np.arange(n_angles) * (math.tau / n_angles)
     z = r * np.exp(1j * theta)
     h = center + horner_unchecked(series.coeffs, z)
     lhs = forward(h)
@@ -162,13 +157,9 @@ def siegel_radius_estimate(
         raise BadParams("radius estimate needs at least 64 coefficients")
     a = np.abs(coeffs)
     nz = np.flatnonzero(a > 0.0)
-    nz = nz[nz >= 1]
-    M = int(nz[-1]) if len(nz) else 0
-    lo = max(1, (3 * M) // 4)
-    ks = nz[nz >= lo]
-    if M < 2 or len(ks) == 0:
+    if len(nz) == 0 or nz[-1] < 2:
         return SiegelRadiusEstimate(math.inf, math.inf, math.inf, False)
-    root_est = float(1.0 / np.max(a[ks] ** (1.0 / ks)))
+    root_est = 1.0 / root_test_rate(a, nz)
 
     if forward is None or lam is None:
         return SiegelRadiusEstimate(root_est, root_est, math.nan, False)
@@ -188,13 +179,18 @@ def siegel_radius_estimate(
     return SiegelRadiusEstimate(value, root_est, resid_est, ratio > 2.0)
 
 
-def _assemble(angle, qmap, series, center, period, sub_fraction, forward, lam):
+def _radius_and_residual(series, center, lam, forward, sub_fraction):
+    """(radius estimate, conjugacy residual on the sub-disk's boundary)."""
     est = siegel_radius_estimate(series, forward=forward, lam=lam, center=center)
-    if not est.value > 0.0 or not math.isfinite(est.value):
-        raise NoConvergence("could not certify a positive linearization radius")
     resid = _residual_on_circle(
         series, center, lam, forward, sub_fraction * est.value, n_angles=256
     )
+    return est, resid
+
+
+def _assemble(angle, qmap, series, center, period, sub_fraction, est, resid):
+    if not est.value > 0.0 or not math.isfinite(est.value):
+        raise NoConvergence("could not certify a positive linearization radius")
     return SiegelMap(
         angle=angle,
         map=qmap,
@@ -217,16 +213,13 @@ def build_siegel_map(angle: RotationAngle, N: int = 64, sub_fraction: float = 0.
     n = N
     while True:
         series = siegel_coefficients(qmap, n)
-        est = siegel_radius_estimate(series, forward=qmap, lam=angle.lam, center=0j)
+        est, resid = _radius_and_residual(series, 0j, angle.lam, qmap, sub_fraction)
         # double on demand until the conjugacy holds to 1e-10 on the sub-disk
-        resid = _residual_on_circle(
-            series, 0j, angle.lam, qmap, sub_fraction * est.value, n_angles=256
-        )
         if resid > 1e-10 and n < 512:
             n *= 2
             continue
         break
-    return _assemble(angle, qmap, series, 0j, 1, sub_fraction, qmap, angle.lam)
+    return _assemble(angle, qmap, series, 0j, 1, sub_fraction, est, resid)
 
 
 def cycle_local_poly(qmap: QuadMap, zeta: complex, q: int) -> np.ndarray:
@@ -267,7 +260,8 @@ def build_cycle_siegel_map(
             w = qmap(w)
         return w
 
-    return _assemble(angle, qmap, series, zeta, q, sub_fraction, forward, lam)
+    est, resid = _radius_and_residual(series, zeta, lam, forward, sub_fraction)
+    return _assemble(angle, qmap, series, zeta, q, sub_fraction, est, resid)
 
 
 def h_eval(sm: SiegelMap, z):
@@ -283,53 +277,12 @@ def h_eval(sm: SiegelMap, z):
     return sm.center_value + horner_unchecked(sm.series_h.coeffs, z)
 
 
-def _newton_h(sm: SiegelMap, w: complex, u0: complex, iters=H_INV_NEWTON_ITERS):
-    target = w - sm.center_value
-    clamp = 1.2 * sm.radius_hat
-    u = u0
-    for _ in range(iters):
-        g = complex(horner_unchecked(sm.series_h.coeffs, u)) - target
-        if abs(g) < H_INV_TOL * (1.0 + abs(w)):
-            return u
-        dg = complex(horner_unchecked(sm.series_dh.coeffs, u))
-        if abs(dg) < 1e-14:
-            return None
-        u = u - g / dg
-        au = abs(u)
-        if au > clamp:
-            u *= clamp / au
-    return None
+def h_inverse_many(sm: SiegelMap, w) -> np.ndarray:
+    """h^{-1} for an array of points, by Newton on every lane at once.
 
-
-def h_inverse(sm: SiegelMap, w: complex) -> complex:
-    """Linearizing coordinate of w; OutOfDomain when w is not in h(D_{R/2})."""
-    target = w - sm.center_value
-    seed = target
-    cap = 0.95 * sm.radius_hat
-    if abs(seed) > cap:
-        seed *= cap / abs(seed)
-    u = _newton_h(sm, w, seed)
-    if u is None:
-        # continuation along the segment from the center
-        u = 0j
-        ok = True
-        for t in np.linspace(0.1, 1.0, 10):
-            u = _newton_h(sm, sm.center_value + t * target, u)
-            if u is None:
-                ok = False
-                break
-        if not ok:
-            raise OutOfDomain("Newton for h^{-1} failed to converge")
-    if abs(u) > sm.sub_fraction * sm.radius_hat * (1.0 + 1e-6):
-        raise OutOfDomain(
-            f"|h^-1(w)| = {abs(u):.6g} outside the sub-Siegel disk "
-            f"(bound {sm.sub_fraction * sm.radius_hat:.6g})"
-        )
-    return u
-
-
-def h_inverse_many(sm: SiegelMap, w: np.ndarray) -> np.ndarray:
-    """Vectorized h_inverse for a batch of points (scalar fallback per miss)."""
+    OutOfDomain when some lane does not settle to H_INV_TOL (1 + |w|) within
+    H_INV_NEWTON_ITERS steps, or settles outside the sub-Siegel disk: from
+    inside the disk every lane settles well within that budget."""
     w = np.asarray(w, dtype=complex)
     target = w - sm.center_value
     u = target.copy()
@@ -353,12 +306,21 @@ def h_inverse_many(sm: SiegelMap, w: np.ndarray) -> np.ndarray:
         u[live] = un
         idx = np.flatnonzero(live)
         live[idx[done]] = False
-    for i in np.flatnonzero(live):
-        u[i] = h_inverse(sm, complex(w[i]))
-    bound = sm.sub_fraction * sm.radius_hat * (1.0 + 1e-6)
-    if np.any(np.abs(u) > bound):
-        raise OutOfDomain("a batch point fell outside the sub-Siegel disk")
+    if np.any(live):
+        raise OutOfDomain(f"Newton for h^-1 did not settle for {np.count_nonzero(live)} points")
+    bound = sm.sub_fraction * sm.radius_hat
+    worst = float(np.max(np.abs(u), initial=0.0))
+    if worst > bound * (1.0 + 1e-6):
+        raise OutOfDomain(
+            f"|h^-1(w)| = {worst:.6g} outside the sub-Siegel disk (bound {bound:.6g})"
+        )
     return u
+
+
+def h_inverse(sm: SiegelMap, w: complex) -> complex:
+    """Linearizing coordinate of w (one lane of h_inverse_many); OutOfDomain
+    when w is not in h(D_{R/2})."""
+    return complex(h_inverse_many(sm, [w])[0])
 
 
 def p_inverse_many(sm: SiegelMap, w, ks) -> np.ndarray:
@@ -375,7 +337,7 @@ def p_inverse_many(sm: SiegelMap, w, ks) -> np.ndarray:
         raise BadParams("k must be >= 0")
     u = h_inverse_many(sm, np.asarray(w, dtype=complex).reshape(-1))
     phase = cmath.phase(sm.series_lambda)
-    rot = np.array([cmath.exp(-1j * math.fmod(phase * k, TWO_PI)) if k else 1.0
+    rot = np.array([cmath.exp(-1j * math.fmod(phase * k, math.tau)) if k else 1.0
                     for k in ks], dtype=complex)
     return sm.center_value + horner_unchecked(sm.series_h.coeffs, u[:, None] * rot)
 
@@ -396,7 +358,7 @@ def sub_siegel_sample(sm: SiegelMap, count: int, seed: int) -> np.ndarray:
         raise BadParams("count must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**63 - 1)))
     radii = sm.sub_fraction * sm.radius_hat * np.sqrt(rng.random(count))
-    angles = TWO_PI * rng.random(count)
+    angles = math.tau * rng.random(count)
     u = radii * np.exp(1j * angles)
     return sm.center_value + horner_unchecked(sm.series_h.coeffs, u)
 

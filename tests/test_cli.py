@@ -13,11 +13,18 @@ def run(tmp_path, *argv):
     return main(list(argv) + ["--out-dir", str(tmp_path)])
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, monkeypatch):
     assert main(["poincare"]) == 2  # no map spec
     assert run(tmp_path, "density", "--set", "powerlaw", "--delta", "2.5",
                "--r", "5") == 2
     assert main(["not-a-command"]) == 2
+    # non-finite numbers are usage errors, not tracebacks or numeric failures
+    for r in ("nan", "inf"):
+        assert run(tmp_path, "preimages", "--c", "-2,0", "--w", "2,0", "--r", r) == 2
+    assert run(tmp_path, "poincare", "--c", "nan,0") == 2
+    assert run(tmp_path, "poincare", "--c", "-2,0", "--eval", "25,inf") == 2
+    monkeypatch.setenv("POINCARE_LAB_THREADS", "abc")
+    assert run(tmp_path, "littlewood", "--nmax", "1") == 2
 
 
 def test_poincare_flat_family_eval(tmp_path, capsys):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from poincarelab import QuadMap, find_cycle
+from poincarelab.chebfamily import family_angle
 from poincarelab.errors import BadParams, OutOfDomain, ResonantAngle
+from poincarelab.series import horner_unchecked
 from poincarelab.siegel import (
     RotationAngle,
     build_cycle_siegel_map,
@@ -22,6 +24,33 @@ from poincarelab.siegel import (
 )
 
 GAMMA_GOLD = (math.sqrt(5) - 1) / 2
+
+
+def scalar_h_inverse(sm, w):
+    """Reference h^{-1}: scalar Newton from w - center (pulled in to 0.95
+    radius_hat), steps clamped to 1.2 radius_hat; None when it does not
+    settle in 50 steps."""
+    target = w - sm.center_value
+    u = target
+    if abs(u) > 0.95 * sm.radius_hat:
+        u *= 0.95 * sm.radius_hat / abs(u)
+    clamp = 1.2 * sm.radius_hat
+    for _ in range(50):
+        g = complex(horner_unchecked(sm.series_h.coeffs, u)) - target
+        if abs(g) < 1e-12 * (1.0 + abs(w)):
+            return u
+        dg = complex(horner_unchecked(sm.series_dh.coeffs, u))
+        if abs(dg) < 1e-14:
+            return None
+        u = u - g / dg
+        if abs(u) > clamp:
+            u *= clamp / abs(u)
+    return None
+
+
+@pytest.fixture(scope="module")
+def family_siegel():
+    return build_siegel_map(family_angle(), N=256)
 
 
 def test_golden_angle_value():
@@ -94,8 +123,37 @@ def test_h_inverse_many_matches_scalar(golden_siegel):
     zs = r * np.exp(2j * np.pi * np.arange(16) / 16.0)
     ws = np.array([h_eval(golden_siegel, complex(z)) for z in zs])
     got = h_inverse_many(golden_siegel, ws)
-    want = np.array([h_inverse(golden_siegel, complex(w)) for w in ws])
+    want = np.array([scalar_h_inverse(golden_siegel, complex(w)) for w in ws])
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("which", ["golden", "family"])
+def test_h_inverse_domain(which, request):
+    """Every point of the sub-disk, up to (1 - 1e-9) of its radius, settles
+    and matches the scalar reference; points beyond it, and far points,
+    raise OutOfDomain from the one-lane and the batched call alike."""
+    sm = request.getfixturevalue(f"{which}_siegel")
+    bound = sm.sub_fraction * sm.radius_hat
+    rng = np.random.default_rng(5)
+    rho = bound * np.concatenate([np.sqrt(rng.random(200)), np.full(32, 1.0 - 1e-9)])
+    u = rho * np.exp(2j * np.pi * rng.random(rho.size))
+    ws = h_eval(sm, u)
+    got = h_inverse_many(sm, ws)
+    want = np.array([scalar_h_inverse(sm, complex(w)) for w in ws])
+    assert np.max(np.abs(got - want)) < 1e-12
+    assert np.max(np.abs(got - u)) < 1e-10
+
+    ring = np.exp(2j * np.pi * np.arange(16) / 16.0)
+    outside = [sm.center_value + horner_unchecked(sm.series_h.coeffs, f * bound * ring)
+               for f in (1.1, 1.25, 1.5, 2.0)]
+    for ws_bad in outside + [2.5 * ring]:
+        for w in ws_bad:
+            with pytest.raises(OutOfDomain):
+                h_inverse(sm, complex(w))
+        with pytest.raises(OutOfDomain):
+            h_inverse_many(sm, ws_bad)
+        with pytest.raises(OutOfDomain):
+            h_inverse_many(sm, np.concatenate([ws[:8], ws_bad[:1]]))
 
 
 def test_h_eval_domain_bound(golden_siegel):

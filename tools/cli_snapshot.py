@@ -1,0 +1,82 @@
+"""Run a fixed set of CLI invocations and keep everything they produce.
+
+Usage:
+
+    python tools/cli_snapshot.py SRC_DIR OUT_DIR
+
+SRC_DIR is the directory that holds the `poincarelab` package (the repo's
+`src`).  Each invocation runs as `python -m poincarelab ... --out-dir .`
+from its own subdirectory of OUT_DIR, so its output files land there and
+its stdout carries no absolute path; the stdout goes to `stdout.txt` and
+the exit code to `exit_code.txt` beside them.  Snapshots of two trees are
+byte-identical exactly when `diff -r OUT_A OUT_B` prints nothing.  All runs
+together take under a minute on a 2-vCPU machine.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+RUNS = [
+    ("poincare_flat", ["poincare", "--c", "-2,0", "--eval", "25,0;3,4;-7,0.5"]),
+    ("poincare_golden", ["poincare", "--lambda-gamma", "golden", "--terms", "128"]),
+    ("poincare_no_map", ["poincare"]),
+    ("siegel_golden", ["siegel", "--lambda-gamma", "golden"]),
+    ("siegel_gamma", ["siegel", "--lambda-gamma", "0.38297", "--terms", "128"]),
+    ("preimages_golden", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
+                          "--r", "200", "--kmax", "10", "--set", "powerlaw"]),
+    ("preimages_outside", ["preimages", "--lambda-gamma", "golden", "--w", "2.5,0",
+                           "--r", "50"]),
+    ("preimages_flat", ["preimages", "--c", "-2,0", "--w", "2,0", "--r", "30"]),
+    ("exceptional_powerlaw", ["exceptional", "--set", "powerlaw"]),
+    ("exceptional_sectors", ["exceptional", "--set", "sectors", "--samples", "20",
+                             "--kmax", "12", "--seed", "3"]),
+    ("exceptional_empty", ["exceptional", "--set", "empty", "--samples", "10",
+                           "--kmax", "8", "--seed", "4"]),
+    ("littlewood_iterates", ["littlewood", "--nmax", "4"]),
+    ("littlewood_monomials", ["littlewood", "--family", "monomials", "--nmax", "3"]),
+    ("chebyshev", ["chebyshev", "--q", "1,2,3"]),
+    ("density_powerlaw", ["density", "--set", "powerlaw", "--r", "5",
+                          "--samples", "20000"]),
+    ("density_sectors", ["density", "--set", "sectors", "--r", "20"]),
+]
+for what in ("domain", "siegel", "orbit"):
+    for ext in ("ppm", "svg"):
+        flags = ["--set", "powerlaw"] if what == "orbit" else []
+        RUNS.append((f"render_{what}_{ext}",
+                     ["render", "--what", what, "--size", "128",
+                      "--out", f"{what}.{ext}"] + flags))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1]).resolve()
+    if not (src / "poincarelab" / "__init__.py").is_file():
+        print(f"{src} does not hold the poincarelab package", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("POINCARE_LAB_THREADS", None)
+    start = time.perf_counter()
+    for name, args in RUNS:
+        run_dir = out / name
+        run_dir.mkdir(parents=True, exist_ok=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "poincarelab", *args, "--out-dir", "."],
+            cwd=run_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        )
+        (run_dir / "stdout.txt").write_bytes(proc.stdout)
+        (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
+        print(f"{name}: exit {proc.returncode}")
+    print(f"{len(RUNS)} runs in {time.perf_counter() - start:.1f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
