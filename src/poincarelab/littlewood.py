@@ -11,6 +11,18 @@ quadrature is adaptive: polar cells, area-weighted midpoint values, one
 Richardson level per cell, and subdivision wherever the two disagree by more
 than the cell's share of the tolerance.
 
+Symmetry: an evaluator may declare that the integrand is invariant under the
+rotation z -> e^{2 pi i / m} z and, for real coefficients, under z -> conj(z)
+(z^m: m and yes; iterates of z^2 + c: 2, and yes when c is real).  The disk is
+then `fold` copies of one sector [0, 2 pi / fold), where fold = k (times 2
+with conjugation) and k = gcd(m, 8) with conjugation, gcd(m, 16) without, so
+fold divides 16 and the sector is the first 16 / fold cells of the 16-cell
+angular mesh.  Only the sector is integrated, under the same per-cell
+acceptance rule; its value and error sums, and a Monte Carlo fallback's
+3-sigma bar, are multiplied by fold.  The sector's error sum is at most
+tol / fold, so the disk's stays at most tol.  `evaluations` counts the
+evaluations made.  An evaluator without a declaration has fold 1.
+
 Iterates are never expanded into coefficients; P^n and its derivative are
 computed by forward iteration with the chain rule.  Lanes whose orbit passes
 1e50 in modulus are frozen with derivative zero: from that point on the true
@@ -21,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,11 +49,17 @@ _MAX_LEVELS = 48
 _MC_SEED = 0x5EED
 _MC_PER_CELL = 32
 _MC_BLOCK = 1 << 14  # cells sampled per fallback batch (bounds memory)
+_FSUM_CHUNK = 1 << 16  # floats converted for math.fsum at a time
 
 
 @dataclass(frozen=True)
 class PolyEvaluator:
-    """Polynomial with derivative, vectorized over complex arrays."""
+    """Polynomial with derivative, vectorized over complex arrays.
+
+    fn may carry an attribute ``symmetry = (rotation, conjugation)``: the
+    spherical derivative is invariant under z -> e^{2 pi i / rotation} z and,
+    if conjugation is true, under z -> conj(z).  It sits on fn rather than in
+    a field so that a wrapper built with functools.wraps keeps it."""
 
     degree: int
     label: str
@@ -48,6 +67,11 @@ class PolyEvaluator:
 
     def __call__(self, z):
         return self.fn(np.asarray(z, dtype=complex))
+
+    @property
+    def symmetry(self) -> tuple[int, bool]:
+        """fn's declared (rotation, conjugation); (1, False) if it has none."""
+        return getattr(self.fn, "symmetry", (1, False))
 
 
 @dataclass(frozen=True)
@@ -74,6 +98,7 @@ def monomial_evaluator(n: int) -> PolyEvaluator:
     def fn(z):
         return z**n, n * z ** (n - 1)
 
+    fn.symmetry = (n, True)
     return PolyEvaluator(degree=n, label=f"z^{n}", fn=fn)
 
 
@@ -96,23 +121,40 @@ def coeff_evaluator(coeffs) -> PolyEvaluator:
 
 
 def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
-    """The n-th iterate of z^2 + c (degree 2^n), with escape freezing."""
+    """The n-th iterate of z^2 + c (degree 2^n), with escape freezing.
+
+    Only the live lanes are carried from step to step, compacted in order,
+    and scattered out when some escape.  Every array operation thus runs on
+    as many lanes as a masked update of the live lanes (the reference in
+    tests/test_littlewood.py), which keeps its bits: numpy rounds an
+    in-place complex multiply of one element (one live lane) differently
+    from a longer one."""
     if n < 1:
         raise BadParams("iterate count must be >= 1")
     c = complex(c)
 
     def fn(z):
-        w = z.copy()
-        d = np.ones_like(z)
-        live = np.ones(z.shape, dtype=bool)
+        w = z.ravel()
+        d = np.ones_like(w)
+        out_w = pos = None
         for _ in range(n):
-            d[live] *= 2.0 * w[live]
-            w[live] = w[live] ** 2 + c
-            escaped = live & (np.abs(w) > ESCAPE_BOUND)
-            d[escaped] = 0.0
-            live &= ~escaped
-        return w, d
+            d *= 2.0 * w
+            w = w**2 + c
+            escaped = np.abs(w) > ESCAPE_BOUND
+            if escaped.any():
+                if out_w is None:
+                    out_w, out_d = np.empty_like(w), np.zeros_like(w)
+                    pos = np.arange(w.size)
+                out_w[pos[escaped]] = w[escaped]  # frozen, derivative zero
+                live = ~escaped
+                pos, w, d = pos[live], w[live], d[live]
+        if out_w is not None:
+            out_w[pos] = w
+            out_d[pos] = d
+            w, d = out_w, out_d
+        return w.reshape(z.shape), d.reshape(z.shape)
 
+    fn.symmetry = (2, c.imag == 0.0)
     return PolyEvaluator(degree=2**n, label=f"iterate(c={c}, n={n})", fn=fn)
 
 
@@ -131,14 +173,24 @@ def _sph_many(ev: PolyEvaluator, z: np.ndarray, threads: int = 1) -> np.ndarray:
     return 2.0 * np.abs(d) / (1.0 + np.abs(v) ** 2)
 
 
-def _cell_mids(r0, r1, t0, t1):
-    rm = 0.5 * (r0 + r1)
-    tm = 0.5 * (t0 + t1)
-    return rm * np.exp(1j * tm)
-
-
 def _cell_area(r0, r1, t0, t1):
     return 0.5 * (r1**2 - r0**2) * (t1 - t0)
+
+
+def _fold(ev: PolyEvaluator) -> int:
+    """How many copies of the integrated sector make up the disk (divides 16)."""
+    rotation, conjugation = ev.symmetry
+    if conjugation:
+        return 2 * math.gcd(rotation, 8)
+    return math.gcd(rotation, 16)
+
+
+def _fsum(parts) -> float:
+    """Correctly rounded sum of the elements of a list of float arrays: one
+    math.fsum, fed a bounded slice at a time."""
+    return math.fsum(itertools.chain.from_iterable(
+        p[i:i + _FSUM_CHUNK].tolist()
+        for p in parts for i in range(0, p.size, _FSUM_CHUNK)))
 
 
 def _seed_radial_edges(ev: PolyEvaluator, degree: int):
@@ -189,79 +241,87 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
     Each open cell is probed with both one-dimensional bisections (radial and
     angular midpoints, 4 evaluations); their sum minus the parent midpoint is
     the fully-refined estimate, giving the usual Richardson discrepancy.  A
-    cell is accepted when that discrepancy is below its area share of tol;
-    otherwise it splits along the dimension whose discrepancy dominates, so
-    ridge-like integrands (P^# concentrates where |P| is near 1) refine
-    across the ridge instead of exploding four ways.  Past the evaluation
-    budget the remaining cells fall back to stratified Monte Carlo with a
-    3-sigma error bar."""
-    if not (tol > 0.0):
-        raise BadParams("tol must be positive")
+    cell is accepted when that discrepancy is below its area share of tol
+    (err <= tol * area / pi); otherwise it splits along the dimension whose
+    discrepancy dominates, so ridge-like integrands (P^# concentrates where
+    |P| is near 1) refine across the ridge instead of exploding four ways.
+    Past the evaluation budget the remaining cells fall back to stratified
+    Monte Carlo with a 3-sigma error bar.
+
+    With a declared symmetry (see the module docstring) only the sector
+    [0, 2 pi / fold) is meshed: the first 16 / fold angular cells of the
+    16-cell mesh, refined by the same rule.  value and error_bound are fold
+    times the sector's sums of accepted values and of error estimates (the
+    Monte Carlo bar included), so error_bound stays at most tol when no
+    fallback happens; evaluations counts only what was evaluated.  With
+    fold 1 this is the whole disk."""
+    if not (0.0 < tol < math.inf):
+        raise BadParams("tol must be positive and finite")
     if degree is None:
         degree = ev.degree
+    fold = _fold(ev)
 
     r_edges, evals = _seed_radial_edges(ev, degree)
-    t_edges = np.linspace(0.0, math.tau, 17)
+    t_edges = np.linspace(0.0, math.tau, 17)[:16 // fold + 1]
+    nt = t_edges.size - 1
     nr = r_edges.size - 1
-    r0 = np.repeat(r_edges[:-1], 16)
-    r1 = np.repeat(r_edges[1:], 16)
+    r0 = np.repeat(r_edges[:-1], nt)
+    r1 = np.repeat(r_edges[1:], nt)
     t0 = np.tile(t_edges[:-1], nr)
     t1 = np.tile(t_edges[1:], nr)
+    # e = exp(i * mid-angle) of each open cell; a radial split keeps it
+    e = np.exp(1j * (0.5 * (t0 + t1)))
+    coarse = (_sph_many(ev, 0.5 * (r0 + r1) * e, threads)
+              * _cell_area(r0, r1, t0, t1))
+    evals += r0.size
 
-    mids = _cell_mids(r0, r1, t0, t1)
-    coarse = _sph_many(ev, mids, threads) * _cell_area(r0, r1, t0, t1)
-    evals += mids.size
-
-    accepted: list[float] = []
-    err_parts: list[float] = []
+    values: list[np.ndarray] = []  # accepted cells' estimates, one array per level
+    errors: list[np.ndarray] = []  # and their error estimates
     budget_hit = False
 
     for _level in range(_MAX_LEVELS):
-        if r0.size == 0:
+        n = r0.size
+        if n == 0:
             break
-        if evals + 4 * r0.size > EVAL_BUDGET:
+        if evals + 4 * n > EVAL_BUDGET:
             budget_hit = True
             break
         rm = 0.5 * (r0 + r1)
         tm = 0.5 * (t0 + t1)
-        # radial-split children (slots i: low r, n+i: high r) ...
-        sr0 = np.concatenate([r0, rm])
-        sr1 = np.concatenate([rm, r1])
-        st0 = np.concatenate([t0, t0])
-        st1 = np.concatenate([t1, t1])
-        # ... and angular-split children (slots i: low theta, n+i: high theta)
-        ar0 = np.concatenate([r0, r0])
-        ar1 = np.concatenate([r1, r1])
-        at0 = np.concatenate([t0, tm])
-        at1 = np.concatenate([tm, t1])
-        cm = np.concatenate([_cell_mids(sr0, sr1, st0, st1),
-                             _cell_mids(ar0, ar1, at0, at1)])
-        careas = np.concatenate([_cell_area(sr0, sr1, st0, st1),
-                                 _cell_area(ar0, ar1, at0, at1)])
-        cvals = _sph_many(ev, cm, threads) * careas
+        e_lo = np.exp(1j * (0.5 * (t0 + tm)))
+        e_hi = np.exp(1j * (0.5 * (tm + t1)))
+        # children: radial split (low r, high r), then angular (low t, high t)
+        cm = np.empty(4 * n, dtype=complex)
+        np.multiply(0.5 * (r0 + rm), e, out=cm[:n])
+        np.multiply(0.5 * (rm + r1), e, out=cm[n:2 * n])
+        np.multiply(rm, e_lo, out=cm[2 * n:3 * n])
+        np.multiply(rm, e_hi, out=cm[3 * n:])
+        half = 0.5 * (r1**2 - r0**2)
+        dt = t1 - t0
+        cvals = _sph_many(ev, cm, threads)
         evals += cm.size
-        n = r0.size
+        cvals[:n] *= 0.5 * (rm**2 - r0**2) * dt
+        cvals[n:2 * n] *= 0.5 * (r1**2 - rm**2) * dt
+        cvals[2 * n:3 * n] *= half * (tm - t0)
+        cvals[3 * n:] *= half * (t1 - tm)
         fine_r = cvals[:n] + cvals[n:2 * n]
         fine_t = cvals[2 * n:3 * n] + cvals[3 * n:]
         # half-step-in-both-dimensions estimate up to cross terms
         fine = fine_r + fine_t - coarse
         diff = (fine - coarse) / 3.0
         err = np.abs(diff)
-        share = tol * _cell_area(r0, r1, t0, t1) / math.pi
-        ok = err <= share
-        accepted.extend((fine[ok] + diff[ok]).tolist())
-        err_parts.extend(err[ok].tolist())
+        ok = err <= tol * (half * dt) / math.pi
+        values.append(fine[ok] + diff[ok])
+        errors.append(err[ok])
         keep = np.nonzero(~ok)[0]
-        if keep.size == 0:
-            r0 = r0[:0]
-            continue
         radial = (np.abs(fine_r - coarse) >= np.abs(fine_t - coarse))[keep]
         ri = keep[radial]
         ti = keep[~radial]
-        r0 = np.concatenate([sr0[ri], sr0[ri + n], ar0[ti], ar0[ti + n]])
-        r1 = np.concatenate([sr1[ri], sr1[ri + n], ar1[ti], ar1[ti + n]])
-        t0 = np.concatenate([st0[ri], st0[ri + n], at0[ti], at0[ti + n]])
-        t1 = np.concatenate([st1[ri], st1[ri + n], at1[ti], at1[ti + n]])
+        r0, r1, t0, t1 = (np.concatenate([r0[ri], rm[ri], r0[ti], r0[ti]]),
+                          np.concatenate([rm[ri], r1[ri], r1[ti], r1[ti]]),
+                          np.concatenate([t0[ri], t0[ri], t0[ti], tm[ti]]),
+                          np.concatenate([t1[ri], t1[ri], tm[ti], t1[ti]]))
+        e = np.concatenate([e[ri], e[ri], e_lo[ti], e_hi[ti]])
         coarse = np.concatenate([cvals[ri], cvals[ri + n],
                                  cvals[2 * n + ti], cvals[3 * n + ti]])
 
@@ -272,6 +332,7 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
         rng = np.random.default_rng(np.random.SeedSequence([_MC_SEED, r0.size]))
         remaining = max(EVAL_BUDGET - evals, 2 * r0.size)
         per_cell = int(max(2, min(_MC_PER_CELL, remaining // r0.size)))
+        block_sums: list[float] = []
         var_parts: list[float] = []
         for lo in range(0, r0.size, _MC_BLOCK):
             hi = min(lo + _MC_BLOCK, r0.size)
@@ -284,14 +345,15 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
             sph = _sph_many(ev, pts.ravel(), threads).reshape(pts.shape)
             evals += pts.size
             areas = _cell_area(r0[lo:hi], r1[lo:hi], t0[lo:hi], t1[lo:hi])
-            accepted.append(float(np.sum(sph.mean(axis=1) * areas)))
+            block_sums.append(float(np.sum(sph.mean(axis=1) * areas)))
             var_parts.append(float(np.sum(
                 sph.var(axis=1, ddof=1) / per_cell * areas**2)))
-        err_parts.append(3.0 * math.sqrt(math.fsum(var_parts)))
+        values.append(np.array(block_sums))
+        errors.append(np.array([3.0 * math.sqrt(math.fsum(var_parts))]))
 
     return IntegralEstimate(
-        value=math.fsum(accepted),
-        error_bound=math.fsum(err_parts),
+        value=fold * _fsum(values),
+        error_bound=fold * _fsum(errors),
         evaluations=evals,
         degree=int(degree),
         budget_exceeded=budget_hit,

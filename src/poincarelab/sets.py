@@ -261,6 +261,8 @@ def make_custom_set(predicate: Callable[[complex], bool],
 
 def certified_bound(S: SetModel, r: float) -> float:
     """min(1, C * r^{-delta}) from the certificate."""
+    if not (0.0 < r < math.inf):
+        raise BadParams("r must be positive and finite")
     if S.certificate is None:
         raise NoCertificate("set carries no density certificate")
     C, delta = S.certificate
@@ -275,8 +277,8 @@ def density_estimate(S: SetModel, r: float, samples: int, seed: int) -> DensityE
     Samples are drawn in fixed blocks with per-block substreams of
     (seed, block), so the result depends only on (seed, samples).
     """
-    if not (r > 0.0):
-        raise BadParams("r must be positive")
+    if not (0.0 < r < math.inf):
+        raise BadParams("r must be positive and finite")
     if samples < 1000:
         raise BadParams("samples must be >= 1000")
     seed = int(seed) & (2**63 - 1)

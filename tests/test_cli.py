@@ -23,6 +23,14 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
         assert run(tmp_path, "preimages", "--c", "-2,0", "--w", "2,0", "--r", r) == 2
     assert run(tmp_path, "poincare", "--c", "nan,0") == 2
     assert run(tmp_path, "poincare", "--c", "-2,0", "--eval", "25,inf") == 2
+    for tol in ("inf", "nan"):
+        assert run(tmp_path, "littlewood", "--nmax", "1", "--tol", tol) == 2
+    for r in ("inf", "nan"):
+        assert run(tmp_path, "density", "--set", "powerlaw", "--r", r) == 2
+    for what in ("domain", "orbit"):
+        for r in ("nan", "inf", "0"):
+            assert run(tmp_path, "render", "--what", what, "--r", r, "--out", "x.ppm") == 2
+    assert not (tmp_path / "x.ppm").exists()
     monkeypatch.setenv("POINCARE_LAB_THREADS", "abc")
     assert run(tmp_path, "littlewood", "--nmax", "1") == 2
 

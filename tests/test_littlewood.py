@@ -1,7 +1,11 @@
+import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab import littlewood as lw
 from poincarelab.errors import BadParams, InsufficientData
@@ -52,6 +56,129 @@ def test_iterate_evaluator_escape_freeze():
     vals, ders = ev.fn(np.array([2.0 + 2.0j]))
     assert np.all(np.isfinite(vals.view(float)))
     assert ders[0] == 0
+
+
+def masked_iterate(c, n, z):
+    """The iterate evaluator as a masked update of the live lanes: the
+    reference for the compacted one in `littlewood.iterate_evaluator`."""
+    w = z.copy()
+    d = np.ones_like(z)
+    live = np.ones(z.shape, dtype=bool)
+    for _ in range(n):
+        d[live] *= 2.0 * w[live]
+        w[live] = w[live] ** 2 + c
+        escaped = live & (np.abs(w) > lw.ESCAPE_BOUND)
+        d[escaped] = 0.0
+        live &= ~escaped
+    return w, d
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 40])
+@pytest.mark.parametrize("c", [-1 + 0j, 0.3 + 0.5j, 3 + 0j])
+def test_iterate_evaluator_bits_match_masked(c, n):
+    rng = np.random.default_rng(np.random.SeedSequence([4096, n]))
+    z = 3.0 * np.sqrt(rng.random(4096)) * np.exp(1j * math.tau * rng.random(4096))
+    fn = lw.iterate_evaluator(c, n).fn
+    w, d = fn(z)
+    w_ref, d_ref = masked_iterate(c, n, z)
+    assert _same_bits(w, w_ref) and _same_bits(d, d_ref)
+    assert np.all(d[np.abs(w) > lw.ESCAPE_BOUND] == 0)
+    # short calls, down to one lane, where the last live lane of a call is
+    # updated alone
+    for k in range(0, 64, 3):
+        part = z[k:k + k % 4 + 1]
+        assert all(_same_bits(a, b) for a, b in zip(fn(part), masked_iterate(c, n, part)))
+
+
+def test_iterate_evaluator_lone_survivor_bits():
+    # every lane but one escapes: from then on the masked update multiplies
+    # the survivor's derivative alone
+    rng = np.random.default_rng(7)
+    z = 3.0 * np.exp(1j * math.tau * rng.random(20000))
+    lone = 8199
+    z[lone] = np.exp(0.7j)  # on the Julia set of z^2
+    w, d = lw.iterate_evaluator(0j, 40).fn(z)
+    w_ref, d_ref = masked_iterate(0j, 40, z)
+    assert _same_bits(w, w_ref) and _same_bits(d, d_ref)
+    assert np.count_nonzero(d) == 1 and d[lone] != 0
+
+
+def test_symmetry_declarations():
+    assert lw.iterate_evaluator(-1 + 0j, 3).symmetry == (2, True)
+    assert lw.iterate_evaluator(0.3 + 0.2j, 3).symmetry == (2, False)
+    assert lw.monomial_evaluator(12).symmetry == (12, True)
+    assert lw.coeff_evaluator([-1, 0, 1]).symmetry == (1, False)
+    ev = lw.iterate_evaluator(-1 + 0j, 2)
+    wrapped = functools.wraps(ev.fn)(lambda z: ev.fn(z))
+    assert lw.PolyEvaluator(degree=4, label="wrapped", fn=wrapped).symmetry == (2, True)
+    assert [lw._fold(lw.monomial_evaluator(m)) for m in (1, 2, 3, 4, 6, 8, 64)] == \
+        [2, 4, 2, 8, 4, 16, 16]
+    assert lw._fold(lw.iterate_evaluator(-1 + 0j, 1)) == 4
+    assert lw._fold(lw.iterate_evaluator(0.3 + 0.2j, 1)) == 2
+
+
+def _undeclared(ev):
+    """The same polynomial with no declared symmetry (fold 1)."""
+    return lw.PolyEvaluator(degree=ev.degree, label=ev.label, fn=lambda z: ev.fn(z))
+
+
+@pytest.mark.parametrize("ev", [lw.iterate_evaluator(c, n)
+                                for c in (-1 + 0j, 0.3 + 0.2j) for n in (1, 2, 3, 4)]
+                         + [lw.monomial_evaluator(m) for m in (1, 3, 8, 64)],
+                         ids=lambda ev: ev.label)
+def test_fold_is_exact_reexpression(ev):
+    folded = lw.disk_integral(ev, tol=1e-4)
+    whole = lw.disk_integral(_undeclared(ev), tol=1e-4)
+    assert abs(folded.value - whole.value) <= folded.error_bound + whole.error_bound
+    assert folded.error_bound <= 1e-4 and not folded.budget_exceeded
+    assert folded.evaluations < whole.evaluations
+
+
+def test_undeclared_evaluator_bits_unchanged():
+    # value, error bound and evaluation count of the whole-disk quadrature
+    # before sector folding was added
+    est = lw.disk_integral(lw.coeff_evaluator([-1, 0, 1]), 1e-4)
+    assert (est.value, est.error_bound, est.evaluations, est.budget_exceeded) == \
+        (4.059547408866901, 5.701383919948615e-05, 76640, False)
+
+
+def _integrand(ev, z):
+    v, d = ev(np.array([z]))
+    return 2.0 * abs(d[0]) / (1.0 + abs(v[0]) ** 2)
+
+
+def _check_declared_symmetry(ev, z):
+    rotation, conjugation = ev.symmetry
+    f = _integrand(ev, z)
+    # -z is exact; other rotations are rounded once
+    images = [-z if rotation == 2 else z * cmath.exp(1j * math.tau / rotation)]
+    if conjugation:
+        images.append(z.conjugate())
+    for u in images:
+        g = _integrand(ev, u)
+        assert abs(f - g) <= 1e-12 * max(f, g), (z, u, f, g)
+
+
+_disk_point = st.builds(
+    lambda r, t: r * complex(math.cos(t), math.sin(t)),
+    st.floats(1e-3, 1.0), st.floats(0.0, math.tau))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(re=st.floats(-2.0, 2.0), im=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+       n=st.integers(1, 6), z=_disk_point)
+def test_iterate_symmetry_property(re, im, n, z):
+    _check_declared_symmetry(lw.iterate_evaluator(complex(re, im), n), z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 64), z=_disk_point)
+def test_monomial_symmetry_property(m, z):
+    _check_declared_symmetry(lw.monomial_evaluator(m), z)
 
 
 def test_degree_one_integral_closed_form():
@@ -143,5 +270,6 @@ def test_family_csv_header():
 
 
 def test_disk_integral_validates_tol():
-    with pytest.raises(BadParams):
-        lw.disk_integral(lw.monomial_evaluator(2), tol=0.0)
+    for tol in (0.0, -1e-4, math.inf, math.nan):
+        with pytest.raises(BadParams):
+            lw.disk_integral(lw.monomial_evaluator(2), tol=tol)

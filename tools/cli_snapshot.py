@@ -39,6 +39,7 @@ RUNS = [
                            "--kmax", "8", "--seed", "4"]),
     ("littlewood_iterates", ["littlewood", "--nmax", "4"]),
     ("littlewood_monomials", ["littlewood", "--family", "monomials", "--nmax", "3"]),
+    ("littlewood_complex_c", ["littlewood", "--c", "0.3,0.2", "--nmax", "3"]),
     ("chebyshev", ["chebyshev", "--q", "1,2,3"]),
     ("density_powerlaw", ["density", "--set", "powerlaw", "--r", "5",
                           "--samples", "20000"]),
