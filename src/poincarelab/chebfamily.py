@@ -21,7 +21,6 @@ wrong branch.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -261,8 +260,8 @@ def family_report(q_list, gamma: RotationAngle, series_terms: int = 64) -> Famil
     limits = {
         "mu_limit": 4.0,
         "rho_limit": 0.5,
-        "min_abs_c_plus_2": min((abs(r.c_siegel + 2.0) for r in done), default=math.nan),
-        "final_rho": done[-1].rho if done else math.nan,
+        "min_abs_c_plus_2": min((abs(r.c_siegel + 2.0) for r in done), default=None),
+        "final_rho": done[-1].rho if done else None,
     }
     return FamilyReport(rows=rows, gamma=gamma.gamma, limits=limits)
 

@@ -5,11 +5,11 @@ density, render.  Every run is fully determined by (command, flags, seed);
 reruns with equal flags produce byte-identical CSV/JSON/PPM/SVG files (no
 timestamps anywhere).  Exit codes: 0 ok, 2 usage or precondition violation,
 3 numeric failure (stderr carries the module error name verbatim), 4
-evaluation budget exceeded.  --threads (or POINCARE_LAB_THREADS when the
-flag is absent) sets the worker threads of littlewood's quadrature, the one
-place where threads pay (about 1.4x on 2 cores: `littlewood --nmax 7` takes
-19.8 s with 2 threads against 27.2 s with 1, medians of 4 runs; identical
-values); the other subcommands accept the flag and ignore it.
+evaluation budget exceeded.  Only littlewood takes --threads (or
+POINCARE_LAB_THREADS when the flag is absent): it sets the worker threads of
+the quadrature, the one place where threads pay (about 1.4x on 2 cores:
+`littlewood --nmax 7` takes 19.8 s with 2 threads against 27.2 s with 1,
+medians of 4 runs; identical values).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _build_map(args):
 
 
 def _threads(args) -> int:
-    t = getattr(args, "threads", None)
+    t = args.threads
     if t is None:
         env = os.environ.get("POINCARE_LAB_THREADS", "1")
         try:
@@ -431,10 +431,6 @@ def _add_set_flags(p: argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for littlewood's quadrature (0 = auto; "
-                        "POINCARE_LAB_THREADS when absent; about 1.4x on 2 "
-                        "cores); other commands ignore it")
     p.add_argument("--out-dir", default=".", help="directory for output files")
 
 
@@ -486,6 +482,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", metavar="RE,IM")
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for the quadrature (0 = auto; "
+                        "POINCARE_LAB_THREADS when absent; about 1.4x on 2 cores)")
     _add_common(p)
     p.set_defaults(handler=cmd_littlewood)
 

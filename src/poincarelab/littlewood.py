@@ -159,8 +159,7 @@ def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
 
 
 def spherical_derivative(ev: PolyEvaluator, z: complex) -> float:
-    v, d = ev(np.array([z], dtype=complex))
-    return float(2.0 * np.abs(d[0]) / (1.0 + np.abs(v[0]) ** 2))
+    return float(_sph_many(ev, np.array([z], dtype=complex))[0])
 
 
 def _sph_many(ev: PolyEvaluator, z: np.ndarray, threads: int = 1) -> np.ndarray:

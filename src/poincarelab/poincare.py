@@ -254,10 +254,13 @@ def eval_on_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES):
     return z, f, df
 
 
-def log_modulus_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES) -> np.ndarray:
-    """log|f| on |z|=r with the overflow-safe doubling path."""
-    z = _circle(pm, r, n)
-    k = pullback_depth(pm, r)
+def _log_modulus(pm: PoincareMap, z: np.ndarray, k: int) -> np.ndarray:
+    """log|f| on an array of lanes, all pulled back through depth k; never
+    overflows.
+
+    Past |u| = 1e100 a lane tracks L = log|u| and doubles it, which drops a
+    correction smaller than |param|/|u| <= 1e-98 per step.
+    """
     u = np.asarray(series_eval(pm.series_f, z / pm.mu**k), dtype=complex)
     with np.errstate(divide="ignore"):
         logmod = np.log(np.abs(u))
@@ -274,25 +277,15 @@ def log_modulus_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES) -> np
     return logmod
 
 
+def log_modulus_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES) -> np.ndarray:
+    """log|f| on |z|=r with the overflow-safe doubling path."""
+    return _log_modulus(pm, _circle(pm, r, n), pullback_depth(pm, r))
+
+
 def log_modulus_eval(pm: PoincareMap, z: complex) -> float:
     """log|f(z)|, accurate to 1e-6 whenever |f(z)| > 1; never overflows.
-
-    Past |u| = 1e100 the iteration tracks L = log|u| and doubles it, which
-    drops a correction smaller than |param|/|u| <= 1e-98 per step.
-    """
-    k = pullback_depth(pm, abs(z))
-    u = complex(series_eval(pm.series_f, complex(z) / pm.mu**k))
-    L = math.log(abs(u)) if u != 0 else -math.inf
-    live = abs(u) <= LOG_SWITCH
-    for _ in range(k):
-        if live:
-            u = pm.map(u)
-            L = math.log(abs(u)) if u != 0 else -math.inf
-            if abs(u) > LOG_SWITCH:
-                live = False
-        else:
-            L *= 2.0
-    return L
+    One lane of the doubling path that log_modulus_circle runs."""
+    return float(_log_modulus(pm, np.array([complex(z)]), pullback_depth(pm, abs(z)))[0])
 
 
 def functional_equation_residual(pm: PoincareMap, z: complex) -> float:

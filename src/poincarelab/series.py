@@ -1,19 +1,21 @@
-"""Truncated power series with certified safe-evaluation radii.
+"""Truncated power series with estimated safe-evaluation radii.
 
 A TruncatedSeries is a coefficient list plus a disk on which evaluating the
-truncation is guaranteed to be within tail_eps of the underlying function.
-The certificate is built from the observable part of the tail: take the last
-nonzero coefficient a_M, bound the unseen tail by the geometric majorant
+truncation is estimated to be within tail_eps of the underlying function.
+The tail "certificate" is an empirical geometric majorant, not a proof: it
+is built from the observable part of the tail, taking the last nonzero
+coefficient a_M and assuming that the unseen tail obeys
 |a_{M+j}| <= |a_M| * q**j with
 
     q = max( largest of the last 8 stepwise coefficient ratios,
              root-test growth rate over the last quarter of coefficients ),
 
-and solve  T(r) = |a_M| * r**M * q*r / (1 - q*r) = tail_eps  for r by
-bisection in log r (T increases with r).  Siegel series have irregular
-ratios (small divisors), which is why the root test is folded in; when the
-observed ratios exceed 1 the certificate is flagged as empirical beyond the
-root-test radius.
+and the radius solves  T(r) = |a_M| * r**M * q*r / (1 - q*r) = tail_eps  by
+bisection in log r (T increases with r).  Nothing bounds the unseen
+coefficients, so a series whose tail grows faster than the observed rate
+breaks the bound.  Siegel series have irregular ratios (small divisors),
+which is why the root test is folded in; when some observed ratio exceeds 1
+the certificate carries irregular=True.
 
 Exact polynomials are a separate regime: their tail is genuinely zero, so
 construction with exact=True (and the degenerate top-half-zero detection in
@@ -47,6 +49,11 @@ class RadiusCertificate:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
+    """Coefficients about `center` and the radius inside which evaluation is
+    trusted: safe_radius comes from the empirical geometric majorant of the
+    module docstring (an estimate, not a proof), or is +inf for an exact
+    polynomial."""
+
     center: complex
     coeffs: np.ndarray  # coeffs[n] multiplies (z - center)**n
     safe_radius: float
@@ -142,7 +149,8 @@ def make_series(
     tail_eps: float = DEFAULT_TAIL_EPS,
     exact: bool = False,
 ) -> TruncatedSeries:
-    """Build a TruncatedSeries, certifying a safe radius unless exact=True.
+    """Build a TruncatedSeries with a safe radius from the empirical tail
+    majorant (an estimate, not a proof), unless exact=True.
 
     exact=True declares the coefficient list to BE the function (a
     polynomial), so evaluation is allowed everywhere.
@@ -155,12 +163,14 @@ def make_series(
 
 
 def safe_radius_estimate(coeffs, eps: float) -> RadiusCertificate:
-    """Tail certificate for a coefficient list (needs >= 16 coefficients).
+    """Tail "certificate" for a coefficient list (needs >= 16 coefficients).
 
     safe_radius solves |a_M| r^M (q r)/(1-q r) = eps for the majorant rate q
-    described in the module docstring; root_radius is 1/max |a_k|^{1/k} over
-    the last quarter. A zero tail (top half of the list identically zero)
-    returns the +inf sentinel with degenerate=True.
+    described in the module docstring; the majorant is fitted to the observed
+    coefficients, so the radius is an empirical estimate, not a proof.
+    root_radius is 1/max |a_k|^{1/k} over the last quarter. A zero tail (top
+    half of the list identically zero) returns the +inf sentinel with
+    degenerate=True.
     """
     if len(coeffs) < 16:
         raise BadParams("safe_radius_estimate needs at least 16 coefficients")
@@ -170,7 +180,9 @@ def safe_radius_estimate(coeffs, eps: float) -> RadiusCertificate:
 
 
 def series_eval(s: TruncatedSeries, z):
-    """Horner evaluation; z may be scalar or ndarray. Enforces the safe disk."""
+    """Horner evaluation; z may be scalar or ndarray. Refuses points outside
+    the safe disk, whose radius is the empirical tail estimate (not a proof
+    that the truncation error stays below tail_eps)."""
     dz = np.asarray(z, dtype=complex) - s.center
     if s.safe_radius != math.inf:
         bad = np.abs(dz) > s.safe_radius * _RADIUS_SLACK

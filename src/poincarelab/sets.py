@@ -67,24 +67,26 @@ class DensityEstimate:
 
 @dataclass(frozen=True)
 class SetModel:
+    """A target set S of the plane.
+
+    `indicator` is the one membership function: it maps an array of complex
+    points to a bool array of the same shape, True where the point lies in S.
+    `contains_many` calls it directly and `contains` is its one-lane call, so
+    a point gets the same answer whichever of the two asks.
+    """
+
     kind: str  # Empty | PowerLawDisks | AnnularSectors | Custom
-    membership: Callable[[complex], bool]
-    bulk: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    indicator: Callable[[np.ndarray], np.ndarray]
     certificate: Optional[tuple] = None  # (C, delta)
-    C: Optional[float] = None
-    delta: Optional[float] = None
     seed: Optional[int] = None
-    # annulus index -> (centers, radii); shared cache, filled lazily
-    _packs: dict = field(default_factory=dict, repr=False, compare=False)
+    # annulus index -> (centers, radii); filled lazily, by disk_pack only
+    _packs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def contains(self, z) -> bool:
-        return bool(self.membership(complex(z)))
+        return bool(self.contains_many(np.array([z]))[0])
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if self.bulk is not None:
-            return np.asarray(self.bulk(z), dtype=bool)
-        return np.array([self.membership(complex(w)) for w in z.ravel()]).reshape(z.shape)
+        return self.indicator(np.asarray(z, dtype=complex))
 
 
 def _budget(C: float, delta: float, j: int) -> float:
@@ -130,7 +132,7 @@ def disk_pack(S: SetModel, j: int):
     if S.kind != "PowerLawDisks":
         raise BadParams("disk_pack only applies to PowerLawDisks sets")
     if j not in S._packs:
-        S._packs[j] = _pack_annulus(S.C, S.delta, S.seed, j)
+        S._packs[j] = _pack_annulus(*S.certificate, S.seed, j)
     return S._packs[j]
 
 
@@ -143,11 +145,8 @@ def annulus_budget(S: SetModel, j: int) -> float:
 def make_empty_set() -> SetModel:
     return SetModel(
         kind="Empty",
-        membership=lambda z: False,
-        bulk=lambda z: np.zeros(np.shape(z), dtype=bool),
+        indicator=lambda z: np.zeros(z.shape, dtype=bool),
         certificate=(0.0, 1.0),
-        C=0.0,
-        delta=1.0,
     )
 
 
@@ -156,25 +155,8 @@ def make_powerlaw_set(C: float, delta: float, seed: int) -> SetModel:
         raise BadParams("C must be positive")
     if not (0.0 < delta < 2.0):
         raise BadParams("delta must lie in (0, 2)")
-    packs: dict = {}
 
-    def pack(j: int):
-        if j not in packs:
-            packs[j] = _pack_annulus(C, delta, seed, j)
-        return packs[j]
-
-    def member(z: complex) -> bool:
-        a = abs(z)
-        if a < 1.0 or not math.isfinite(a):
-            return False
-        j = int(math.floor(math.log2(a)))
-        centers, radii = pack(j)
-        if len(centers) == 0:
-            return False
-        return bool(np.any(np.abs(z - centers) <= radii))
-
-    def member_bulk(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def indicator(z: np.ndarray) -> np.ndarray:
         flat = z.ravel()
         out = np.zeros(flat.shape, dtype=bool)
         a = np.abs(flat)
@@ -183,7 +165,7 @@ def make_powerlaw_set(C: float, delta: float, seed: int) -> SetModel:
             jj = np.floor(np.log2(a[ok])).astype(int)
             idx_ok = np.nonzero(ok)[0]
             for j in np.unique(jj):
-                centers, radii = pack(int(j))
+                centers, radii = disk_pack(S, int(j))
                 if len(centers) == 0:
                     continue
                 sel = idx_ok[jj == j]
@@ -194,16 +176,13 @@ def make_powerlaw_set(C: float, delta: float, seed: int) -> SetModel:
                 out[sel] = hit
         return out.reshape(z.shape)
 
-    return SetModel(
+    S = SetModel(
         kind="PowerLawDisks",
-        membership=member,
-        bulk=member_bulk,
+        indicator=indicator,
         certificate=(float(C), float(delta)),
-        C=float(C),
-        delta=float(delta),
         seed=int(seed),
-        _packs=packs,
     )
+    return S
 
 
 def make_sector_set(C: float, delta: float) -> SetModel:
@@ -215,19 +194,7 @@ def make_sector_set(C: float, delta: float) -> SetModel:
         raise BadParams("delta must lie in (0, 2)")
     F = safety_factor(delta)
 
-    def phi(j):
-        return math.tau * F * min(1.0, C * 2.0 ** (-j * delta))
-
-    def member(z: complex) -> bool:
-        a = abs(z)
-        if a < 1.0 or not math.isfinite(a):
-            return False
-        j = int(math.floor(math.log2(a)))
-        ang = math.atan2(z.imag, z.real) % math.tau
-        return ang < phi(j)
-
-    def member_bulk(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
+    def indicator(z: np.ndarray) -> np.ndarray:
         flat = z.ravel()
         out = np.zeros(flat.shape, dtype=bool)
         a = np.abs(flat)
@@ -241,22 +208,24 @@ def make_sector_set(C: float, delta: float) -> SetModel:
 
     return SetModel(
         kind="AnnularSectors",
-        membership=member,
-        bulk=member_bulk,
+        indicator=indicator,
         certificate=(float(C), float(delta)),
-        C=float(C),
-        delta=float(delta),
     )
 
 
 def make_custom_set(predicate: Callable[[complex], bool],
-                    certificate: Optional[tuple] = None,
-                    bulk: Optional[Callable] = None) -> SetModel:
+                    certificate: Optional[tuple] = None) -> SetModel:
+    """A set given by a scalar predicate complex -> bool, applied point by
+    point, with an optional (C, delta) density certificate."""
     cert = None
     if certificate is not None:
         cert = (float(certificate[0]), float(certificate[1]))
-    return SetModel(kind="Custom", membership=predicate, bulk=bulk, certificate=cert,
-                    C=cert[0] if cert else None, delta=cert[1] if cert else None)
+
+    def indicator(z: np.ndarray) -> np.ndarray:
+        hits = (predicate(complex(w)) for w in z.ravel())
+        return np.fromiter(hits, dtype=bool, count=z.size).reshape(z.shape)
+
+    return SetModel(kind="Custom", indicator=indicator, certificate=cert)
 
 
 def certified_bound(S: SetModel, r: float) -> float:
@@ -303,7 +272,8 @@ def density_estimate(S: SetModel, r: float, samples: int, seed: int) -> DensityE
 
 
 def set_to_json(S: SetModel) -> str:
-    payload = {"kind": S.kind, "C": S.C, "delta": S.delta, "seed": S.seed}
+    C, delta = S.certificate if S.certificate is not None else (None, None)
+    payload = {"kind": S.kind, "C": C, "delta": delta, "seed": S.seed}
     return json.dumps(payload, indent=2)
 
 

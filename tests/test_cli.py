@@ -31,6 +31,8 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
         for r in ("nan", "inf", "0"):
             assert run(tmp_path, "render", "--what", what, "--r", r, "--out", "x.ppm") == 2
     assert not (tmp_path / "x.ppm").exists()
+    # --threads belongs to littlewood, the one command whose work it splits
+    assert run(tmp_path, "exceptional", "--threads", "2") == 2
     monkeypatch.setenv("POINCARE_LAB_THREADS", "abc")
     assert run(tmp_path, "littlewood", "--nmax", "1") == 2
 
@@ -131,6 +133,22 @@ def test_chebyshev_family_csv(tmp_path):
         assert 1.0 < mu_abs < 4.0
     blob = json.loads((tmp_path / "chebyshev_family.json").read_text())
     assert len(blob["rows"]) == 2
+
+
+def test_chebyshev_json_is_strict_when_every_row_fails(tmp_path):
+    # gamma = [0; 1, 1000000] stalls the multiplier Newton, so no row succeeds
+    # and the limits have no value: they must be null, not the NaN token
+    code = run(tmp_path, "chebyshev", "--q", "1", "--gamma-cf", "1,1000000")
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    text = (tmp_path / "chebyshev_family.json").read_text()
+    blob = json.loads(text, parse_constant=reject)
+    assert blob["rows"][0]["error"]
+    assert blob["limits"]["min_abs_c_plus_2"] is None
+    assert blob["limits"]["final_rho"] is None
 
 
 def test_density_empty_set(tmp_path):

@@ -1,7 +1,10 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab.errors import BadParams, NotInvertible, OutOfSafeRadius
 from poincarelab.series import (
@@ -97,6 +100,37 @@ def test_reversion_roundtrip_quadratic():
     for w in [0.03, 0.02 - 0.01j]:
         z = horner_unchecked(g.coeffs, w)
         assert abs(series_eval(h, z) - w) < 1e-12
+
+
+def _compose(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
+    """outer(inner(w)) truncated to n coefficients, by Horner on series."""
+    out = np.zeros(n, dtype=complex)
+    for a in outer[::-1]:
+        out = np.convolve(out, inner)[:n]
+        out[0] += a
+    return out
+
+
+_coefficient = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mod=st.floats(0.5, 2.0), arg=st.floats(0.0, math.tau),
+       higher=st.lists(_coefficient, min_size=7, max_size=7),
+       terms=st.integers(1, 16))
+def test_reversion_roundtrip_property(mod, arg, higher, terms):
+    """s(t(w)) = w through degree `terms`, for a_0 = 0, |a_1| in [0.5, 2] and
+    bounded a_2..a_8; each coefficient to 1e-10 of the same composition
+    taken on the moduli, which bounds its size and its roundoff."""
+    a = np.array([0.0, cmath.rect(mod, arg)] + higher, dtype=complex)
+    t = series_reversion(make_series(a, exact=True), terms)
+    assert len(t.coeffs) == terms + 1 and t.coeffs[0] == 0
+    n = terms + 1
+    comp = _compose(a, t.coeffs, n)
+    scale = _compose(np.abs(a), np.abs(t.coeffs), n).real
+    want = np.zeros(n)
+    want[1] = 1.0
+    assert np.all(np.abs(comp - want) <= 1e-10 * scale)
 
 
 def test_reversion_requires_simple_zero():

@@ -21,7 +21,7 @@ from poincarelab.sets import (
 
 def test_empty_set_everything_zero():
     S = make_empty_set()
-    assert not S.membership(1 + 1j)
+    assert not S.contains(1 + 1j)
     assert certified_bound(S, 10.0) == 0.0
     est = density_estimate(S, 5.0, samples=2000, seed=1)
     assert est.value == 0.0
@@ -32,8 +32,8 @@ def test_powerlaw_membership_deterministic():
     b = make_powerlaw_set(10.0, 0.5, seed=2)
     rng = np.random.default_rng(0)
     pts = 50.0 * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
-    hits_a = [a.membership(complex(p)) for p in pts]
-    hits_b = [b.membership(complex(p)) for p in pts]
+    hits_a = [a.contains(complex(p)) for p in pts]
+    hits_b = [b.contains(complex(p)) for p in pts]
     assert hits_a == hits_b
     assert any(hits_a)  # the set is not empty at this C
 
@@ -43,8 +43,8 @@ def test_powerlaw_seed_changes_layout():
     c = make_powerlaw_set(10.0, 0.5, seed=3)
     rng = np.random.default_rng(1)
     pts = 30.0 * (rng.uniform(-1, 1, 600) + 1j * rng.uniform(-1, 1, 600))
-    ha = [a.membership(complex(p)) for p in pts]
-    hc = [c.membership(complex(p)) for p in pts]
+    ha = [a.contains(complex(p)) for p in pts]
+    hc = [c.contains(complex(p)) for p in pts]
     assert ha != hc
 
 
@@ -88,7 +88,7 @@ def test_sector_set_certificate_and_membership():
 
 def test_custom_set_without_certificate():
     S = make_custom_set(lambda z: z.real > 0)
-    assert S.membership(1 + 0j) and not S.membership(-1 + 0j)
+    assert S.contains(1 + 0j) and not S.contains(-1 + 0j)
     with pytest.raises(NoCertificate):
         certified_bound(S, 3.0)
     est = density_estimate(S, 3.0, samples=5000, seed=9)
@@ -118,7 +118,7 @@ def test_json_roundtrip_powerlaw_exact():
     rng = np.random.default_rng(6)
     pts = 40.0 * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
     for p in pts:
-        assert S.membership(complex(p)) == S2.membership(complex(p))
+        assert S.contains(complex(p)) == S2.contains(complex(p))
     assert certified_bound(S, 17.0) == certified_bound(S2, 17.0)
 
 
@@ -127,7 +127,7 @@ def test_json_roundtrip_empty_and_sector():
         S2 = set_from_json(set_to_json(S))
         assert S2.kind == S.kind
         for p in [1 + 1j, -2 + 0.5j, 10j]:
-            assert S.membership(p) == S2.membership(p)
+            assert S.contains(p) == S2.contains(p)
 
 
 def test_json_rejects_unknown_kind():
@@ -141,3 +141,33 @@ def test_custom_set_descriptor_roundtrip_fails():
     text = set_to_json(S)
     with pytest.raises(BadParams):
         set_from_json(text)
+
+
+def _agreement_points():
+    """Seeded points: log-uniform |z| in [1, 1e12], then |z| within a few ulps
+    of 2^j (1 + m 2.2e-16, m in -4..4, j in 0..39), where a scalar and a
+    vector modulus can round to opposite sides of an annulus edge.  The first
+    group is drawn in full, so the second keeps its seeded values, and checked
+    on its first 50,000 points to keep the test short."""
+    rng = np.random.default_rng(0)
+    mod = 10.0 ** rng.uniform(0.0, 12.0, 200_000)
+    spread = mod * np.exp(1j * rng.uniform(0.0, math.tau, mod.size))
+    j = rng.integers(0, 40, 20_000)
+    m = rng.integers(-4, 5, 20_000)
+    edge = 2.0**j * (1.0 + m * 2.2e-16) * np.exp(1j * rng.uniform(0.0, math.tau, j.size))
+    return np.concatenate([spread[:50_000], edge])
+
+
+@pytest.mark.parametrize("make", [
+    make_empty_set,
+    lambda: make_powerlaw_set(10.0, 0.5, seed=7),
+    lambda: make_sector_set(10.0, 0.5),
+    lambda: make_custom_set(lambda z: abs(z) < 1e6 and z.imag > 0),
+], ids=["empty", "powerlaw", "sectors", "custom"])
+def test_scalar_and_array_membership_agree(make):
+    S = make()
+    pts = _agreement_points()
+    many = S.contains_many(pts)
+    assert many.dtype == bool and many.shape == pts.shape
+    disagree = [z for z, hit in zip(pts.tolist(), many.tolist()) if S.contains(z) != hit]
+    assert disagree == []

@@ -5,7 +5,8 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  Each invocation runs as `python -m poincarelab ... --out-dir .`
+`src`).  RUNS lists 25 invocations that cover every subcommand and each
+target set.  Each invocation runs as `python -m poincarelab ... --out-dir .`
 from its own subdirectory of OUT_DIR, so its output files land there and
 its stdout carries no absolute path; the stdout goes to `stdout.txt` and
 the exit code to `exit_code.txt` beside them.  Snapshots of two trees are
@@ -32,6 +33,8 @@ RUNS = [
     ("preimages_outside", ["preimages", "--lambda-gamma", "golden", "--w", "2.5,0",
                            "--r", "50"]),
     ("preimages_flat", ["preimages", "--c", "-2,0", "--w", "2,0", "--r", "30"]),
+    ("preimages_sectors", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
+                           "--r", "200", "--kmax", "10", "--set", "sectors"]),
     ("exceptional_powerlaw", ["exceptional", "--set", "powerlaw"]),
     ("exceptional_sectors", ["exceptional", "--set", "sectors", "--samples", "20",
                              "--kmax", "12", "--seed", "3"]),
@@ -51,6 +54,9 @@ for what in ("domain", "siegel", "orbit"):
         RUNS.append((f"render_{what}_{ext}",
                      ["render", "--what", what, "--size", "128",
                       "--out", f"{what}.{ext}"] + flags))
+RUNS.append(("render_orbit_sectors_ppm",
+             ["render", "--what", "orbit", "--size", "128", "--out", "orbit.ppm",
+              "--set", "sectors"]))
 
 
 def main(argv=None) -> int:
