@@ -1,15 +1,17 @@
 """Command-line entry point.
 
 Subcommands: poincare, siegel, preimages, exceptional, littlewood, chebyshev,
-density, render.  Every run is fully determined by (command, flags, seed);
-reruns with equal flags produce byte-identical CSV/JSON/PPM/SVG files (no
-timestamps anywhere).  Exit codes: 0 ok, 2 usage or precondition violation,
-3 numeric failure (stderr carries the module error name verbatim), 4
-evaluation budget exceeded.  Only littlewood takes --threads (or
-POINCARE_LAB_THREADS when the flag is absent): it sets the worker threads of
-the quadrature, the one place where threads pay (about 1.4x on 2 cores:
-`littlewood --nmax 7` takes 19.8 s with 2 threads against 27.2 s with 1,
-medians of 4 runs; identical values).
+density, render.  Every run is fully determined by its command and flags;
+--seed exists only on the four commands that read it (preimages for its
+power-law set, exceptional, density and render), and reruns with equal flags
+produce byte-identical CSV/JSON/PPM/SVG files (no timestamps anywhere).
+Exit codes: 0 ok, 2 usage or precondition violation, 3 numeric failure
+(stderr carries the module error name verbatim), 4 evaluation budget
+exceeded.  Only littlewood takes --threads (or POINCARE_LAB_THREADS when the
+flag is absent): it sets the worker threads of the quadrature.  Since the
+quadrature works in cache-sized slices, a second thread no longer pays on 2
+cores: `littlewood --nmax 7` takes about 11.7 s with 1 thread or 2 (2 runs
+each; identical values), where it took 19.5 s with 1 and 13.6 s with 2.
 """
 
 from __future__ import annotations
@@ -427,10 +429,12 @@ def _add_set_flags(p: argparse.ArgumentParser):
     p.add_argument("--C", type=float, default=10.0, help="density constant C")
     p.add_argument("--delta", type=float, default=0.5,
                    help="density decay exponent in (0,2)")
+    # the commands with a target set are the ones that read a seed
+    p.add_argument("--seed", type=int, default=1,
+                   help="seed of the power-law layout and of sampled points")
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out-dir", default=".", help="directory for output files")
 
 
@@ -484,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--threads", type=int, default=None,
                    help="worker threads for the quadrature (0 = auto; "
-                        "POINCARE_LAB_THREADS when absent; about 1.4x on 2 cores)")
+                        "POINCARE_LAB_THREADS when absent; no gain on 2 cores)")
     _add_common(p)
     p.set_defaults(handler=cmd_littlewood)
 

@@ -23,6 +23,15 @@ acceptance rule; its value and error sums, and a Monte Carlo fallback's
 tol / fold, so the disk's stays at most tol.  `evaluations` counts the
 evaluations made.  An evaluator without a declaration has fold 1.
 
+Memory: a level's open cells are refined _LEVEL_SLICE at a time, and the
+children of each slice are gathered group by group (low-r, high-r, low-t,
+high-t children), which gives the next level the same cells in the same
+order as refining the level in one piece; every value, error, evaluation
+count and Monte Carlo draw is therefore independent of the slice size.
+The slices do not bound the open cells themselves (56 bytes each) or the
+accepted cells' values and errors (16 bytes each), which are kept for one
+correctly rounded sum.
+
 Iterates are never expanded into coefficients; P^n and its derivative are
 computed by forward iteration with the chain rule.  Lanes whose orbit passes
 1e50 in modulus are frozen with derivative zero: from that point on the true
@@ -32,6 +41,7 @@ spherical derivative is below 1e-40, far under any tolerance used here.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -50,6 +60,7 @@ _MC_SEED = 0x5EED
 _MC_PER_CELL = 32
 _MC_BLOCK = 1 << 14  # cells sampled per fallback batch (bounds memory)
 _FSUM_CHUNK = 1 << 16  # floats converted for math.fsum at a time
+_LEVEL_SLICE = 1 << 14  # open cells refined at a time (bounds a level's memory)
 
 
 @dataclass(frozen=True)
@@ -96,7 +107,19 @@ def monomial_evaluator(n: int) -> PolyEvaluator:
         raise BadParams("monomial exponent must be >= 1")
 
     def fn(z):
-        return z**n, n * z ** (n - 1)
+        # z^(n-1) by repeated squaring, then z^n from it: numpy's own complex
+        # power turns about 10x slower from exponent 100 on
+        below = None
+        base, k = z, n - 1
+        while k:
+            if k & 1:
+                below = base if below is None else below * base
+            k >>= 1
+            if k:
+                base = base * base
+        if below is None:  # n == 1
+            return z.copy(), np.ones_like(z)
+        return below * z, n * below
 
     fn.symmetry = (n, True)
     return PolyEvaluator(degree=n, label=f"z^{n}", fn=fn)
@@ -232,6 +255,47 @@ def _seed_radial_edges(ev: PolyEvaluator, degree: int):
     return merged[keep], grid.size
 
 
+def _refine_slice(ev, tol, threads, r0, r1, t0, t1, e, coarse):
+    """Probe a slice of a level's open cells (edges, e^{i mid-angle} and
+    coarse value of each) with their 4 children.  Returns the accepted
+    cells' estimates, their errors, and the 4 child groups of the rejected
+    cells, each in the form of the input: (r0, r1, t0, t1, e, coarse)."""
+    n = r0.size
+    rm = 0.5 * (r0 + r1)
+    tm = 0.5 * (t0 + t1)
+    e_lo = np.exp(1j * (0.5 * (t0 + tm)))
+    e_hi = np.exp(1j * (0.5 * (tm + t1)))
+    # children: radial split (low r, high r), then angular (low t, high t)
+    cm = np.empty(4 * n, dtype=complex)
+    np.multiply(0.5 * (r0 + rm), e, out=cm[:n])
+    np.multiply(0.5 * (rm + r1), e, out=cm[n:2 * n])
+    np.multiply(rm, e_lo, out=cm[2 * n:3 * n])
+    np.multiply(rm, e_hi, out=cm[3 * n:])
+    half = 0.5 * (r1**2 - r0**2)
+    dt = t1 - t0
+    cvals = _sph_many(ev, cm, threads)
+    cvals[:n] *= 0.5 * (rm**2 - r0**2) * dt
+    cvals[n:2 * n] *= 0.5 * (r1**2 - rm**2) * dt
+    cvals[2 * n:3 * n] *= half * (tm - t0)
+    cvals[3 * n:] *= half * (t1 - tm)
+    fine_r = cvals[:n] + cvals[n:2 * n]
+    fine_t = cvals[2 * n:3 * n] + cvals[3 * n:]
+    # half-step-in-both-dimensions estimate up to cross terms
+    fine = fine_r + fine_t - coarse
+    diff = (fine - coarse) / 3.0
+    err = np.abs(diff)
+    ok = err <= tol * (half * dt) / math.pi
+    keep = np.nonzero(~ok)[0]
+    radial = (np.abs(fine_r - coarse) >= np.abs(fine_t - coarse))[keep]
+    ri = keep[radial]
+    ti = keep[~radial]
+    children = ((r0[ri], rm[ri], t0[ri], t1[ri], e[ri], cvals[ri]),
+                (rm[ri], r1[ri], t0[ri], t1[ri], e[ri], cvals[ri + n]),
+                (r0[ti], r1[ti], t0[ti], tm[ti], e_lo[ti], cvals[2 * n + ti]),
+                (r0[ti], r1[ti], tm[ti], t1[ti], e_hi[ti], cvals[3 * n + ti]))
+    return fine[ok] + diff[ok], err[ok], children
+
+
 def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
                   threads: int = 1) -> IntegralEstimate:
     """Adaptive polar quadrature of the spherical derivative over the unit
@@ -253,7 +317,12 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
     times the sector's sums of accepted values and of error estimates (the
     Monte Carlo bar included), so error_bound stays at most tol when no
     fallback happens; evaluations counts only what was evaluated.  With
-    fold 1 this is the whole disk."""
+    fold 1 this is the whole disk.
+
+    Each level is refined in slices of _LEVEL_SLICE open cells, which bounds
+    the level's working memory; the budget is checked per level, before
+    slicing, and the next level's cells come out in the order of an
+    unsliced level, so the result has the same bits for any slice size."""
     if not (0.0 < tol < math.inf):
         raise BadParams("tol must be positive and finite")
     if degree is None:
@@ -274,55 +343,32 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
               * _cell_area(r0, r1, t0, t1))
     evals += r0.size
 
-    values: list[np.ndarray] = []  # accepted cells' estimates, one array per level
+    values: list[np.ndarray] = []  # accepted cells' estimates, one array per slice
     errors: list[np.ndarray] = []  # and their error estimates
     budget_hit = False
 
+    cells = (r0, r1, t0, t1, e, coarse)  # the open cells of the level
     for _level in range(_MAX_LEVELS):
-        n = r0.size
+        n = cells[0].size
         if n == 0:
             break
         if evals + 4 * n > EVAL_BUDGET:
             budget_hit = True
             break
-        rm = 0.5 * (r0 + r1)
-        tm = 0.5 * (t0 + t1)
-        e_lo = np.exp(1j * (0.5 * (t0 + tm)))
-        e_hi = np.exp(1j * (0.5 * (tm + t1)))
-        # children: radial split (low r, high r), then angular (low t, high t)
-        cm = np.empty(4 * n, dtype=complex)
-        np.multiply(0.5 * (r0 + rm), e, out=cm[:n])
-        np.multiply(0.5 * (rm + r1), e, out=cm[n:2 * n])
-        np.multiply(rm, e_lo, out=cm[2 * n:3 * n])
-        np.multiply(rm, e_hi, out=cm[3 * n:])
-        half = 0.5 * (r1**2 - r0**2)
-        dt = t1 - t0
-        cvals = _sph_many(ev, cm, threads)
-        evals += cm.size
-        cvals[:n] *= 0.5 * (rm**2 - r0**2) * dt
-        cvals[n:2 * n] *= 0.5 * (r1**2 - rm**2) * dt
-        cvals[2 * n:3 * n] *= half * (tm - t0)
-        cvals[3 * n:] *= half * (t1 - tm)
-        fine_r = cvals[:n] + cvals[n:2 * n]
-        fine_t = cvals[2 * n:3 * n] + cvals[3 * n:]
-        # half-step-in-both-dimensions estimate up to cross terms
-        fine = fine_r + fine_t - coarse
-        diff = (fine - coarse) / 3.0
-        err = np.abs(diff)
-        ok = err <= tol * (half * dt) / math.pi
-        values.append(fine[ok] + diff[ok])
-        errors.append(err[ok])
-        keep = np.nonzero(~ok)[0]
-        radial = (np.abs(fine_r - coarse) >= np.abs(fine_t - coarse))[keep]
-        ri = keep[radial]
-        ti = keep[~radial]
-        r0, r1, t0, t1 = (np.concatenate([r0[ri], rm[ri], r0[ti], r0[ti]]),
-                          np.concatenate([rm[ri], r1[ri], r1[ti], r1[ti]]),
-                          np.concatenate([t0[ri], t0[ri], t0[ti], tm[ti]]),
-                          np.concatenate([t1[ri], t1[ri], tm[ti], t1[ti]]))
-        e = np.concatenate([e[ri], e[ri], e_lo[ti], e_hi[ti]])
-        coarse = np.concatenate([cvals[ri], cvals[ri + n],
-                                 cvals[2 * n + ti], cvals[3 * n + ti]])
+        groups: tuple[list, ...] = ([], [], [], [])  # each child group, slice by slice
+        for lo in range(0, n, _LEVEL_SLICE):
+            value, error, children = _refine_slice(
+                ev, tol, threads, *(a[lo:lo + _LEVEL_SLICE] for a in cells))
+            values.append(value)
+            errors.append(error)
+            for group, child in zip(groups, children):
+                group.append(child)
+        evals += 4 * n
+        # group by group, each group's slices in order: the order the
+        # level's children would have in one piece
+        cells = tuple(np.concatenate([child[j] for group in groups for child in group])
+                      for j in range(6))
+    r0, r1, t0, t1 = cells[:4]
 
     if r0.size and not budget_hit:
         budget_hit = True  # ran out of levels with cells still open
@@ -366,12 +412,21 @@ def cs_bound(degree: int) -> float:
 
 def monomial_integral_oracle(n: int) -> float:
     """Independent 1-D reduction for P = z^n:
-    Int_D (z^n)^# dA = 4 pi Int_0^1 u^{1/n} / (1+u^2) du."""
-    from scipy.integrate import quad  # imported here: loading scipy.integrate costs ~50 MB
+    Int_D (z^n)^# dA = 4 pi Int_0^1 u^{1/n} / (1+u^2) du.
 
-    val, _ = quad(lambda u: u ** (1.0 / n) / (1.0 + u * u), 0.0, 1.0,
-                  epsabs=1e-13, epsrel=1e-13)
-    return 4.0 * math.pi * val
+    The 1-D integral is composite 16-point Gauss-Legendre on the dyadic
+    panels [2^-(j+1), 2^-j], j < 60: u^{1/n} is smooth on each panel at the
+    panel's own scale, and the part below 2^-60 is under 1e-18."""
+    u, w = _dyadic_gauss_legendre()
+    return 4.0 * math.pi * float(np.dot(w, u ** (1.0 / n) / (1.0 + u * u)))
+
+
+@functools.cache
+def _dyadic_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the oracle's rule on (0, 1], built once."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    lo = 2.0 ** -np.arange(1, 61)[:, None]  # panel j is [lo_j, 2 lo_j]
+    return (lo * (1.5 + 0.5 * x)).ravel(), (lo * (0.5 * w)).ravel()
 
 
 def iterate_family_integrals(c: complex, n_max: int, tol: float,

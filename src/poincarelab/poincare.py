@@ -165,7 +165,8 @@ def _pullback(pm: PoincareMap, z: np.ndarray, depths: np.ndarray, derivative: bo
     df = f.copy() if derivative else None
     ok = np.zeros(z.shape, dtype=bool)
     live = np.isfinite(z)
-    for k in np.unique(depths[live]):
+    # the depths present, ascending (np.unique would hash them)
+    for k in np.flatnonzero(np.bincount(depths[live])):
         idx = np.flatnonzero(live & (depths == k))
         scale = pm.mu ** int(k)
         zk = z[idx] / scale

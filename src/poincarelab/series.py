@@ -34,6 +34,7 @@ from .errors import BadParams, NotInvertible, OutOfSafeRadius
 
 DEFAULT_TAIL_EPS = 1e-16
 _RADIUS_SLACK = 1.0 + 1e-12  # evaluation boundary tolerance
+_HORNER_BLOCK = 1 << 15  # lanes per in-place Horner block (512 KB, stays in L2)
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,38 @@ def horner_unchecked(coeffs: np.ndarray, dz):
 
     Internal diagnostics (radius scans) need values outside the certified
     disk; ordinary callers should use series_eval.
-    """
+
+    The lanes of dz are evaluated in place, _HORNER_BLOCK of the flattened
+    lanes at a time, so each block stays in cache across all the
+    coefficients; the result has the shape of dz.  Each lane gets exactly
+    the bits of the out-of-place loop `val = val * dz + a` over the whole
+    array, with one exception that the code steers around: numpy rounds an
+    in-place complex multiply of a single element differently from a longer
+    one, so an input of one lane, and a final block of one lane, take that
+    out-of-place loop.  A lane's value therefore does not depend on the
+    batch it is evaluated in."""
+    lanes = np.asarray(dz, dtype=complex)
+    if lanes.size <= 1:
+        return _horner_out_of_place(coeffs, dz)
+    x = lanes.reshape(-1)
+    out = np.empty_like(x)
+    for lo in range(0, x.size, _HORNER_BLOCK):
+        hi = min(lo + _HORNER_BLOCK, x.size)
+        if hi - lo == 1:
+            out[lo:hi] = _horner_out_of_place(coeffs, x[lo:hi])
+            continue
+        v, xb = out[lo:hi], x[lo:hi]
+        v[:] = 0.0
+        for a in coeffs[::-1]:
+            np.multiply(v, xb, out=v)
+            np.add(v, a, out=v)
+    return out.reshape(lanes.shape)
+
+
+def _horner_out_of_place(coeffs: np.ndarray, dz):
+    """Out-of-place Horner, for inputs and final blocks of one lane.  dz is
+    used as given: a numpy scalar goes through numpy's scalar arithmetic,
+    as it always has, an array through the array loop."""
     val = np.zeros_like(np.asarray(dz, dtype=complex))
     for a in coeffs[::-1]:
         val = val * dz + a

@@ -33,6 +33,8 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
     assert not (tmp_path / "x.ppm").exists()
     # --threads belongs to littlewood, the one command whose work it splits
     assert run(tmp_path, "exceptional", "--threads", "2") == 2
+    # --seed belongs to the commands that read it
+    assert run(tmp_path, "chebyshev", "--q", "1", "--seed", "1") == 2
     monkeypatch.setenv("POINCARE_LAB_THREADS", "abc")
     assert run(tmp_path, "littlewood", "--nmax", "1") == 2
 

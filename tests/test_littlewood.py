@@ -1,6 +1,10 @@
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +150,45 @@ def test_undeclared_evaluator_bits_unchanged():
         (4.059547408866901, 5.701383919948615e-05, 76640, False)
 
 
+_SLICED = ([lw.iterate_evaluator(c, n) for c in (-1 + 0j, 0.3 + 0.2j) for n in (1, 2, 3, 4)]
+           + [lw.coeff_evaluator([-1, 0, 1]), lw.monomial_evaluator(8)])
+
+
+@pytest.mark.parametrize("ev", _SLICED, ids=lambda ev: ev.label)
+def test_level_slices_do_not_change_estimates(ev, monkeypatch):
+    # tol 1e-2 keeps the one-cell slices affordable
+    whole = lw.disk_integral(ev, 1e-2)
+    for size in (1, 3):
+        monkeypatch.setattr(lw, "_LEVEL_SLICE", size)
+        assert lw.disk_integral(ev, 1e-2) == whole
+
+
+def test_level_slices_keep_monte_carlo_draws(monkeypatch):
+    # the fallback draws its samples cell by cell in level order, so any
+    # reordering of the open cells moves its value
+    monkeypatch.setattr(lw, "EVAL_BUDGET", 40_000)
+    ev = lw.iterate_evaluator(-1 + 0j, 4)
+    for size in (1, 3, lw._LEVEL_SLICE):
+        monkeypatch.setattr(lw, "_LEVEL_SLICE", size)
+        assert lw.disk_integral(ev, 1e-4) == lw.IntegralEstimate(
+            value=11.674335399046221, error_bound=0.051591442894806896,
+            evaluations=38130, degree=16, budget_exceeded=True)
+
+
+def test_disk_integral_memory_is_bounded():
+    # refined one whole level at a time, n = 6 peaks near 290 MB, in slices
+    # near 130 MB.  The child reads its own VmHWM: ru_maxrss would carry
+    # over the peak of the test process that spawned it.
+    code = ("from poincarelab import littlewood as lw\n"
+            "lw.disk_integral(lw.iterate_evaluator(-1, 6), 1e-4)\n"
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(lw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) / 1024 < 200  # VmHWM is in kB
+
+
 def _integrand(ev, z):
     v, d = ev(np.array([z]))
     return 2.0 * abs(d[0]) / (1.0 + abs(v[0]) ** 2)
@@ -196,6 +239,10 @@ def test_monomial_integrals_match_oracle(n):
 
 def test_monomial_oracle_limits():
     assert abs(lw.monomial_integral_oracle(1) - 2 * math.pi * math.log(2)) < 1e-12
+    # u^(1/2) is singular at 0: 4 pi Int_0^1 u^(1/2) / (1 + u^2) du in closed form
+    s2 = math.sqrt(2.0)
+    assert abs(lw.monomial_integral_oracle(2)
+               - s2 * math.pi * (math.pi - 2 * math.log(1 + s2))) < 1e-13
     # the large-degree limit is pi^2
     assert abs(lw.monomial_integral_oracle(100000) - math.pi**2) < 1e-3
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from poincarelab import QuadMap
+from poincarelab import poincare as pc
 from poincarelab.errors import BadParams, NotRepelling, OverflowSentinel
 from poincarelab.poincare import (
     build_poincare_map,
@@ -75,6 +76,37 @@ def test_eval_many_matches_scalar_across_depths(cheb_poincare):
     vals = poincare_eval_many(cheb_poincare, z)
     for zz, v in zip(z, vals):
         assert abs(v - poincare_eval(cheb_poincare, complex(zz))) < 1e-9 * (1 + abs(v))
+
+
+def unique_depth_pullback(pm, z, depths):
+    """`poincare._pullback` with the depth groups taken from np.unique: the
+    reference for its bincount grouping."""
+    f = np.full(z.shape, complex(math.nan, math.nan))
+    df = f.copy()
+    for k in np.unique(depths):
+        idx = np.flatnonzero(depths == k)
+        scale = pm.mu ** int(k)
+        u = pm.series_f(z[idx] / scale)
+        d = pm.series_df(z[idx] / scale) / scale
+        for _ in range(k):
+            d = pm.map.deriv(u) * d
+            u = pm.map(u)
+        f[idx], df[idx] = u, d
+    return f, df
+
+
+def test_pullback_depth_groups_with_gaps(cheb_poincare):
+    # only depths 0 and 5 occur, interleaved
+    pm = cheb_poincare
+    t = np.linspace(0.1, 6.0, 40)
+    r = np.where(np.arange(40) % 3 == 0, 0.5 * pm.r0, 0.5 * pm.r0 * abs(pm.mu) ** 5)
+    z = r * np.exp(1j * t)
+    depths = pullback_depths(pm, np.abs(z))
+    assert sorted(set(depths.tolist())) == [0, 5]
+    f, df, ok = pc._pullback(pm, z, depths, derivative=True)
+    f_ref, df_ref = unique_depth_pullback(pm, z, depths)
+    assert ok.all()
+    assert f.tobytes() == f_ref.tobytes() and df.tobytes() == df_ref.tobytes()
 
 
 def test_cancellation_limited_accuracy_near_negative_axis(cheb_poincare):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarelab import series
 from poincarelab.errors import BadParams, NotInvertible, OutOfSafeRadius
 from poincarelab.series import (
     horner_unchecked,
@@ -46,6 +47,65 @@ def test_eval_vectorized_agrees_with_scalar():
     vals = series_eval(s, zs)
     for z, v in zip(zs, vals):
         assert abs(v - series_eval(s, complex(z))) < 1e-14
+
+
+def horner_out_of_place(coeffs, dz):
+    """Horner as one out-of-place loop over the whole array: the reference
+    for the blocked, in-place `series.horner_unchecked`."""
+    val = np.zeros_like(dz)
+    for a in coeffs[::-1]:
+        val = val * dz + a
+    return val
+
+
+def _lanes(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+_BLOCK = series._HORNER_BLOCK
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+       terms=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_blocked_horner_bits_match_out_of_place_loop(n, terms, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = _lanes(rng, terms)
+    z = 1.2 * _lanes(rng, n)
+    got = horner_unchecked(coeffs, z)
+    want = horner_out_of_place(coeffs, z)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # lanes evaluated alone: both ends, the block edges and a random few
+    picks = {0, n - 1, _BLOCK - 1, _BLOCK, 2 * _BLOCK, *rng.integers(0, n, 8).tolist()}
+    for i in sorted(k for k in picks if k < n):
+        assert horner_unchecked(coeffs, z[i:i + 1]).tobytes() == want[i:i + 1].tobytes()
+
+
+def test_blocked_horner_every_lane_alone(monkeypatch):
+    # small blocks, so that every lane of every length, the lone last lane
+    # of a block included, can be checked alone
+    monkeypatch.setattr(series, "_HORNER_BLOCK", 4)
+    coeffs = _lanes(RNG, 33)
+    for n in range(1, 14):
+        z = _lanes(RNG, n)
+        got = horner_unchecked(coeffs, z)
+        assert got.tobytes() == horner_out_of_place(coeffs, z).tobytes()
+        for i in range(n):
+            assert horner_unchecked(coeffs, z[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
+
+
+def test_blocked_horner_keeps_shapes():
+    coeffs = _lanes(RNG, 9)
+    for z in (_lanes(RNG, 2 * _BLOCK + 1).reshape(1, -1),
+              _lanes(RNG, 60).reshape(3, 4, 5), np.asfortranarray(_lanes(RNG, 42).reshape(6, 7)),
+              np.zeros((0, 3), dtype=complex)):
+        got = horner_unchecked(coeffs, z)
+        want = horner_out_of_place(coeffs, z)
+        assert got.shape == z.shape and np.array_equal(got, want)
+        assert got.ravel().tobytes() == want.ravel().tobytes()
+    for z in (np.complex128(0.3 + 0.7j), 0.3 + 0.7j, np.array(0.3 + 0.7j)):
+        got = horner_unchecked(coeffs, z)
+        assert np.ndim(got) == 0 and got == horner_out_of_place(coeffs, z)
 
 
 def test_exact_polynomial_has_unbounded_domain():
