@@ -80,6 +80,25 @@ def _critical_orbit_value(c: float, q: int) -> float:
     return z
 
 
+def _bisect(q: int, a: float, b: float) -> float:
+    """Bisect Q_c^q(0) on a sign-change bracket [a, b] until the midpoint
+    is an endpoint; of the two adjacent doubles left, the one with the
+    smaller |Q_c^q(0)|."""
+    fa, fb = _critical_orbit_value(a, q), _critical_orbit_value(b, q)
+    while True:
+        m = 0.5 * (a + b)
+        if m in (a, b):
+            break
+        fm = _critical_orbit_value(m, q)
+        if fm == 0.0:
+            return m
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
 def find_superattracting(q: int, bracket) -> ParamSearchResult:
     """Real c with Q_c^q(0) = 0, the root closest to -2 inside the bracket
     (first sign change scanning upward from the left endpoint)."""
@@ -98,13 +117,11 @@ def find_superattracting(q: int, bracket) -> ParamSearchResult:
     if first_exact is not None and (first_flip is None or first_exact <= first_flip):
         root = float(grid[first_exact])
     elif first_flip is not None:
-        from scipy.optimize import brentq  # imported here: loading scipy.optimize costs ~50 MB
-
         i = int(first_flip)
-        root = float(brentq(_critical_orbit_value, grid[i], grid[i + 1],
-                            args=(q,), xtol=1e-15, rtol=8.9e-16))
+        root = _bisect(q, float(grid[i]), float(grid[i + 1]))
     if root is None:
         raise NoSignChange(f"no sign change of the critical orbit in {bracket}")
+    root += 0.0  # report c = -0.0 as 0.0
     resid = abs(_critical_orbit_value(root, q))
     if resid >= 1e-12:
         raise NoConvergence(f"bisection residual {resid:.3e} at c={root}")

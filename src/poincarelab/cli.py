@@ -7,11 +7,7 @@ power-law set, exceptional, density and render), and reruns with equal flags
 produce byte-identical CSV/JSON/PPM/SVG files (no timestamps anywhere).
 Exit codes: 0 ok, 2 usage or precondition violation, 3 numeric failure
 (stderr carries the module error name verbatim), 4 evaluation budget
-exceeded.  Only littlewood takes --threads (or POINCARE_LAB_THREADS when the
-flag is absent): it sets the worker threads of the quadrature.  Since the
-quadrature works in cache-sized slices, a second thread no longer pays on 2
-cores: `littlewood --nmax 7` takes about 11.7 s with 1 thread or 2 (2 runs
-each; identical values), where it took 19.5 s with 1 and 13.6 s with 2.
+exceeded.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ import csv
 import io
 import json
 import math
-import os
 import re
 import sys
 from pathlib import Path
@@ -80,19 +75,6 @@ def _build_map(args):
     if c is not None:
         return QuadMap(kind="c", param=_parse_complex(c)), None
     raise BadParams("map spec required; usage: --lambda-gamma G | --c RE,IM")
-
-
-def _threads(args) -> int:
-    t = args.threads
-    if t is None:
-        env = os.environ.get("POINCARE_LAB_THREADS", "1")
-        try:
-            t = int(env)
-        except ValueError:
-            raise BadParams(f"POINCARE_LAB_THREADS must be an integer, got {env!r}")
-    if t == 0:
-        t = os.cpu_count() or 1
-    return max(1, int(t))
 
 
 def _out_dir(args) -> Path:
@@ -244,17 +226,14 @@ def cmd_exceptional(args) -> int:
 
 
 def cmd_littlewood(args) -> int:
-    threads = _threads(args)
     if args.family == "iterates":
         c = _parse_complex(args.c) if args.c is not None else complex(-1.0, 0.0)
-        estimates = littlewood.iterate_family_integrals(
-            c, args.nmax, args.tol, threads=threads)
+        estimates = littlewood.iterate_family_integrals(c, args.nmax, args.tol)
         label = f"iterates of z^2 + ({c})"
     elif args.family == "monomials":
         degrees = [2**j for j in range(0, args.nmax + 1)]
         estimates = [
-            littlewood.disk_integral(littlewood.monomial_evaluator(n),
-                                     tol=args.tol, threads=threads)
+            littlewood.disk_integral(littlewood.monomial_evaluator(n), tol=args.tol)
             for n in degrees
         ]
         label = "monomials z^n"
@@ -486,9 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", metavar="RE,IM")
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for the quadrature (0 = auto; "
-                        "POINCARE_LAB_THREADS when absent; no gain on 2 cores)")
     _add_common(p)
     p.set_defaults(handler=cmd_littlewood)
 

@@ -11,8 +11,7 @@ c form with c = lambda/2 - lambda**2/4.  Both are kept because the lambda
 form is the natural chart for linearization at the origin while the c form
 is the standard chart for parameter-plane work.
 
-All map evaluation accepts numpy arrays transparently; nothing here
-allocates state, so instances are safe to share across worker threads.
+All map evaluation accepts numpy arrays transparently.
 """
 
 from __future__ import annotations

@@ -141,8 +141,8 @@ def exceptional_survey(ib: InverseBranch, S: SetModel, w_count: int, k_max: int,
     in one orbit_preimages call, so C1 is the same for every ratio table;
     the report's own table uses the median count across w at each radius.
 
-    threads has no effect (the work is one batched numpy computation); it
-    is kept for the callers that pass it."""
+    threads is ignored: the survey is one batched numpy computation on one
+    thread.  The parameter stays only for the benchmark, which passes it."""
     if w_count < 10:
         raise BadParams("w_count must be >= 10")
     ws = [complex(w) for w in sub_siegel_sample(ib.sm, w_count, seed)]

@@ -45,7 +45,6 @@ import functools
 import io
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,12 +184,7 @@ def spherical_derivative(ev: PolyEvaluator, z: complex) -> float:
     return float(_sph_many(ev, np.array([z], dtype=complex))[0])
 
 
-def _sph_many(ev: PolyEvaluator, z: np.ndarray, threads: int = 1) -> np.ndarray:
-    if threads > 1 and z.size > 1 << 14:
-        chunks = np.array_split(z, threads)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(lambda zz: _sph_many(ev, zz), chunks))
-        return np.concatenate(parts)
+def _sph_many(ev: PolyEvaluator, z: np.ndarray) -> np.ndarray:
     v, d = ev(z)
     return 2.0 * np.abs(d) / (1.0 + np.abs(v) ** 2)
 
@@ -255,7 +249,7 @@ def _seed_radial_edges(ev: PolyEvaluator, degree: int):
     return merged[keep], grid.size
 
 
-def _refine_slice(ev, tol, threads, r0, r1, t0, t1, e, coarse):
+def _refine_slice(ev, tol, r0, r1, t0, t1, e, coarse):
     """Probe a slice of a level's open cells (edges, e^{i mid-angle} and
     coarse value of each) with their 4 children.  Returns the accepted
     cells' estimates, their errors, and the 4 child groups of the rejected
@@ -273,7 +267,7 @@ def _refine_slice(ev, tol, threads, r0, r1, t0, t1, e, coarse):
     np.multiply(rm, e_hi, out=cm[3 * n:])
     half = 0.5 * (r1**2 - r0**2)
     dt = t1 - t0
-    cvals = _sph_many(ev, cm, threads)
+    cvals = _sph_many(ev, cm)
     cvals[:n] *= 0.5 * (rm**2 - r0**2) * dt
     cvals[n:2 * n] *= 0.5 * (r1**2 - rm**2) * dt
     cvals[2 * n:3 * n] *= half * (tm - t0)
@@ -296,8 +290,8 @@ def _refine_slice(ev, tol, threads, r0, r1, t0, t1, e, coarse):
     return fine[ok] + diff[ok], err[ok], children
 
 
-def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
-                  threads: int = 1) -> IntegralEstimate:
+def disk_integral(ev: PolyEvaluator, tol: float,
+                  degree: int | None = None) -> IntegralEstimate:
     """Adaptive polar quadrature of the spherical derivative over the unit
     disk.
 
@@ -339,7 +333,7 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
     t1 = np.tile(t_edges[1:], nr)
     # e = exp(i * mid-angle) of each open cell; a radial split keeps it
     e = np.exp(1j * (0.5 * (t0 + t1)))
-    coarse = (_sph_many(ev, 0.5 * (r0 + r1) * e, threads)
+    coarse = (_sph_many(ev, 0.5 * (r0 + r1) * e)
               * _cell_area(r0, r1, t0, t1))
     evals += r0.size
 
@@ -358,7 +352,7 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
         groups: tuple[list, ...] = ([], [], [], [])  # each child group, slice by slice
         for lo in range(0, n, _LEVEL_SLICE):
             value, error, children = _refine_slice(
-                ev, tol, threads, *(a[lo:lo + _LEVEL_SLICE] for a in cells))
+                ev, tol, *(a[lo:lo + _LEVEL_SLICE] for a in cells))
             values.append(value)
             errors.append(error)
             for group, child in zip(groups, children):
@@ -387,7 +381,7 @@ def disk_integral(ev: PolyEvaluator, tol: float, degree: int | None = None,
             rr = np.sqrt(b0**2 + u * (b1**2 - b0**2))
             tt = t0[lo:hi, None] + v * (t1[lo:hi] - t0[lo:hi])[:, None]
             pts = rr * np.exp(1j * tt)
-            sph = _sph_many(ev, pts.ravel(), threads).reshape(pts.shape)
+            sph = _sph_many(ev, pts.ravel()).reshape(pts.shape)
             evals += pts.size
             areas = _cell_area(r0[lo:hi], r1[lo:hi], t0[lo:hi], t1[lo:hi])
             block_sums.append(float(np.sum(sph.mean(axis=1) * areas)))
@@ -429,13 +423,12 @@ def _dyadic_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return (lo * (1.5 + 0.5 * x)).ravel(), (lo * (0.5 * w)).ravel()
 
 
-def iterate_family_integrals(c: complex, n_max: int, tol: float,
-                             threads: int = 1):
+def iterate_family_integrals(c: complex, n_max: int, tol: float):
     """IntegralEstimates for the iterates n = 1..n_max of z^2 + c."""
     if not (1 <= n_max <= 14):
         raise BadParams("n_max must be in 1..14")
     return [
-        disk_integral(iterate_evaluator(c, n), tol=tol, threads=threads)
+        disk_integral(iterate_evaluator(c, n), tol=tol)
         for n in range(1, n_max + 1)
     ]
 

@@ -124,7 +124,7 @@ def test_6_disk_integrals(capsys):
         worst_mono = max(worst_mono, abs(est.value - lw.monomial_integral_oracle(n)))
     ok &= worst_mono <= max(tol, 1e-8)
 
-    fam = lw.iterate_family_integrals(-1.0 + 0j, n_max=10, tol=tol, threads=1)
+    fam = lw.iterate_family_integrals(-1.0 + 0j, n_max=10, tol=tol)
     estimates.extend(fam)
     fit = lw.exponent_fit(fam)
     ok &= fit.slope < 0.5

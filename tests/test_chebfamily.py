@@ -42,11 +42,17 @@ def test_family_angle_matches_continued_fraction():
         (1, (-0.4, 0.2), 0.0),
         (2, (-1.4, -0.6), -1.0),
         (3, (-1.79, -1.7), C3_CENTER),
+        # deep enough that stopping short of the closest double leaves a
+        # residual above the 1e-12 gate
+        (8, (-1.9999, -1.99), -1.9997740486937273),
     ],
 )
 def test_superattracting_centers(q, bracket, c_want):
     res = find_superattracting(q, bracket)
     assert abs(res.c - c_want) < 1e-10
+    assert res.residual < 1e-12
+    if c_want == 0.0:
+        assert math.copysign(1.0, res.c.real) == 1.0  # +0.0, never -0.0
     assert abs(res.multiplier) < 1e-8
     assert res.kind == "Superattracting"
     assert res.cycle.period == q

@@ -13,7 +13,7 @@ def run(tmp_path, *argv):
     return main(list(argv) + ["--out-dir", str(tmp_path)])
 
 
-def test_usage_errors_exit_2(tmp_path, monkeypatch):
+def test_usage_errors_exit_2(tmp_path):
     assert main(["poincare"]) == 2  # no map spec
     assert run(tmp_path, "density", "--set", "powerlaw", "--delta", "2.5",
                "--r", "5") == 2
@@ -31,12 +31,11 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch):
         for r in ("nan", "inf", "0"):
             assert run(tmp_path, "render", "--what", what, "--r", r, "--out", "x.ppm") == 2
     assert not (tmp_path / "x.ppm").exists()
-    # --threads belongs to littlewood, the one command whose work it splits
     assert run(tmp_path, "exceptional", "--threads", "2") == 2
     # --seed belongs to the commands that read it
     assert run(tmp_path, "chebyshev", "--q", "1", "--seed", "1") == 2
-    monkeypatch.setenv("POINCARE_LAB_THREADS", "abc")
-    assert run(tmp_path, "littlewood", "--nmax", "1") == 2
+    # the quadrature runs on one thread; --threads is no longer a flag
+    assert run(tmp_path, "littlewood", "--nmax", "1", "--threads", "2") == 2
 
 
 def test_poincare_flat_family_eval(tmp_path, capsys):

@@ -2,9 +2,10 @@ import subprocess
 import sys
 
 
-def _loaded_scipy_solvers(statements: str) -> str:
+def _loaded_scipy(statements: str) -> str:
+    """The scipy modules loaded by running `statements` in a fresh interpreter."""
     code = (f"import sys; {statements}; "
-            "print([m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules])")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -12,12 +13,17 @@ def _loaded_scipy_solvers(statements: str) -> str:
 
 
 def test_import_leaves_scipy_solvers_unloaded():
-    # scipy.optimize and scipy.integrate cost about 50 MB of memory; only the
-    # functions that call them import them
-    assert _loaded_scipy_solvers("import poincarelab") == "[]"
+    # the package does not depend on scipy
+    assert _loaded_scipy("import poincarelab") == "[]"
 
 
 def test_quadrature_and_its_oracle_need_no_scipy():
-    assert _loaded_scipy_solvers(
+    assert _loaded_scipy(
         "from poincarelab import littlewood as lw; lw.monomial_integral_oracle(3); "
         "lw.disk_integral(lw.monomial_evaluator(2), 1e-3)") == "[]"
+
+
+def test_superattracting_search_needs_no_scipy():
+    assert _loaded_scipy(
+        "from poincarelab.chebfamily import find_superattracting; "
+        "find_superattracting(3, (-1.79, -1.7))") == "[]"

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 25 invocations that cover every subcommand and each
+`src`).  RUNS lists 26 invocations that cover every subcommand and each
 target set.  Each invocation runs as `python -m poincarelab ... --out-dir .`
 from its own subdirectory of OUT_DIR, so its output files land there and
 its stdout carries no absolute path; the stdout goes to `stdout.txt` and
@@ -44,6 +44,7 @@ RUNS = [
     ("littlewood_monomials", ["littlewood", "--family", "monomials", "--nmax", "3"]),
     ("littlewood_complex_c", ["littlewood", "--c", "0.3,0.2", "--nmax", "3"]),
     ("chebyshev", ["chebyshev", "--q", "1,2,3"]),
+    ("chebyshev_q8", ["chebyshev", "--q", "1,2,3,4,5,6,7,8"]),
     ("density_powerlaw", ["density", "--set", "powerlaw", "--r", "5",
                           "--samples", "20000"]),
     ("density_sectors", ["density", "--set", "sectors", "--r", "20"]),
@@ -69,7 +70,6 @@ def main(argv=None) -> int:
         print(f"{src} does not hold the poincarelab package", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("POINCARE_LAB_THREADS", None)
     start = time.perf_counter()
     for name, args in RUNS:
         run_dir = out / name
