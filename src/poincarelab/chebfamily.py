@@ -21,6 +21,7 @@ wrong branch.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -122,8 +123,12 @@ def find_superattracting(q: int, bracket) -> ParamSearchResult:
     if root is None:
         raise NoSignChange(f"no sign change of the critical orbit in {bracket}")
     root += 0.0  # report c = -0.0 as 0.0
-    resid = abs(_critical_orbit_value(root, q))
-    if resid >= 1e-12:
+    # deep centers have |dQ/dc| * ulp(c) above 1e-12: no double does better
+    z = dz = 0.0
+    for _ in range(q):
+        z, dz = z * z + root, 2.0 * z * dz + 1.0
+    resid = abs(z)
+    if resid >= max(1e-12, abs(dz) * math.ulp(root)):
         raise NoConvergence(f"bisection residual {resid:.3e} at c={root}")
     qm = QuadMap(kind="c", param=complex(root))
     cyc = Cycle(points=cycle_through(qm, 0.0 + 0.0j, q).points, period=q,

@@ -7,16 +7,14 @@ power-law set, exceptional, density and render), and reruns with equal flags
 produce byte-identical CSV/JSON/PPM/SVG files (no timestamps anywhere).
 Exit codes: 0 ok, 2 usage or precondition violation, 3 numeric failure
 (stderr carries the module error name verbatim), 4 evaluation budget
-exceeded.
+exceeded.  A run that exits 2 or 3 writes no file; one that exits 4 still
+writes its files.  Every CSV/JSON format rule lives in `serialize`.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import csv
-import io
-import json
 import math
 import re
 import sys
@@ -34,8 +32,9 @@ from .sets import (
     make_empty_set,
     make_powerlaw_set,
     make_sector_set,
-    set_to_json,
+    set_payload,
 )
+from .serialize import csv_text, json_text
 from .series import series_to_json
 from .siegel import RotationAngle, build_siegel_map, sub_siegel_sample
 
@@ -77,87 +76,69 @@ def _build_map(args):
     raise BadParams("map spec required; usage: --lambda-gamma G | --c RE,IM")
 
 
-def _out_dir(args) -> Path:
-    d = Path(getattr(args, "out_dir", "."))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 def _build_set(args):
     kind = getattr(args, "set", None) or "empty"
     if kind == "empty":
         return make_empty_set()
     if kind == "powerlaw":
         return make_powerlaw_set(args.C, args.delta, args.seed)
-    if kind == "sectors":
-        return make_sector_set(args.C, args.delta)
-    raise BadParams(f"unknown set kind {kind!r}; choose empty, powerlaw, or sectors")
+    return make_sector_set(args.C, args.delta)  # argparse allows no other kind
 
 
-def _pair(z):
-    """[re, im] for JSON, or None for a missing value."""
-    return None if z is None else [z.real, z.imag]
-
-
-def _write(path: Path, payload) -> Path:
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(payload)
-    return path
+def _re_im(z):
+    """The two CSV cells of a complex number, both empty when it is missing."""
+    return (None, None) if z is None else (z.real, z.imag)
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command builds its objects, prints its summary and returns
+# (files, exit code): files is an ordered {name: text or bytes} that main
+# writes under --out-dir.  A third item, if any, ends main's `wrote` line.
+# A command that raises writes nothing.
 
 
-def cmd_poincare(args) -> int:
+def cmd_poincare(args):
     qmap, angle = _build_map(args)
     pm = build_poincare_map(qmap, N=args.terms)
-    out = _out_dir(args)
     provenance = {
         "command": "poincare",
         "map_kind": qmap.kind,
-        "param": [qmap.param.real, qmap.param.imag],
+        "param": qmap.param,
         "terms": args.terms,
-        "z0": [pm.z0.real, pm.z0.imag],
-        "mu": [pm.mu.real, pm.mu.imag],
+        "z0": pm.z0,
+        "mu": pm.mu,
     }
-    series_path = _write(out / "poincare_series.json",
-                         series_to_json(pm.series_f, provenance))
     if args.eval:
         points = [_parse_complex(p) for p in args.eval.split(";") if p]
     else:
         points = [5.0 * pm.r0 * complex(math.cos(t), math.sin(t))
                   for t in np.linspace(0.0, 2.0 * math.pi, 9)[:-1]]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["re z", "im z", "re f(z)", "im f(z)",
-                     "residual = |P(f(z))-f(mu z)|/(1+|f(mu z)|)"])
+    rows = []
     for z in points:
         fz = poincare_eval(pm, z)
-        resid = functional_equation_residual(pm, z)
-        writer.writerow([repr(z.real), repr(z.imag), repr(fz.real),
-                         repr(fz.imag), repr(resid)])
-    table_path = _write(out / "poincare_eval.csv", buf.getvalue())
+        rows.append([z.real, z.imag, fz.real, fz.imag,
+                     functional_equation_residual(pm, z)])
     print(f"poincare: z0={pm.z0} mu={pm.mu} r0={pm.r0:.6g} "
           f"safe_radius={pm.series_f.safe_radius:.6g}")
-    print(f"wrote {series_path} and {table_path}")
-    return 0
+    return {
+        "poincare_series.json": series_to_json(pm.series_f, provenance),
+        "poincare_eval.csv": csv_text(
+            ["re z", "im z", "re f(z)", "im f(z)",
+             "residual = |P(f(z))-f(mu z)|/(1+|f(mu z)|)"], rows),
+    }, 0
 
 
-def cmd_siegel(args) -> int:
+def cmd_siegel(args):
     lg = getattr(args, "lambda_gamma", None)
     if lg is None:
         raise BadParams("siegel needs --lambda-gamma G")
     angle = _angle_from_flag(lg)
     sm = build_siegel_map(angle, N=args.terms)
-    out = _out_dir(args)
     provenance = {"command": "siegel", "gamma": angle.gamma, "terms": args.terms}
-    series_path = _write(out / "siegel_series.json",
-                         series_to_json(sm.series_h, provenance))
     info = {
         "gamma": angle.gamma,
-        "lambda": [angle.lam.real, angle.lam.imag],
+        "lambda": angle.lam,
         "radius_hat": sm.radius_hat,
         "root_estimate": sm.radius_info.root_estimate,
         "residual_estimate": sm.radius_info.residual_estimate,
@@ -165,42 +146,38 @@ def cmd_siegel(args) -> int:
         "sub_fraction": sm.sub_fraction,
         "conjugacy_residual": sm.conj_residual,
     }
-    info_path = _write(out / "siegel_info.json", json.dumps(info, indent=2))
     print(f"siegel: gamma={angle.gamma:.12g} radius_hat={sm.radius_hat:.6g} "
           f"conjugacy_residual={sm.conj_residual:.3e}")
-    print(f"wrote {series_path} and {info_path}")
-    return 0
+    return {"siegel_series.json": series_to_json(sm.series_h, provenance),
+            "siegel_info.json": json_text(info)}, 0
 
 
-def cmd_preimages(args) -> int:
+def cmd_preimages(args):
     qmap, angle = _build_map(args)
     pm = build_poincare_map(qmap, N=args.terms)
     w = _parse_complex(args.w)
     S = _build_set(args)
-    out = _out_dir(args)
     count = preimage.argument_principle_count(pm, w, args.r)
     print(f"argument principle count of f(z)={w} in D_{args.r:g}: {count}")
     if angle is None:
         print("orbit preimages need a Siegel map (--lambda-gamma); skipped")
-        return 0
+        return {}, 0
     sm = build_siegel_map(angle, N=args.siegel_terms)
     ib = preimage.find_base_preimage(pm, sm)
     try:
         report = preimage.build_preimage_report(ib, S, w, args.r, args.kmax)
     except OutOfDomain:
         print(f"w={w} lies outside the sub-Siegel disk; orbit preimages skipped")
-        return 0
+        return {}, 0
     inside = sum(1 for p in report.orbit_points if abs(p.z) <= args.r)
     print(f"orbit preimages with |z| <= {args.r:g}: {inside} "
           f"(of {len(report.orbit_points)} computed; count >= orbit is "
           f"{'OK' if count >= inside else 'VIOLATED'})")
-    csv_path = _write(out / "preimage_report.csv", preimage.report_to_csv(report))
-    json_path = _write(out / "preimage_report.json", preimage.report_to_json(report))
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return {"preimage_report.csv": preimage.report_to_csv(report),
+            "preimage_report.json": preimage.report_to_json(report)}, 0
 
 
-def cmd_exceptional(args) -> int:
+def cmd_exceptional(args):
     S = _build_set(args)  # validate set flags before heavy work
     lg = getattr(args, "lambda_gamma", None) or "golden"
     angle = _angle_from_flag(lg)
@@ -211,36 +188,28 @@ def cmd_exceptional(args) -> int:
     report = exceptional.exceptional_survey(
         ib, S, w_count=args.samples, k_max=args.kmax, seed=args.seed,
     )
-    out = _out_dir(args)
-    json_path = _write(out / "exceptional_report.json",
-                       exceptional.report_to_json(report))
-    csv_path = _write(out / "exceptional_ratio_table.csv",
-                      exceptional.ratio_table_csv(report))
     proxies = [p for p in exceptional.liminf_proxies(report) if not math.isnan(p)]
     med = float(np.median(proxies)) if proxies else math.nan
     print(f"exceptional: target 1/log|mu| = {report.target:.6f}, "
           f"median liminf proxy = {med:.6f}, "
           f"escape fraction = {exceptional.escape_fraction(report):.3f}")
-    print(f"wrote {json_path} and {csv_path}")
-    return 0
+    return {"exceptional_report.json": exceptional.report_to_json(report),
+            "exceptional_ratio_table.csv": exceptional.ratio_table_csv(report)}, 0
 
 
-def cmd_littlewood(args) -> int:
+def cmd_littlewood(args):
     if args.family == "iterates":
         c = _parse_complex(args.c) if args.c is not None else complex(-1.0, 0.0)
         estimates = littlewood.iterate_family_integrals(c, args.nmax, args.tol)
         label = f"iterates of z^2 + ({c})"
-    elif args.family == "monomials":
+    else:  # monomials, the only other choice
         degrees = [2**j for j in range(0, args.nmax + 1)]
         estimates = [
             littlewood.disk_integral(littlewood.monomial_evaluator(n), tol=args.tol)
             for n in degrees
         ]
         label = "monomials z^n"
-    else:
-        raise BadParams(f"unknown family {args.family!r}; choose iterates or monomials")
-    out = _out_dir(args)
-    csv_path = _write(out / "littlewood.csv", littlewood.family_csv(estimates))
+    files = {"littlewood.csv": littlewood.family_csv(estimates)}
     print(f"littlewood ({label}): {len(estimates)} integrals, "
           f"max degree {estimates[-1].degree}")
     code = 0
@@ -249,22 +218,19 @@ def cmd_littlewood(args) -> int:
         code = 4
     try:
         fit = littlewood.exponent_fit(estimates)
-        fit_payload = {
-            "slope": fit.slope,
-            "alpha_hat": fit.alpha_hat,
-            "residual": fit.residual,
-            "pairs": fit.pairs,
-        }
-        fit_path = _write(out / "littlewood_fit.json",
-                          json.dumps(fit_payload, indent=2))
-        print(f"fit: slope={fit.slope:.6f} alpha_hat={fit.alpha_hat:.6f}")
-        print(f"wrote {csv_path} and {fit_path}")
     except PoincareLabError:
-        print(f"wrote {csv_path} (too few degrees for an exponent fit)")
-    return code
+        return files, code, " (too few degrees for an exponent fit)"
+    files["littlewood_fit.json"] = json_text({
+        "slope": fit.slope,
+        "alpha_hat": fit.alpha_hat,
+        "residual": fit.residual,
+        "pairs": fit.pairs,
+    })
+    print(f"fit: slope={fit.slope:.6f} alpha_hat={fit.alpha_hat:.6f}")
+    return files, code
 
 
-def cmd_chebyshev(args) -> int:
+def cmd_chebyshev(args):
     q_list = [int(x) for x in args.q.split(",") if x]
     if args.gamma_cf:
         cf = [int(x) for x in args.gamma_cf.split(",") if x]
@@ -272,29 +238,17 @@ def cmd_chebyshev(args) -> int:
     else:
         angle = chebfamily.family_angle()
     report = chebfamily.family_report(q_list, angle, series_terms=args.terms)
-    out = _out_dir(args)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["q", "c_super_re", "c_parab_re", "c_parab_im",
-                     "c_siegel_re", "c_siegel_im", "z_re", "z_im",
-                     "mu_re", "mu_im", "|mu|", "rho = log2/log|mu|",
-                     "siegel_linearizer_residual", "max_multiplier_residual",
-                     "error"])
-    for row in report.rows:
-        if row.error is None:
-            writer.writerow([
-                row.q, repr(float(row.c_super)),
-                repr(float(row.c_parabolic.real)), repr(float(row.c_parabolic.imag)),
-                repr(float(row.c_siegel.real)), repr(float(row.c_siegel.imag)),
-                repr(float(row.z_fixed.real)), repr(float(row.z_fixed.imag)),
-                repr(float(row.mu.real)), repr(float(row.mu.imag)),
-                repr(float(abs(row.mu))), repr(float(row.rho)),
-                repr(float(row.siegel_residual)), repr(float(row.mult_residual)),
-                "",
-            ])
-        else:
-            writer.writerow([row.q] + [""] * 13 + [row.error])
-    csv_path = _write(out / "chebyshev_family.csv", buf.getvalue())
+    table = csv_text(
+        ["q", "c_super_re", "c_parab_re", "c_parab_im",
+         "c_siegel_re", "c_siegel_im", "z_re", "z_im",
+         "mu_re", "mu_im", "|mu|", "rho = log2/log|mu|",
+         "siegel_linearizer_residual", "max_multiplier_residual",
+         "error"],
+        [[row.q, row.c_super, *_re_im(row.c_parabolic), *_re_im(row.c_siegel),
+          *_re_im(row.z_fixed), *_re_im(row.mu),
+          None if row.mu is None else abs(row.mu), row.rho,
+          row.siegel_residual, row.mult_residual, row.error]
+         for row in report.rows])
     payload = {
         "gamma": report.gamma,
         "limits": report.limits,
@@ -302,10 +256,10 @@ def cmd_chebyshev(args) -> int:
             {
                 "q": row.q,
                 "c_super": row.c_super,
-                "c_parabolic": _pair(row.c_parabolic),
-                "c_siegel": _pair(row.c_siegel),
-                "z_fixed": _pair(row.z_fixed),
-                "mu": _pair(row.mu),
+                "c_parabolic": row.c_parabolic,
+                "c_siegel": row.c_siegel,
+                "z_fixed": row.z_fixed,
+                "mu": row.mu,
                 "abs_mu": None if row.mu is None else abs(row.mu),
                 "rho": row.rho,
                 "siegel_residual": row.siegel_residual,
@@ -315,46 +269,38 @@ def cmd_chebyshev(args) -> int:
             for row in report.rows
         ],
     }
-    json_path = _write(out / "chebyshev_family.json", json.dumps(payload, indent=2))
     for row in report.rows:
         if row.error is None:
             print(f"q={row.q}: c_super={row.c_super:.9f} "
                   f"|mu|={abs(row.mu):.6f} rho={row.rho:.6f}")
         else:
             print(f"q={row.q}: {row.error}")
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    return {"chebyshev_family.csv": table,
+            "chebyshev_family.json": json_text(payload)}, 0
 
 
-def cmd_density(args) -> int:
+def cmd_density(args):
     S = _build_set(args)
     est = density_estimate(S, args.r, args.samples, args.seed)
-    out = _out_dir(args)
+    bound = certified_bound(S, args.r) if S.certificate is not None else None
     payload = {
-        "set": json.loads(set_to_json(S)),
+        "set": set_payload(S),
         "r": args.r,
         "value": est.value,
         "std_error": est.std_error,
         "samples": est.samples,
-        "certified_bound": certified_bound(S, args.r)
-        if S.certificate is not None else None,
+        "certified_bound": bound,
     }
-    path = _write(out / "density.json", json.dumps(payload, indent=2))
-    bound = payload["certified_bound"]
     bound_text = f", certified bound {bound:.6g}" if bound is not None else ""
     print(f"density in D_{args.r:g}: {est.value:.6g} "
           f"+/- {3.0 * est.std_error:.2g} (3 sigma){bound_text}")
-    print(f"wrote {path}")
-    return 0
+    return {"density.json": json_text(payload)}, 0
 
 
-def cmd_render(args) -> int:
+def cmd_render(args):
     if args.r is not None and not (0.0 < args.r < math.inf):
         raise BadParams(f"--r must be positive and finite, got {args.r}")
-    path = Path(args.out)
-    if not path.is_absolute():
-        path = _out_dir(args) / path
-    fmt = path.suffix.lower()
+    fmt = Path(args.out).suffix.lower()
     if fmt not in (".ppm", ".svg"):
         raise BadParams(f"unknown image format {fmt!r}; use .ppm or .svg")
     if args.lambda_gamma is None and args.c is None:
@@ -373,7 +319,7 @@ def cmd_render(args) -> int:
         payload = (render.siegel_scatter_ppm(sm, args.size, args.samples, args.seed)
                    if fmt == ".ppm"
                    else render.siegel_scatter_svg(sm, min(args.samples, 2000), args.seed))
-    elif args.what == "orbit":
+    else:  # orbit, the only other choice
         if angle is None:
             raise BadParams("render --what orbit needs --lambda-gamma")
         pm = build_poincare_map(qmap, N=args.terms)
@@ -385,12 +331,7 @@ def cmd_render(args) -> int:
         r = args.r if args.r is not None else 1.05 * max(abs(z) for z in pts)
         payload = (render.orbit_svg(pts, S, r) if fmt == ".svg"
                    else render.orbit_ppm(pts, S, r, args.size))
-    else:
-        raise BadParams(f"unknown --what {args.what!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write(path, payload)
-    print(f"wrote {path}")
-    return 0
+    return {args.out: payload}, 0  # an absolute --out ignores --out-dir
 
 
 # ---------------------------------------------------------------- parser
@@ -413,8 +354,11 @@ def _add_set_flags(p: argparse.ArgumentParser):
                    help="seed of the power-law layout and of sampled points")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
     p.add_argument("--out-dir", default=".", help="directory for output files")
+    p.set_defaults(handler=handler)
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -425,21 +369,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("poincare", help="series + functional-equation table")
+    p = _command(sub, "poincare", cmd_poincare, "series + functional-equation table")
     _add_map_flags(p)
     p.add_argument("--terms", type=int, default=64)
     p.add_argument("--eval", metavar="RE,IM;RE,IM;...",
                    help="points to evaluate (semicolon separated)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_poincare)
 
-    p = sub.add_parser("siegel", help="Siegel linearizer series + radius")
+    p = _command(sub, "siegel", cmd_siegel, "Siegel linearizer series + radius")
     _add_map_flags(p)
     p.add_argument("--terms", type=int, default=256)
-    _add_common(p)
-    p.set_defaults(handler=cmd_siegel)
 
-    p = sub.add_parser("preimages", help="orbit preimages vs argument-principle count")
+    p = _command(sub, "preimages", cmd_preimages, "orbit preimages vs argument-principle count")
     _add_map_flags(p)
     p.add_argument("--w", required=True, metavar="RE,IM")
     p.add_argument("--r", type=float, required=True)
@@ -447,43 +387,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=64)
     p.add_argument("--siegel-terms", dest="siegel_terms", type=int, default=256)
     _add_set_flags(p)
-    _add_common(p)
-    p.set_defaults(handler=cmd_preimages)
 
-    p = sub.add_parser("exceptional", help="liminf-count survey over sampled w")
+    p = _command(sub, "exceptional", cmd_exceptional, "liminf-count survey over sampled w")
     _add_map_flags(p)
     _add_set_flags(p)
     p.add_argument("--kmax", type=int, default=30)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--terms", type=int, default=64)
     p.add_argument("--siegel-terms", dest="siegel_terms", type=int, default=256)
-    _add_common(p)
-    p.set_defaults(handler=cmd_exceptional)
 
-    p = sub.add_parser("littlewood", help="spherical-derivative disk integrals")
+    p = _command(sub, "littlewood", cmd_littlewood, "spherical-derivative disk integrals")
     p.add_argument("--family", choices=["iterates", "monomials"], default="iterates")
     p.add_argument("--c", metavar="RE,IM")
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--tol", type=float, default=1e-4)
-    _add_common(p)
-    p.set_defaults(handler=cmd_littlewood)
 
-    p = sub.add_parser("chebyshev", help="parameter family pipeline near c=-2")
+    p = _command(sub, "chebyshev", cmd_chebyshev, "parameter family pipeline near c=-2")
     p.add_argument("--q", default="1,2,3", metavar="Q1,Q2,...")
     p.add_argument("--gamma-cf", dest="gamma_cf", metavar="A1,A2,...",
                    help="continued-fraction terms of the Siegel rotation number")
     p.add_argument("--terms", type=int, default=64)
-    _add_common(p)
-    p.set_defaults(handler=cmd_chebyshev)
 
-    p = sub.add_parser("density", help="Monte Carlo density vs certificate")
+    p = _command(sub, "density", cmd_density, "Monte Carlo density vs certificate")
     _add_set_flags(p)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--samples", type=int, default=100_000)
-    _add_common(p)
-    p.set_defaults(handler=cmd_density)
 
-    p = sub.add_parser("render", help="PPM/SVG images")
+    p = _command(sub, "render", cmd_render, "PPM/SVG images")
     p.add_argument("--what", choices=["domain", "siegel", "orbit"], required=True)
     _add_map_flags(p)
     _add_set_flags(p)
@@ -494,8 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--terms", type=int, default=64)
     p.add_argument("--siegel-terms", dest="siegel_terms", type=int, default=256)
     p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_render)
 
     return parser
 
@@ -529,13 +457,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
+        files, code, *note = args.handler(args)
     except BadParams as exc:
         print(f"BadParams: {exc}", file=sys.stderr)
         return 2
     except PoincareLabError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    paths = [Path(args.out_dir) / name for name in files]
+    for path, data in zip(paths, files.values()):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    if paths:
+        print("wrote " + " and ".join(map(str, paths)) + "".join(note))
+    return code
 
 
 def console_main() -> None:

@@ -19,18 +19,15 @@ the branch cache held before.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .dyncore import order_from_multiplier
 from .errors import BadParams
 from .preimage import InverseBranch, orbit_preimages
+from .serialize import csv_text, json_text
 from .sets import SetModel
 from .siegel import sub_siegel_sample
 
@@ -185,17 +182,12 @@ def escape_fraction(report: ExceptionalReport) -> float:
 
 
 def ratio_table_csv(report: ExceptionalReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["r = |mu|^k * C1", "count", "count/log r", "target = 1/log|mu|"])
-    for row in report.ratio_table:
-        writer.writerow([repr(float(row.r)), row.count, repr(float(row.ratio)),
-                         repr(float(report.target))])
-    return buf.getvalue()
+    return csv_text(["r = |mu|^k * C1", "count", "count/log r", "target = 1/log|mu|"],
+                    log_growth_table(report))
 
 
 def report_to_json(report: ExceptionalReport) -> str:
-    payload = {
+    return json_text({
         "map": report.map_descriptor,
         "set": report.set_descriptor,
         "rho": report.rho,
@@ -203,25 +195,20 @@ def report_to_json(report: ExceptionalReport) -> str:
         "c1": report.c1,
         "k_max": report.k_max,
         "ratio_table": [
-            {"r": row.r, "count": row.count, "ratio": _json_float(row.ratio)}
+            {"r": row.r, "count": row.count, "ratio": row.ratio}
             for row in report.ratio_table
         ],
         "records": [
             {
-                "w": [rec.w.real, rec.w.imag],
-                "liminf_proxy": _json_float(rec.liminf_proxy),
+                "w": rec.w,
+                "liminf_proxy": rec.liminf_proxy,
                 "escaped": rec.escaped,
                 "conditional": rec.conditional,
                 "points": [
-                    {"k": k, "z": [z.real, z.imag], "in_S": hit}
+                    {"k": k, "z": z, "in_S": hit}
                     for k, z, hit in rec.points
                 ],
             }
             for rec in report.records
         ],
-    }
-    return json.dumps(payload, indent=2)
-
-
-def _json_float(x: float) -> Optional[float]:
-    return None if (x != x) else x
+    })

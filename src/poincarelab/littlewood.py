@@ -40,9 +40,7 @@ spherical derivative is below 1e-40, far under any tolerance used here.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,6 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BadParams, InsufficientData
+from .serialize import csv_text
 
 EVAL_BUDGET = 100_000_000
 ESCAPE_BOUND = 1e50
@@ -452,10 +451,6 @@ def exponent_fit(estimates) -> ExponentFit:
 
 
 def family_csv(estimates) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["degree", "value", "error_bound", "cs_bound", "evaluations"])
-    for e in estimates:
-        writer.writerow([e.degree, repr(e.value), repr(e.error_bound),
-                         repr(cs_bound(e.degree)), e.evaluations])
-    return buf.getvalue()
+    return csv_text(["degree", "value", "error_bound", "cs_bound", "evaluations"],
+                    [[e.degree, e.value, e.error_bound, cs_bound(e.degree), e.evaluations]
+                     for e in estimates])

@@ -30,9 +30,6 @@ principle, and an empirical density-transfer probe for thin target sets.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,6 +38,7 @@ import numpy as np
 
 from .errors import BadParams, ContinuationLost, NoCertificate, NoConvergence, NotFound
 from .poincare import PoincareMap, eval_on_circle, poincare_derivative_eval, poincare_eval
+from .serialize import csv_text, json_text
 from .sets import SetModel, certified_bound
 # h_inverse and p_inverse_on_disk are not called here, but stay importable
 # from this module: perfbench/tracer.py wraps them under these names.
@@ -324,26 +322,20 @@ def build_preimage_report(ib: InverseBranch, S: SetModel, w: complex, r: float,
 
 
 def report_to_csv(report: PreimageReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "re z", "im z", "|z|", "in_S", "residual"])
-    for p in report.orbit_points:
-        writer.writerow([p.k, repr(float(p.z.real)), repr(float(p.z.imag)),
-                         repr(float(abs(p.z))), int(p.in_S),
-                         repr(float(p.residual))])
-    return buf.getvalue()
+    return csv_text(["k", "re z", "im z", "|z|", "in_S", "residual"],
+                    [[p.k, p.z.real, p.z.imag, abs(p.z), p.in_S, p.residual]
+                     for p in report.orbit_points])
 
 
 def report_to_json(report: PreimageReport) -> str:
-    payload = {
-        "w": [report.w.real, report.w.imag],
+    return json_text({
+        "w": report.w,
         "r": report.r,
         "argument_count": report.argument_count,
         "notes": report.notes,
         "orbit_points": [
-            {"k": p.k, "z": [p.z.real, p.z.imag], "abs_z": abs(p.z),
+            {"k": p.k, "z": p.z, "abs_z": abs(p.z),
              "in_S": p.in_S, "residual": p.residual}
             for p in report.orbit_points
         ],
-    }
-    return json.dumps(payload, indent=2)
+    })

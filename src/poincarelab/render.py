@@ -99,12 +99,13 @@ def siegel_scatter_ppm(sm: SiegelMap, size: int = 512, samples: int = 4000,
     return ppm_bytes(img)
 
 
-def _svg_header(width: int, height: int, r: float):
+def _svg(width: int, height: int, r: float, body) -> str:
+    """An SVG document: a dark square of half-width 1.05 r, then body."""
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="{-1.05 * r:.6e} {-1.05 * r:.6e} {2.1 * r:.6e} {2.1 * r:.6e}">\n'
         f'<rect x="{-1.05 * r:.6e}" y="{-1.05 * r:.6e}" width="{2.1 * r:.6e}" '
-        f'height="{2.1 * r:.6e}" fill="#101018"/>\n'
+        f'height="{2.1 * r:.6e}" fill="#101018"/>\n' + "".join(body) + "</svg>\n"
     )
 
 
@@ -117,11 +118,10 @@ def orbit_svg(points: Iterable[complex], S: SetModel | None, r: float,
     picture matches mathematical orientation.
     """
     pts = [complex(p) for p in points]
-    parts = [_svg_header(width, width, r)]
-    parts.append(
+    parts = [
         f'<circle cx="0" cy="0" r="{r:.6e}" fill="none" '
         f'stroke="#3050a0" stroke-width="{0.004 * r:.6e}"/>\n'
-    )
+    ]
     if S is not None and S.kind == "PowerLawDisks":
         j_hi = max(0, int(math.floor(math.log2(max(2.0, r)))))
         for j in range(j_hi + 1):
@@ -140,8 +140,7 @@ def orbit_svg(points: Iterable[complex], S: SetModel | None, r: float,
             f'r="{marker_r:.6e}" fill="#ffcc40" stroke="#805000" '
             f'stroke-width="{0.25 * marker_r:.6e}"/>\n'
         )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    return _svg(width, width, r, parts)
 
 
 def orbit_ppm(points: Iterable[complex], S: SetModel | None, r: float,
@@ -164,7 +163,7 @@ def domain_coloring_svg(pm: PoincareMap, r: float, cells: int = 64) -> str:
     """Coarse vector version of the domain coloring (one rect per cell)."""
     rgb = np.clip(_domain_rgb(pm, _grid(r, cells)) * 255.0, 0, 255)
     step = 2.0 * r / cells
-    parts = [_svg_header(800, 800, r)]
+    parts = []
     for i in range(cells):
         for j in range(cells):
             cc = rgb[i, j].astype(int)
@@ -174,26 +173,19 @@ def domain_coloring_svg(pm: PoincareMap, r: float, cells: int = 64) -> str:
                 f'<rect x="{x:.6e}" y="{y:.6e}" width="{step:.6e}" '
                 f'height="{step:.6e}" fill="#{cc[0]:02x}{cc[1]:02x}{cc[2]:02x}"/>\n'
             )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    return _svg(800, 800, r, parts)
 
 
 def siegel_scatter_svg(sm: SiegelMap, samples: int = 1500, seed: int = 7) -> str:
     """Vector scatter of the sub-Siegel disk with its boundary image."""
     pts, boundary, span = _siegel_scatter(sm, samples, seed, 360)
-    parts = [_svg_header(800, 800, span)]
+    parts = []
     dot = 0.006 * span
-    for p in pts:
-        q = complex(p) - sm.center_value
-        parts.append(
-            f'<circle cx="{q.real:.6e}" cy="{-q.imag:.6e}" r="{dot:.6e}" '
-            f'fill="#8cc0f0"/>\n'
-        )
-    for p in boundary:
-        q = complex(p) - sm.center_value
-        parts.append(
-            f'<circle cx="{q.real:.6e}" cy="{-q.imag:.6e}" r="{dot:.6e}" '
-            f'fill="#ffd84d"/>\n'
-        )
-    parts.append("</svg>\n")
-    return "".join(parts)
+    for group, fill in ((pts, "#8cc0f0"), (boundary, "#ffd84d")):
+        for p in group:
+            q = complex(p) - sm.center_value
+            parts.append(
+                f'<circle cx="{q.real:.6e}" cy="{-q.imag:.6e}" r="{dot:.6e}" '
+                f'fill="{fill}"/>\n'
+            )
+    return _svg(800, 800, span, parts)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParams, NotInvertible, OutOfSafeRadius
+from .serialize import json_text
 
 DEFAULT_TAIL_EPS = 1e-16
 _RADIUS_SLACK = 1.0 + 1e-12  # evaluation boundary tolerance
@@ -308,14 +309,13 @@ def series_reversion(s: TruncatedSeries, terms: int) -> TruncatedSeries:
 
 
 def series_to_json(s: TruncatedSeries, provenance: dict | None = None) -> str:
-    doc = {
-        "center": [s.center.real, s.center.imag],
-        "coeffs": [[c.real, c.imag] for c in s.coeffs],
+    return json_text({
+        "center": complex(s.center),
+        "coeffs": [complex(c) for c in s.coeffs],
         "safe_radius": s.safe_radius,
         "tail_eps": s.tail_eps,
         "provenance": provenance or {},
-    }
-    return json.dumps(doc, indent=2)
+    })
 
 
 def series_from_json(text: str) -> tuple[TruncatedSeries, dict]:

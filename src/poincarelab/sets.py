@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParams, NoCertificate
+from .serialize import json_text
 
 SAMPLE_BLOCK = 1 << 16
 _PACK_TRIES = 200
@@ -271,10 +272,13 @@ def density_estimate(S: SetModel, r: float, samples: int, seed: int) -> DensityE
     )
 
 
-def set_to_json(S: SetModel) -> str:
+def set_payload(S: SetModel) -> dict:
     C, delta = S.certificate if S.certificate is not None else (None, None)
-    payload = {"kind": S.kind, "C": C, "delta": delta, "seed": S.seed}
-    return json.dumps(payload, indent=2)
+    return {"kind": S.kind, "C": C, "delta": delta, "seed": S.seed}
+
+
+def set_to_json(S: SetModel) -> str:
+    return json_text(set_payload(S))
 
 
 def set_from_json(text: str) -> SetModel:

@@ -45,12 +45,23 @@ def test_family_angle_matches_continued_fraction():
         # deep enough that stopping short of the closest double leaves a
         # residual above the 1e-12 gate
         (8, (-1.9999, -1.99), -1.9997740486937273),
+        # deeper still, even the closest double leaves a residual above
+        # 1e-12; the centers are 50-digit Newton roots rounded to double
+        (9, (-1.99999, -1.99975), -1.999943521765674),
+        (10, (-1.999999, -1.99993), -1.999985881140392),
     ],
 )
 def test_superattracting_centers(q, bracket, c_want):
     res = find_superattracting(q, bracket)
     assert abs(res.c - c_want) < 1e-10
-    assert res.residual < 1e-12
+    # a one-ulp step in c moves Q_c^q(0) by |dQ/dc| * ulp(c)
+    c = res.c.real
+    z = dz = 0.0
+    for _ in range(q):
+        z, dz = z * z + c, 2.0 * z * dz + 1.0
+    assert res.residual < max(1e-12, abs(dz) * math.ulp(c))
+    if q <= 8:
+        assert res.residual < 1e-12
     if c_want == 0.0:
         assert math.copysign(1.0, res.c.real) == 1.0  # +0.0, never -0.0
     assert abs(res.multiplier) < 1e-8

@@ -13,6 +13,15 @@ def run(tmp_path, *argv):
     return main(list(argv) + ["--out-dir", str(tmp_path)])
 
 
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def read_json(path):
+    """Parse an output file as strict JSON: NaN and Infinity are errors."""
+    return json.loads(path.read_text(), parse_constant=_reject)
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert main(["poincare"]) == 2  # no map spec
     assert run(tmp_path, "density", "--set", "powerlaw", "--delta", "2.5",
@@ -49,8 +58,18 @@ def test_poincare_flat_family_eval(tmp_path, capsys):
     assert abs(f_re - want) < 1e-9
     assert abs(f_im) < 1e-12
     assert resid < 1e-9
-    blob = json.loads((tmp_path / "poincare_series.json").read_text())
+    blob = read_json(tmp_path / "poincare_series.json")
     assert "coeffs" in blob and "provenance" in blob
+
+
+def test_failed_run_writes_no_file(tmp_path, capsys):
+    # the series builds, then evaluating at 1e300 overflows: exit 3, and the
+    # series file is not left behind
+    out = tmp_path / "out"
+    assert run(out, "poincare", "--c", "-2,0", "--eval", "1e300,0") == 3
+    assert "OverflowSentinel" in capsys.readouterr().err
+    assert run(out, "render", "--what", "domain", "--c", "-2,0", "--out", "x.png") == 2
+    assert not out.exists()
 
 
 def test_poincare_golden_residuals(tmp_path):
@@ -70,7 +89,7 @@ def test_poincare_rejects_double_map_spec(tmp_path):
 def test_siegel_info(tmp_path):
     code = run(tmp_path, "siegel", "--lambda-gamma", "golden", "--terms", "256")
     assert code == 0
-    info = json.loads((tmp_path / "siegel_info.json").read_text())
+    info = read_json(tmp_path / "siegel_info.json")
     assert abs(info["gamma"] - 0.6180339887498949) < 1e-15
     assert info["radius_hat"] > 0.25
     assert info["conjugacy_residual"] < 1e-10
@@ -96,7 +115,7 @@ def test_preimages_golden_full_pipeline(tmp_path, capsys):
     rows = list(csv.reader((tmp_path / "preimage_report.csv").open()))
     assert rows[0] == ["k", "re z", "im z", "|z|", "in_S", "residual"]
     assert len(rows) == 6
-    blob = json.loads((tmp_path / "preimage_report.json").read_text())
+    blob = read_json(tmp_path / "preimage_report.json")
     assert blob["argument_count"] >= len(
         [p for p in blob["orbit_points"] if p["abs_z"] <= 400.0]
     )
@@ -118,7 +137,7 @@ def test_littlewood_iterates_with_fit(tmp_path):
     code = run(tmp_path, "littlewood", "--family", "iterates", "--nmax", "4",
                "--tol", "1e-3")
     assert code == 0
-    fit = json.loads((tmp_path / "littlewood_fit.json").read_text())
+    fit = read_json(tmp_path / "littlewood_fit.json")
     assert "slope" in fit and "alpha_hat" in fit
     assert abs(fit["alpha_hat"] - (0.5 - fit["slope"])) < 1e-12
 
@@ -132,7 +151,7 @@ def test_chebyshev_family_csv(tmp_path):
     for r in rows[1:]:
         mu_abs = float(r[10])
         assert 1.0 < mu_abs < 4.0
-    blob = json.loads((tmp_path / "chebyshev_family.json").read_text())
+    blob = read_json(tmp_path / "chebyshev_family.json")
     assert len(blob["rows"]) == 2
 
 
@@ -141,12 +160,7 @@ def test_chebyshev_json_is_strict_when_every_row_fails(tmp_path):
     # and the limits have no value: they must be null, not the NaN token
     code = run(tmp_path, "chebyshev", "--q", "1", "--gamma-cf", "1,1000000")
     assert code == 0
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    text = (tmp_path / "chebyshev_family.json").read_text()
-    blob = json.loads(text, parse_constant=reject)
+    blob = read_json(tmp_path / "chebyshev_family.json")
     assert blob["rows"][0]["error"]
     assert blob["limits"]["min_abs_c_plus_2"] is None
     assert blob["limits"]["final_rho"] is None
@@ -155,7 +169,7 @@ def test_chebyshev_json_is_strict_when_every_row_fails(tmp_path):
 def test_density_empty_set(tmp_path):
     code = run(tmp_path, "density", "--set", "empty", "--r", "5")
     assert code == 0
-    blob = json.loads((tmp_path / "density.json").read_text())
+    blob = read_json(tmp_path / "density.json")
     assert blob["value"] == 0.0
     assert blob["certified_bound"] == 0.0
 
@@ -164,7 +178,7 @@ def test_density_powerlaw_under_certificate(tmp_path):
     code = run(tmp_path, "density", "--set", "powerlaw", "--C", "10",
                "--delta", "0.5", "--r", "20", "--samples", "20000", "--seed", "2")
     assert code == 0
-    blob = json.loads((tmp_path / "density.json").read_text())
+    blob = read_json(tmp_path / "density.json")
     assert blob["value"] <= blob["certified_bound"] + 3 * blob["std_error"]
 
 
@@ -176,7 +190,7 @@ def test_exceptional_survey_outputs(tmp_path, capsys):
     assert "target" in out
     table = (tmp_path / "exceptional_ratio_table.csv").read_text()
     assert table.splitlines()[0] == "r = |mu|^k * C1,count,count/log r,target = 1/log|mu|"
-    blob = json.loads((tmp_path / "exceptional_report.json").read_text())
+    blob = read_json(tmp_path / "exceptional_report.json")
     assert blob["k_max"] == 8
     assert len(blob["records"]) == 10
 

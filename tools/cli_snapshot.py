@@ -5,11 +5,12 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 26 invocations that cover every subcommand and each
-target set.  Each invocation runs as `python -m poincarelab ... --out-dir .`
-from its own subdirectory of OUT_DIR, so its output files land there and
-its stdout carries no absolute path; the stdout goes to `stdout.txt` and
-the exit code to `exit_code.txt` beside them.  Snapshots of two trees are
+`src`).  RUNS lists 30 invocations that cover every subcommand, each
+target set and each branch of the file writers, a failed run included.
+Each invocation runs as `python -m poincarelab ... --out-dir .` from its
+own subdirectory of OUT_DIR, so its output files land there and its
+stdout carries no absolute path; the stdout goes to `stdout.txt` and the
+exit code to `exit_code.txt` beside them.  Snapshots of two trees are
 byte-identical exactly when `diff -r OUT_A OUT_B` prints nothing.  All runs
 together take under a minute on a 2-vCPU machine.
 """
@@ -26,6 +27,7 @@ RUNS = [
     ("poincare_flat", ["poincare", "--c", "-2,0", "--eval", "25,0;3,4;-7,0.5"]),
     ("poincare_golden", ["poincare", "--lambda-gamma", "golden", "--terms", "128"]),
     ("poincare_no_map", ["poincare"]),
+    ("poincare_overflow_eval", ["poincare", "--c", "-2,0", "--eval", "1e300,0"]),
     ("siegel_golden", ["siegel", "--lambda-gamma", "golden"]),
     ("siegel_gamma", ["siegel", "--lambda-gamma", "0.38297", "--terms", "128"]),
     ("preimages_golden", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
@@ -43,11 +45,14 @@ RUNS = [
     ("littlewood_iterates", ["littlewood", "--nmax", "4"]),
     ("littlewood_monomials", ["littlewood", "--family", "monomials", "--nmax", "3"]),
     ("littlewood_complex_c", ["littlewood", "--c", "0.3,0.2", "--nmax", "3"]),
+    ("littlewood_no_fit", ["littlewood", "--nmax", "2"]),
     ("chebyshev", ["chebyshev", "--q", "1,2,3"]),
     ("chebyshev_q8", ["chebyshev", "--q", "1,2,3,4,5,6,7,8"]),
+    ("chebyshev_all_fail", ["chebyshev", "--q", "1", "--gamma-cf", "1,1000000"]),
     ("density_powerlaw", ["density", "--set", "powerlaw", "--r", "5",
                           "--samples", "20000"]),
     ("density_sectors", ["density", "--set", "sectors", "--r", "20"]),
+    ("density_empty", ["density", "--set", "empty", "--r", "3"]),
 ]
 for what in ("domain", "siegel", "orbit"):
     for ext in ("ppm", "svg"):
