@@ -20,14 +20,20 @@ wrong branch.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .dyncore import Cycle, QuadMap, cycle_through, iterate_with_deriv, order_from_multiplier
+from .dyncore import (
+    Cycle,
+    QuadMap,
+    cycle_through,
+    find_cycle,
+    order_from_multiplier,
+    repelling_fixed_point,
+)
 from .errors import (
     BadParams,
     CycleCollision,
@@ -138,23 +144,6 @@ def find_superattracting(q: int, bracket) -> ParamSearchResult:
                              kind="Superattracting")
 
 
-def _refine_cycle_point(c: complex, z: complex, q: int) -> complex:
-    """Newton on P_c^q(z) - z from z."""
-    qm = QuadMap(kind="c", param=c)
-    for _ in range(_NEWTON_ITERS):
-        w, d = iterate_with_deriv(qm, z, q)
-        g = w - z
-        if abs(g) < 1e-14 * (1.0 + abs(z)):
-            return z
-        dg = d - 1.0
-        if abs(dg) < 1e-14:
-            raise NoConvergence("degenerate Newton step while tracking the cycle")
-        z = z - g / dg
-    if abs(iterate_with_deriv(qm, z, q)[0] - z) < 1e-10 * (1.0 + abs(z)):
-        return z
-    raise NoConvergence("cycle refinement did not converge")
-
-
 def _cycle(c: complex, z1: complex, q: int) -> Cycle:
     """The period-q cycle of z^2 + c through z1; CycleCollision when two of
     its points have merged (a period halving)."""
@@ -169,7 +158,7 @@ def _continue_cycle(z1: complex, q: int, c_from: complex, c_to: complex) -> comp
     """Track one cycle point along the parameter segment in fixed steps."""
     for t in np.linspace(0.0, 1.0, _CONT_STEPS + 1)[1:]:
         c_t = c_from + t * (c_to - c_from)
-        z1 = _refine_cycle_point(c_t, z1, q)
+        z1 = find_cycle(QuadMap(kind="c", param=c_t), q, z1).points[0]
         _cycle(c_t, z1, q)
     return z1
 
@@ -179,7 +168,7 @@ def find_multiplier_param(q: int, target: complex, seed_c: complex) -> ParamSear
     with the cycle tracked by continuation from seed_c."""
     target = complex(target)
     c = complex(seed_c)
-    z1 = _refine_cycle_point(c, 0.0 + 0.0j, q)
+    z1 = find_cycle(QuadMap(kind="c", param=c), q, 0.0 + 0.0j).points[0]
 
     def m_of(c_new: complex, z_anchor: complex, c_anchor: complex):
         z_new = _continue_cycle(z_anchor, q, c_anchor, c_new)
@@ -239,9 +228,8 @@ def repelling_fixed_data(c: complex):
     c = complex(c)
     if c == 0.25:
         raise BadParams("c = 1/4 has a double fixed point")
-    z = (1.0 + cmath.sqrt(1.0 - 4.0 * c)) / 2.0
-    mu = 2.0 * z
-    rho = order_from_multiplier(mu)  # raises NotRepelling when |mu| <= 1
+    z, mu = repelling_fixed_point(QuadMap.c_form(c))  # NotRepelling when |mu| <= 1
+    rho = order_from_multiplier(mu)
     return z, mu, rho
 
 

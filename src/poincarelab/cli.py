@@ -1,10 +1,13 @@
 """Command-line entry point.
 
 Subcommands: poincare, siegel, preimages, exceptional, littlewood, chebyshev,
-density, render.  Every run is fully determined by its command and flags;
---seed exists only on the four commands that read it (preimages for its
-power-law set, exceptional, density and render), and reruns with equal flags
-produce byte-identical CSV/JSON/PPM/SVG files (no timestamps anywhere).
+density, render.  poincare, preimages and render take the map as
+--lambda-gamma G or --c RE,IM; siegel and exceptional take --lambda-gamma
+only, and littlewood's --c is the parameter of its iterates.  Every run is
+fully determined by its command and flags; --seed exists only on the four
+commands that read it (preimages for its power-law set, exceptional, density
+and render), and reruns with equal flags produce byte-identical
+CSV/JSON/PPM/SVG files (no timestamps anywhere).
 Exit codes: 0 ok, 2 usage or precondition violation, 3 numeric failure
 (stderr carries the module error name verbatim), 4 evaluation budget
 exceeded.  A run that exits 2 or 3 writes no file; one that exits 4 still
@@ -130,10 +133,9 @@ def cmd_poincare(args):
 
 
 def cmd_siegel(args):
-    lg = getattr(args, "lambda_gamma", None)
-    if lg is None:
+    if args.lambda_gamma is None:
         raise BadParams("siegel needs --lambda-gamma G")
-    angle = _angle_from_flag(lg)
+    angle = _angle_from_flag(args.lambda_gamma)
     sm = build_siegel_map(angle, N=args.terms)
     provenance = {"command": "siegel", "gamma": angle.gamma, "terms": args.terms}
     info = {
@@ -179,8 +181,7 @@ def cmd_preimages(args):
 
 def cmd_exceptional(args):
     S = _build_set(args)  # validate set flags before heavy work
-    lg = getattr(args, "lambda_gamma", None) or "golden"
-    angle = _angle_from_flag(lg)
+    angle = _angle_from_flag(args.lambda_gamma or "golden")
     qmap = QuadMap(kind="lambda", param=angle.lam)
     pm = build_poincare_map(qmap, N=args.terms)
     sm = build_siegel_map(angle, N=args.siegel_terms)
@@ -337,9 +338,13 @@ def cmd_render(args):
 # ---------------------------------------------------------------- parser
 
 
-def _add_map_flags(p: argparse.ArgumentParser):
+def _add_gamma_flag(p: argparse.ArgumentParser):
     p.add_argument("--lambda-gamma", dest="lambda_gamma", metavar="G",
                    help="rotation number in (0,1), or 'golden'")
+
+
+def _add_map_flags(p: argparse.ArgumentParser):
+    _add_gamma_flag(p)
     p.add_argument("--c", metavar="RE,IM", help="parameter of z^2 + c")
 
 
@@ -376,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="points to evaluate (semicolon separated)")
 
     p = _command(sub, "siegel", cmd_siegel, "Siegel linearizer series + radius")
-    _add_map_flags(p)
+    _add_gamma_flag(p)
     p.add_argument("--terms", type=int, default=256)
 
     p = _command(sub, "preimages", cmd_preimages, "orbit preimages vs argument-principle count")
@@ -389,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_set_flags(p)
 
     p = _command(sub, "exceptional", cmd_exceptional, "liminf-count survey over sampled w")
-    _add_map_flags(p)
+    _add_gamma_flag(p)
     _add_set_flags(p)
     p.add_argument("--kmax", type=int, default=30)
     p.add_argument("--samples", type=int, default=50)

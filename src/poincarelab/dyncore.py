@@ -22,10 +22,6 @@ from dataclasses import dataclass
 
 from .errors import BadParams, NoConvergence, NotRepelling
 
-NEWTON_MAX_ITER = 200
-NEWTON_MAX_HALVINGS = 60
-CYCLE_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class QuadMap:
@@ -58,25 +54,6 @@ class QuadMap:
         if self.kind == "lambda":
             return self.param + 2.0 * z
         return 2.0 * z
-
-    def to_c_form(self) -> tuple["QuadMap", complex]:
-        """Return (c-form map, shift) with conj(w) = w + shift."""
-        if self.kind == "c":
-            return self, 0.0 + 0.0j
-        lam = self.param
-        c = lam / 2.0 - lam * lam / 4.0
-        return QuadMap.c_form(c), lam / 2.0
-
-    def to_lambda_form(self, fixed_point: complex) -> tuple["QuadMap", complex]:
-        """Return (lambda-form map, shift) conjugating at the given fixed point.
-
-        conj(z) = z - fixed_point; the lambda parameter is the multiplier
-        2*fixed_point of the chosen fixed point.
-        """
-        if self.kind == "lambda":
-            return self, 0.0 + 0.0j
-        lam = 2.0 * fixed_point
-        return QuadMap.lambda_form(lam), -fixed_point
 
 
 def fixed_points(qmap: QuadMap) -> tuple[complex, complex]:
@@ -139,44 +116,29 @@ def cycle_through(qmap: QuadMap, z: complex, q: int) -> Cycle:
 
 
 def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
-    """Damped Newton on P^q(z) - z from the given seed.
+    """Undamped Newton on P^q(z) - z from the given seed.
 
-    The returned orbit starts at the converged point; period is q as
+    Stops once |P^q(z) - z| < 1e-14 (1 + |z|); raises NoConvergence when
+    |(P^q)'(z) - 1| < 1e-14 at an iterate, or when after 60 steps the
+    residual is not below 1e-10 (1 + |z|).  The returned orbit starts at the
+    converged point and keeps the seed's scalar type; period is q as
     requested, which callers needing primitivity must check via min_gap().
-    Raises NoConvergence after NEWTON_MAX_ITER iterations.
     """
     if q < 1:
         raise BadParams("cycle period must be >= 1")
-    z = complex(seed)
-    fz, dz = iterate_with_deriv(qmap, z, q)
-    res = fz - z
-    for _ in range(NEWTON_MAX_ITER):
-        scale = 1.0 + abs(z)
-        if abs(res) < CYCLE_RTOL * 1e-2 * scale:
-            break
-        denom = dz - 1.0
-        if abs(denom) < 1e-300:
+    z = seed
+    for _ in range(60):
+        w, d = iterate_with_deriv(qmap, z, q)
+        g = w - z
+        if abs(g) < 1e-14 * (1.0 + abs(z)):
+            return cycle_through(qmap, z, q)
+        dg = d - 1.0
+        if abs(dg) < 1e-14:
             raise NoConvergence("degenerate Newton step: (P^q)' == 1 at iterate")
-        step = -res / denom
-        # damping: halve until the residual actually drops
-        for _ in range(NEWTON_MAX_HALVINGS):
-            z_new = z + step
-            fz_new, dz_new = iterate_with_deriv(qmap, z_new, q)
-            res_new = fz_new - z_new
-            if abs(res_new) < abs(res):
-                break
-            step /= 2.0
-        else:
-            raise NoConvergence("damping exhausted without residual decrease")
-        z, fz, dz, res = z_new, fz_new, dz_new, res_new
-    else:
-        raise NoConvergence(f"cycle Newton did not converge from seed {seed}")
-
-    cyc = cycle_through(qmap, z, q)
-    for p in cyc.points:
-        if abs(iterate_with_deriv(qmap, p, q)[0] - p) >= CYCLE_RTOL * (1.0 + abs(p)):
-            raise NoConvergence("cycle residual check failed after Newton")
-    return cyc
+        z = z - g / dg
+    if abs(iterate_with_deriv(qmap, z, q)[0] - z) < 1e-10 * (1.0 + abs(z)):
+        return cycle_through(qmap, z, q)
+    raise NoConvergence(f"cycle Newton did not converge from seed {seed}")
 
 
 def order_from_multiplier(mu: complex) -> float:

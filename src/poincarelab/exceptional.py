@@ -13,8 +13,7 @@ rho/log 2 for the order rho of f.  The liminf proxy reported for each w is
 the minimum of that ratio over the last ten radii.
 
 C1 is the largest of |g0(center)| and the |g0(P^{-k} w)| that the call
-itself continued, so a report is a function of its inputs alone, whatever
-the branch cache held before.
+itself continued, so a report is a function of its inputs alone.
 """
 
 from __future__ import annotations

@@ -208,7 +208,7 @@ def _fsum(parts) -> float:
         for p in parts for i in range(0, p.size, _FSUM_CHUNK)))
 
 
-def _seed_radial_edges(ev: PolyEvaluator, degree: int):
+def _seed_radial_edges(ev: PolyEvaluator):
     """Root-mesh radial edges graded toward the |P| = 1 ridge.
 
     P^# concentrates where |P| is near 1, in bands of radial width ~1/degree
@@ -222,7 +222,7 @@ def _seed_radial_edges(ev: PolyEvaluator, degree: int):
     Returns (edges, evaluations spent on the scan).
     """
     base = np.linspace(0.0, 1.0, 9)
-    w = max(1.0 / (4.0 * max(int(degree), 1)), 1e-6)
+    w = max(1.0 / (4.0 * max(int(ev.degree), 1)), 1e-6)
     ladder = w * 2.0 ** np.arange(0, 12)
     ladder = ladder[ladder <= 0.26]
 
@@ -289,8 +289,7 @@ def _refine_slice(ev, tol, r0, r1, t0, t1, e, coarse):
     return fine[ok] + diff[ok], err[ok], children
 
 
-def disk_integral(ev: PolyEvaluator, tol: float,
-                  degree: int | None = None) -> IntegralEstimate:
+def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     """Adaptive polar quadrature of the spherical derivative over the unit
     disk.
 
@@ -318,11 +317,9 @@ def disk_integral(ev: PolyEvaluator, tol: float,
     unsliced level, so the result has the same bits for any slice size."""
     if not (0.0 < tol < math.inf):
         raise BadParams("tol must be positive and finite")
-    if degree is None:
-        degree = ev.degree
     fold = _fold(ev)
 
-    r_edges, evals = _seed_radial_edges(ev, degree)
+    r_edges, evals = _seed_radial_edges(ev)
     t_edges = np.linspace(0.0, math.tau, 17)[:16 // fold + 1]
     nt = t_edges.size - 1
     nr = r_edges.size - 1
@@ -393,7 +390,7 @@ def disk_integral(ev: PolyEvaluator, tol: float,
         value=fold * _fsum(values),
         error_bound=fold * _fsum(errors),
         evaluations=evals,
-        degree=int(degree),
+        degree=int(ev.degree),
         budget_exceeded=budget_hit,
     )
 

@@ -111,18 +111,15 @@ def conditioning_radius(series: TruncatedSeries, scale: float) -> float:
     return log_bisect(lambda r: _log_majorant(series.coeffs, r) <= log_cap, lo, hi)
 
 
-def build_poincare_map(qmap: QuadMap, z0: complex | None = None, N: int = 64) -> PoincareMap:
-    """Construct the Poincare map at z0 (default: the distinguished repelling
-    fixed point).
+def build_poincare_map(qmap: QuadMap, N: int = 64) -> PoincareMap:
+    """The Poincare map at the distinguished repelling fixed point z0.
 
     r0 is half the certified series radius, further capped by the
     conditioning radius: pulling back one extra level costs a factor ~2 in
     error amplification but shrinks the series majorant by orders of
     magnitude, so depth is cheap and cancellation is not."""
-    if z0 is None:
-        z0, _ = repelling_fixed_point(qmap)
+    z0, mu = repelling_fixed_point(qmap)
     series = poincare_coefficients(qmap, z0, N)
-    mu = multiplier_at(qmap, z0)
     if not math.isfinite(series.safe_radius):
         raise BadParams("series certificate unexpectedly unbounded")
     r0 = min(0.5 * series.safe_radius,

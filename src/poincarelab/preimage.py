@@ -21,8 +21,7 @@ its own segment, with the segment parameter t as the outer loop.  The
 segments end at h^{-1}(w), from siegel.h_inverse_many, again one lane-wise
 Newton, which raises OutOfDomain for a w outside the sub-Siegel disk.
 Because numpy computes each lane by the same operations at any position in
-any array, a lane's result does not depend on its batch, and the
-continuation cache holds the same value whichever call filled it.
+any array, a lane's result does not depend on its batch.
 
 Also here: brute-force counting of all preimages in a disk by the argument
 principle, and an empirical density-transfer probe for thin target sets.
@@ -31,7 +30,7 @@ principle, and an empirical density-transfer probe for thin target sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -60,16 +59,13 @@ _GRID_ANGLES = 32
 _MAX_SEGMENT_STEPS = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class InverseBranch:
-    """The branch g0 of f^{-1} with g0(center) = base_point.  The cache maps
-    each continued w to g0(w); its values do not depend on the order in
-    which they were computed."""
+    """The branch g0 of f^{-1} with g0(center) = base_point."""
 
     pm: PoincareMap
     sm: SiegelMap
     base_point: complex
-    _cache: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True)
@@ -159,9 +155,7 @@ def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
             base = roots[0]
             if abs(poincare_eval(pm, base) - center) > CACHE_RESIDUAL * scale:
                 continue
-            ib = InverseBranch(pm=pm, sm=sm, base_point=base)
-            ib._cache[complex(center)] = base
-            return ib
+            return InverseBranch(pm=pm, sm=sm, base_point=base)
     raise NotFound("no base preimage found on the search grid (after one enlargement)")
 
 
@@ -204,25 +198,10 @@ def branch_continue(ib: InverseBranch, w):
     linearizing coordinate from the center to w.
 
     w may be a complex number (the result is a complex) or an array (the
-    result is an array of its shape).  Points already in the branch cache
-    are served from it; the others get one h_inverse_many call, which
-    checks their membership, and one batched continuation."""
+    result is an array of its shape).  One h_inverse_many call checks the
+    membership of every point, and one batched continuation follows."""
     arr = np.asarray(w, dtype=complex)
-    flat = arr.reshape(-1)
-    out = np.empty(flat.shape, dtype=complex)
-    missing: dict = {}  # w -> lanes of flat holding it
-    for i, wi in enumerate(flat.tolist()):
-        hit = ib._cache.get(wi)
-        if hit is None:
-            missing.setdefault(wi, []).append(i)
-        else:
-            out[i] = hit
-    if missing:
-        keys = list(missing)
-        g = _continue_segments(ib, h_inverse_many(ib.sm, np.array(keys, dtype=complex)))
-        for wi, gi in zip(keys, g.tolist()):
-            ib._cache[wi] = gi
-            out[missing[wi]] = gi
+    out = _continue_segments(ib, h_inverse_many(ib.sm, arr.reshape(-1)))
     if arr.ndim == 0:
         return complex(out[0])
     return out.reshape(arr.shape)
@@ -259,13 +238,15 @@ def verify_orbit_point(ib: InverseBranch, w: complex, k: int, z: complex) -> flo
 def argument_principle_count(pm: PoincareMap, w: complex, r: float) -> int:
     """Number of solutions of f(z) = w in D_r, with multiplicity, by the
     winding integral (1/2pi) Int Re[ f'(z) z / (f(z)-w) ] dtheta with node
-    doubling until two consecutive estimates settle on one integer."""
+    doubling until two consecutive estimates settle on one integer.  The
+    1024 nodes that check no preimage sits on the circle are the first pass."""
     if not 0.0 < r < math.inf:
         raise BadParams(f"r must be positive and finite, got {r}")
     w = complex(w)
     r_eff = float(r)
+    n = 1 << 10
     for attempt in range(2):
-        _, f_vals, _ = eval_on_circle(pm, r_eff, 1 << 10)
+        z, f_vals, df_vals = eval_on_circle(pm, r_eff, n)
         if float(np.min(np.abs(f_vals - w))) > 1e-6 * (1.0 + abs(w)):
             break
         if attempt == 0:
@@ -273,9 +254,7 @@ def argument_principle_count(pm: PoincareMap, w: complex, r: float) -> int:
         else:
             raise BadParams(f"a preimage of {w} sits on |z| = {r_eff}")
     prev = None
-    n = 1 << 10
-    while n <= (1 << 18):
-        z, f_vals, df_vals = eval_on_circle(pm, r_eff, n)
+    while True:
         est = float(np.mean(np.real(df_vals * z / (f_vals - w))))
         if prev is not None:
             k = round(est)
@@ -283,9 +262,11 @@ def argument_principle_count(pm: PoincareMap, w: complex, r: float) -> int:
                 return int(k)
         prev = est
         n *= 2
-    raise NoConvergence(
-        f"argument principle did not settle by 2^18 nodes (last {prev:.6f})"
-    )
+        if n > (1 << 18):
+            raise NoConvergence(
+                f"argument principle did not settle by 2^18 nodes (last {prev:.6f})"
+            )
+        z, f_vals, df_vals = eval_on_circle(pm, r_eff, n)
 
 
 def koebe_density_transfer(ib: InverseBranch, S: SetModel, k: int,

@@ -129,14 +129,14 @@ def _certificate(coeffs: np.ndarray, eps: float) -> RadiusCertificate:
     return RadiusCertificate(safe, root_radius, float(q), False, irregular)
 
 
-def log_bisect(holds, lo: float, hi: float, iters: int = 80) -> float:
-    """Largest radius in [lo, hi], to within 2^-iters of log(hi/lo) in log r,
+def log_bisect(holds, lo: float, hi: float) -> float:
+    """Largest radius in [lo, hi], to within 2^-80 of log(hi/lo) in log r,
     at which the monotone predicate `holds` is still true.
 
     `holds(lo)` must be true; the radius returned always satisfies it, so a
     bound found this way errs on the safe side."""
     llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (llo + lhi)
         if holds(math.exp(mid)):
             llo = mid

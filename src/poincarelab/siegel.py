@@ -18,11 +18,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from ._linearize import conjugacy_coeffs
-from .dyncore import QuadMap, iterate_with_deriv
+from .dyncore import QuadMap
 from .errors import BadParams, NoConvergence, OutOfDomain
 from .series import (
     TruncatedSeries,
@@ -35,6 +36,7 @@ from .series import (
 H_INV_NEWTON_ITERS = 50
 H_INV_TOL = 1e-12
 RESIDUAL_SCAN_THRESHOLD = 1e-8
+SUB_FRACTION = 0.5  # W = h(D_{SUB_FRACTION * R_hat})
 
 
 @dataclass(frozen=True)
@@ -79,32 +81,28 @@ class SiegelRadiusEstimate:
 @dataclass(frozen=True)
 class SiegelMap:
     """A solved linearization: series_h conjugates the (period-fold) map to
-    the rotation by angle.lam around center_value."""
+    the rotation by lam, its multiplier at center_value."""
 
     angle: RotationAngle
     map: QuadMap
     series_h: TruncatedSeries  # coeffs[0]=0, coeffs[1]=1, recentred
     radius_hat: float
-    sub_fraction: float = 0.5
+    lam: complex
     center_value: complex = 0j
     period: int = 1
     radius_info: SiegelRadiusEstimate | None = None
     conj_residual: float = 0.0
     series_dh: TruncatedSeries = field(default=None, repr=False)
+    sub_fraction: ClassVar[float] = SUB_FRACTION
 
-    def forward(self, z):
-        """Apply the conjugated map (the period-fold composition) once."""
-        w = z
-        for _ in range(self.period):
-            w = self.map(w)
-        return w
 
-    @property
-    def series_lambda(self) -> complex:
-        if self.period == 1 and self.map.kind == "lambda":
-            return self.map.param
-        # multiplier of the q-fold map at the cycle point
-        return iterate_with_deriv(self.map, self.center_value, self.period)[1]
+def _power(qmap: QuadMap, q: int):
+    """The q-fold composition of qmap, as a function of z."""
+    def forward(z):
+        for _ in range(q):
+            z = qmap(z)
+        return z
+    return forward
 
 
 def siegel_coefficients(qmap: QuadMap, N: int) -> TruncatedSeries:
@@ -179,16 +177,16 @@ def siegel_radius_estimate(
     return SiegelRadiusEstimate(value, root_est, resid_est, ratio > 2.0)
 
 
-def _radius_and_residual(series, center, lam, forward, sub_fraction):
+def _radius_and_residual(series, center, lam, forward):
     """(radius estimate, conjugacy residual on the sub-disk's boundary)."""
     est = siegel_radius_estimate(series, forward=forward, lam=lam, center=center)
     resid = _residual_on_circle(
-        series, center, lam, forward, sub_fraction * est.value, n_angles=256
+        series, center, lam, forward, SUB_FRACTION * est.value, n_angles=256
     )
     return est, resid
 
 
-def _assemble(angle, qmap, series, center, period, sub_fraction, est, resid):
+def _assemble(angle, qmap, series, lam, center, period, est, resid):
     if not est.value > 0.0 or not math.isfinite(est.value):
         raise NoConvergence("could not certify a positive linearization radius")
     return SiegelMap(
@@ -196,7 +194,7 @@ def _assemble(angle, qmap, series, center, period, sub_fraction, est, resid):
         map=qmap,
         series_h=series,
         radius_hat=est.value,
-        sub_fraction=sub_fraction,
+        lam=lam,
         center_value=center,
         period=period,
         radius_info=est,
@@ -205,21 +203,19 @@ def _assemble(angle, qmap, series, center, period, sub_fraction, est, resid):
     )
 
 
-def build_siegel_map(angle: RotationAngle, N: int = 64, sub_fraction: float = 0.5) -> SiegelMap:
+def build_siegel_map(angle: RotationAngle, N: int = 64) -> SiegelMap:
     """Solve the linearization of w -> lam*w + w^2 at the origin."""
-    if not 0.0 < sub_fraction < 1.0:
-        raise BadParams("sub_fraction must lie in (0,1)")
     qmap = QuadMap.lambda_form(angle.lam)
     n = N
     while True:
         series = siegel_coefficients(qmap, n)
-        est, resid = _radius_and_residual(series, 0j, angle.lam, qmap, sub_fraction)
+        est, resid = _radius_and_residual(series, 0j, angle.lam, _power(qmap, 1))
         # double on demand until the conjugacy holds to 1e-10 on the sub-disk
         if resid > 1e-10 and n < 512:
             n *= 2
             continue
         break
-    return _assemble(angle, qmap, series, 0j, 1, sub_fraction, est, resid)
+    return _assemble(angle, qmap, series, angle.lam, 0j, 1, est, resid)
 
 
 def cycle_local_poly(qmap: QuadMap, zeta: complex, q: int) -> np.ndarray:
@@ -242,7 +238,6 @@ def build_cycle_siegel_map(
     cycle,
     angle: RotationAngle,
     N: int = 64,
-    sub_fraction: float = 0.5,
 ) -> SiegelMap:
     """Linearize the q-fold composition at one point of a Siegel cycle."""
     zeta = complex(cycle.points[0])
@@ -253,15 +248,8 @@ def build_cycle_siegel_map(
         raise BadParams(f"cycle multiplier |{lam}| = {abs(lam)} is not on the unit circle")
     b = conjugacy_coeffs(local, N)
     series = make_series(b)
-
-    def forward(z):
-        w = z
-        for _ in range(q):
-            w = qmap(w)
-        return w
-
-    est, resid = _radius_and_residual(series, zeta, lam, forward, sub_fraction)
-    return _assemble(angle, qmap, series, zeta, q, sub_fraction, est, resid)
+    est, resid = _radius_and_residual(series, zeta, lam, _power(qmap, q))
+    return _assemble(angle, qmap, series, lam, zeta, q, est, resid)
 
 
 def h_eval(sm: SiegelMap, z):
@@ -336,7 +324,7 @@ def p_inverse_many(sm: SiegelMap, w, ks) -> np.ndarray:
     if any(k < 0 for k in ks):
         raise BadParams("k must be >= 0")
     u = h_inverse_many(sm, np.asarray(w, dtype=complex).reshape(-1))
-    phase = cmath.phase(sm.series_lambda)
+    phase = cmath.phase(sm.lam)
     rot = np.array([cmath.exp(-1j * math.fmod(phase * k, math.tau)) if k else 1.0
                     for k in ks], dtype=complex)
     return sm.center_value + horner_unchecked(sm.series_h.coeffs, u[:, None] * rot)
@@ -366,5 +354,5 @@ def sub_siegel_sample(sm: SiegelMap, count: int, seed: int) -> np.ndarray:
 def conjugacy_residual(sm: SiegelMap, r: float, n_angles: int = 256) -> float:
     """Max pointwise relative residual |F(h(z)) - h(lam z)| / (1+|h(lam z)|) on |z|=r."""
     return _residual_on_circle(
-        sm.series_h, sm.center_value, sm.series_lambda, sm.forward, r, n_angles
+        sm.series_h, sm.center_value, sm.lam, _power(sm.map, sm.period), r, n_angles
     )

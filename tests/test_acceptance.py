@@ -112,14 +112,14 @@ def test_6_disk_integrals(capsys):
     tol = 1e-4
     estimates = []
 
-    est1 = lw.disk_integral(lw.monomial_evaluator(1), tol=1e-8, degree=1)
+    est1 = lw.disk_integral(lw.monomial_evaluator(1), tol=1e-8)
     estimates.append(est1)
     deg1_err = abs(est1.value - 2.0 * math.pi * math.log(2.0))
     ok = deg1_err < 1e-6
 
     worst_mono = 0.0
     for n in [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]:
-        est = lw.disk_integral(lw.monomial_evaluator(n), tol=tol, degree=n)
+        est = lw.disk_integral(lw.monomial_evaluator(n), tol=tol)
         estimates.append(est)
         worst_mono = max(worst_mono, abs(est.value - lw.monomial_integral_oracle(n)))
     ok &= worst_mono <= max(tol, 1e-8)

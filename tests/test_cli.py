@@ -45,6 +45,11 @@ def test_usage_errors_exit_2(tmp_path):
     assert run(tmp_path, "chebyshev", "--q", "1", "--seed", "1") == 2
     # the quadrature runs on one thread; --threads is no longer a flag
     assert run(tmp_path, "littlewood", "--nmax", "1", "--threads", "2") == 2
+    # siegel and exceptional build the golden-type map; they take no --c
+    assert run(tmp_path, "exceptional", "--c", "0.3,0.1", "--samples", "10",
+               "--kmax", "5") == 2
+    assert run(tmp_path, "siegel", "--lambda-gamma", "golden", "--c", "1,1") == 2
+    assert not any(tmp_path.iterdir())
 
 
 def test_poincare_flat_family_eval(tmp_path, capsys):

@@ -42,7 +42,7 @@ def test_branch_continue_solves_and_caches(golden_branch, golden_poincare, golde
     z1 = branch_continue(golden_branch, w)
     assert abs(poincare_eval(golden_poincare, z1) - w) < 1e-10 * (1 + abs(w))
     z2 = branch_continue(golden_branch, w)
-    assert z1 == z2  # served from the continuation cache
+    assert z1 == z2  # a continuation is a pure function of the branch and w
 
 
 def _fresh(ib):

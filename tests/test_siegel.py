@@ -104,9 +104,16 @@ def test_radius_estimate_consistent(golden_siegel):
     assert est.root_estimate <= est.value * 2.0
 
 
-def test_conjugacy_residual_on_sub_disk(golden_siegel):
+def test_conjugacy_residual_on_sub_disk(golden_siegel, golden_angle):
     r = 0.5 * golden_siegel.radius_hat
     assert conjugacy_residual(golden_siegel, r, n_angles=256) < 1e-10
+    # the builder and the public residual share one multiplier and one
+    # forward map, so they agree to the bit
+    lam = golden_angle.lam
+    qm = QuadMap(kind="c", param=lam / 2 - lam * lam / 4)
+    cycle_map = build_cycle_siegel_map(qm, find_cycle(qm, 1, seed=lam / 2), golden_angle, N=64)
+    for sm in (golden_siegel, cycle_map):
+        assert conjugacy_residual(sm, sm.sub_fraction * sm.radius_hat) == sm.conj_residual
 
 
 def test_h_roundtrip_inside_disk(golden_siegel):

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 30 invocations that cover every subcommand, each
+`src`).  RUNS lists 32 invocations that cover every subcommand, each
 target set and each branch of the file writers, a failed run included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -30,6 +30,7 @@ RUNS = [
     ("poincare_overflow_eval", ["poincare", "--c", "-2,0", "--eval", "1e300,0"]),
     ("siegel_golden", ["siegel", "--lambda-gamma", "golden"]),
     ("siegel_gamma", ["siegel", "--lambda-gamma", "0.38297", "--terms", "128"]),
+    ("siegel_both_maps", ["siegel", "--lambda-gamma", "golden", "--c", "1,1"]),
     ("preimages_golden", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
                           "--r", "200", "--kmax", "10", "--set", "powerlaw"]),
     ("preimages_outside", ["preimages", "--lambda-gamma", "golden", "--w", "2.5,0",
@@ -42,6 +43,8 @@ RUNS = [
                              "--kmax", "12", "--seed", "3"]),
     ("exceptional_empty", ["exceptional", "--set", "empty", "--samples", "10",
                            "--kmax", "8", "--seed", "4"]),
+    ("exceptional_c_flag", ["exceptional", "--c", "0.3,0.1", "--samples", "10",
+                            "--kmax", "5"]),
     ("littlewood_iterates", ["littlewood", "--nmax", "4"]),
     ("littlewood_monomials", ["littlewood", "--family", "monomials", "--nmax", "3"]),
     ("littlewood_complex_c", ["littlewood", "--c", "0.3,0.2", "--nmax", "3"]),
