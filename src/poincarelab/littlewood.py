@@ -28,20 +28,24 @@ children of each slice are gathered group by group (low-r, high-r, low-t,
 high-t children), which gives the next level the same cells in the same
 order as refining the level in one piece; every value, error, evaluation
 count and Monte Carlo draw is therefore independent of the slice size.
-The slices do not bound the open cells themselves (56 bytes each) or the
-accepted cells' values and errors (16 bytes each), which are kept for one
-correctly rounded sum.
+An open cell is (r0, r1, angle id, coarse value), 32 bytes; the slices do
+not bound the open cells themselves.  The angle id indexes a table of the
+angular intervals met so far (edges, width and e^{i mid-angle}), which is
+small: every edge is the midpoint of its parent's, so each dyadic interval
+has one entry.  Accepted cells' values and errors are not kept: each slice
+adds them into an exact sum (_ExactSum), rounded once at the end.
 
 Iterates are never expanded into coefficients; P^n and its derivative are
 computed by forward iteration with the chain rule.  Lanes whose orbit passes
 1e50 in modulus are frozen with derivative zero: from that point on the true
-spherical derivative is below 1e-40, far under any tolerance used here.
+spherical derivative is below 1e-40, far under any tolerance used here.  The
+lanes are tested only once a bound on |w| carried along the orbit says that
+one may have passed 1e50.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -57,7 +61,7 @@ _MAX_LEVELS = 48
 _MC_SEED = 0x5EED
 _MC_PER_CELL = 32
 _MC_BLOCK = 1 << 14  # cells sampled per fallback batch (bounds memory)
-_FSUM_CHUNK = 1 << 16  # floats converted for math.fsum at a time
+_SUM_BLOCK = 1 << 14  # floats binned at a time by _ExactSum (keeps its bin sums exact)
 _LEVEL_SLICE = 1 << 14  # open cells refined at a time (bounds a level's memory)
 
 
@@ -149,18 +153,31 @@ def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
     as many lanes as a masked update of the live lanes (the reference in
     tests/test_littlewood.py), which keeps its bits: numpy rounds an
     in-place complex multiply of one element (one live lane) differently
-    from a longer one."""
+    from a longer one.
+
+    bound starts at max |Re z| + max |Im z| and follows bound^2 + |c|, grown
+    by 2^-40 per step to cover the step's rounding (a few ulp), so every
+    |w| stays at most bound; the lanes are tested for escape only once bound
+    passes ESCAPE_BOUND / 1000.  A NaN or infinite bound fails the
+    comparison, so its lanes are tested."""
     if n < 1:
         raise BadParams("iterate count must be >= 1")
     c = complex(c)
+    abs_c = abs(c)
+    limit = ESCAPE_BOUND / 1000.0
 
     def fn(z):
         w = z.ravel()
         d = np.ones_like(w)
+        bound = float(np.max(np.abs(w.real), initial=0.0)
+                      + np.max(np.abs(w.imag), initial=0.0))
         out_w = pos = None
         for _ in range(n):
             d *= 2.0 * w
             w = w**2 + c
+            bound = (bound * bound + abs_c) * (1.0 + 2.0**-40)
+            if bound <= limit:
+                continue  # no lane can have passed ESCAPE_BOUND
             escaped = np.abs(w) > ESCAPE_BOUND
             if escaped.any():
                 if out_w is None:
@@ -188,8 +205,8 @@ def _sph_many(ev: PolyEvaluator, z: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(d) / (1.0 + np.abs(v) ** 2)
 
 
-def _cell_area(r0, r1, t0, t1):
-    return 0.5 * (r1**2 - r0**2) * (t1 - t0)
+def _cell_area(r0, r1, dt):
+    return 0.5 * (r1**2 - r0**2) * dt
 
 
 def _fold(ev: PolyEvaluator) -> int:
@@ -200,12 +217,55 @@ def _fold(ev: PolyEvaluator) -> int:
     return math.gcd(rotation, 16)
 
 
-def _fsum(parts) -> float:
-    """Correctly rounded sum of the elements of a list of float arrays: one
-    math.fsum, fed a bounded slice at a time."""
-    return math.fsum(itertools.chain.from_iterable(
-        p[i:i + _FSUM_CHUNK].tolist()
-        for p in parts for i in range(0, p.size, _FSUM_CHUNK)))
+class _ExactSum:
+    """The correctly rounded sum of float arrays added one at a time:
+    math.fsum's value, without keeping the floats.
+
+    A finite float is m * 2^(k - 1074) with m a signed 53-bit integer and k
+    its biased exponent, at least 1 (subnormals share k = 1 with the least
+    normals).  add() sums m per k, in int64 accumulators for the low 27 bits
+    and for the rest, by np.bincount over _SUM_BLOCK floats at a time, so
+    that every float64 bin sum stays below 2^41 and is exact; the int64
+    totals are exact below 2^36 floats added.  total() rounds the exact sum
+    once.  Non-finite floats are kept apart, in order, and go through
+    math.fsum with the finite total, so NaN, infinities, its ValueError for
+    inf - inf and the OverflowError of a sum past the largest float are
+    those of math.fsum."""
+
+    _BINS = 2046  # k = 1 .. 2046; k = 2047 is inf and NaN
+
+    def __init__(self):
+        self._low = np.zeros(self._BINS, dtype=np.int64)
+        self._high = np.zeros(self._BINS, dtype=np.int64)
+        self._special: list[float] = []
+
+    def add(self, x: np.ndarray) -> None:
+        bits = np.asarray(x, dtype=np.float64).view(np.int64)
+        for lo in range(0, bits.size, _SUM_BLOCK):
+            b = bits[lo:lo + _SUM_BLOCK]
+            k = (b >> 52) & 0x7FF
+            finite = k != 0x7FF
+            if not finite.all():
+                self._special.extend(b[~finite].view(np.float64).tolist())
+                b, k = b[finite], k[finite]
+            m = (b & ((1 << 52) - 1)) | ((k != 0).astype(np.int64) << 52)
+            sign = b >> 63  # 0 or -1
+            m ^= sign
+            m -= sign
+            k = np.maximum(k, 1) - 1
+            self._low += np.bincount(k, weights=m & ((1 << 27) - 1),
+                                     minlength=self._BINS).astype(np.int64)
+            self._high += np.bincount(k, weights=m >> 27,
+                                      minlength=self._BINS).astype(np.int64)
+
+    def total(self) -> float:
+        exact = 0  # the sum in units of 2^-1074
+        for k in np.flatnonzero(self._low | self._high).tolist():
+            exact += ((int(self._high[k]) << 27) + int(self._low[k])) << k
+        # int / int is correctly rounded and raises OverflowError past the
+        # largest float, as math.fsum does
+        finite = exact / (1 << 1074)
+        return math.fsum([finite, *self._special]) if self._special else finite
 
 
 def _seed_radial_edges(ev: PolyEvaluator):
@@ -248,29 +308,66 @@ def _seed_radial_edges(ev: PolyEvaluator):
     return merged[keep], grid.size
 
 
-def _refine_slice(ev, tol, r0, r1, t0, t1, e, coarse):
-    """Probe a slice of a level's open cells (edges, e^{i mid-angle} and
-    coarse value of each) with their 4 children.  Returns the accepted
-    cells' estimates, their errors, and the 4 child groups of the rejected
-    cells, each in the form of the input: (r0, r1, t0, t1, e, coarse)."""
+class _Angles:
+    """The angular intervals of one quadrature, by id: edges t0 and t1,
+    width dt = t1 - t0, e = exp(i * mid-angle) and the ids of the low and
+    high halves (-1 until a level first needs them).  A half's new edge is
+    0.5 * (t0 + t1) of its parent's, so an interval's floats depend only on
+    its dyadic position and every cell on it shares its one entry."""
+
+    def __init__(self, edges: np.ndarray):
+        self.t0 = self.t1 = self.dt = self.e = np.empty(0)
+        self.low = self.high = np.empty(0, dtype=np.intp)
+        self._append(edges[:-1], edges[1:])
+
+    def _append(self, t0, t1):
+        self.t0 = np.concatenate([self.t0, t0])
+        self.t1 = np.concatenate([self.t1, t1])
+        self.dt = np.concatenate([self.dt, t1 - t0])
+        self.e = np.concatenate([self.e, np.exp(1j * (0.5 * (t0 + t1)))])
+        unsplit = np.full(t0.size, -1, dtype=np.intp)
+        self.low = np.concatenate([self.low, unsplit])
+        self.high = np.concatenate([self.high, unsplit])
+
+    def split(self, ids: np.ndarray) -> None:
+        """Give the intervals ids their halves where they have none yet."""
+        needed = np.zeros(self.t0.size, dtype=bool)
+        needed[ids] = True
+        new = np.flatnonzero(needed & (self.low < 0))
+        if new.size == 0:
+            return
+        first = self.t0.size
+        self.low[new] = first + np.arange(new.size)
+        self.high[new] = first + new.size + np.arange(new.size)
+        t0, t1 = self.t0[new], self.t1[new]
+        tm = 0.5 * (t0 + t1)
+        self._append(np.concatenate([t0, tm]), np.concatenate([tm, t1]))
+
+
+def _refine_slice(ev, tol, angles, r0, r1, aid, coarse):
+    """Probe a slice of a level's open cells (radial edges, angle id and
+    coarse value of each; angles holds the halves of their intervals) with
+    their 4 children.  Returns the accepted cells' estimates, their errors,
+    and the 4 child groups of the rejected cells, each in the form of the
+    input: (r0, r1, aid, coarse)."""
     n = r0.size
     rm = 0.5 * (r0 + r1)
-    tm = 0.5 * (t0 + t1)
-    e_lo = np.exp(1j * (0.5 * (t0 + tm)))
-    e_hi = np.exp(1j * (0.5 * (tm + t1)))
+    lo_id = angles.low[aid]
+    hi_id = angles.high[aid]
+    e = angles.e[aid]
     # children: radial split (low r, high r), then angular (low t, high t)
     cm = np.empty(4 * n, dtype=complex)
     np.multiply(0.5 * (r0 + rm), e, out=cm[:n])
     np.multiply(0.5 * (rm + r1), e, out=cm[n:2 * n])
-    np.multiply(rm, e_lo, out=cm[2 * n:3 * n])
-    np.multiply(rm, e_hi, out=cm[3 * n:])
+    np.multiply(rm, angles.e[lo_id], out=cm[2 * n:3 * n])
+    np.multiply(rm, angles.e[hi_id], out=cm[3 * n:])
     half = 0.5 * (r1**2 - r0**2)
-    dt = t1 - t0
+    dt = angles.dt[aid]
     cvals = _sph_many(ev, cm)
     cvals[:n] *= 0.5 * (rm**2 - r0**2) * dt
     cvals[n:2 * n] *= 0.5 * (r1**2 - rm**2) * dt
-    cvals[2 * n:3 * n] *= half * (tm - t0)
-    cvals[3 * n:] *= half * (t1 - tm)
+    cvals[2 * n:3 * n] *= half * angles.dt[lo_id]
+    cvals[3 * n:] *= half * angles.dt[hi_id]
     fine_r = cvals[:n] + cvals[n:2 * n]
     fine_t = cvals[2 * n:3 * n] + cvals[3 * n:]
     # half-step-in-both-dimensions estimate up to cross terms
@@ -282,10 +379,10 @@ def _refine_slice(ev, tol, r0, r1, t0, t1, e, coarse):
     radial = (np.abs(fine_r - coarse) >= np.abs(fine_t - coarse))[keep]
     ri = keep[radial]
     ti = keep[~radial]
-    children = ((r0[ri], rm[ri], t0[ri], t1[ri], e[ri], cvals[ri]),
-                (rm[ri], r1[ri], t0[ri], t1[ri], e[ri], cvals[ri + n]),
-                (r0[ti], r1[ti], t0[ti], tm[ti], e_lo[ti], cvals[2 * n + ti]),
-                (r0[ti], r1[ti], tm[ti], t1[ti], e_hi[ti], cvals[3 * n + ti]))
+    children = ((r0[ri], rm[ri], aid[ri], cvals[ri]),
+                (rm[ri], r1[ri], aid[ri], cvals[ri + n]),
+                (r0[ti], r1[ti], lo_id[ti], cvals[2 * n + ti]),
+                (r0[ti], r1[ti], hi_id[ti], cvals[3 * n + ti]))
     return fine[ok] + diff[ok], err[ok], children
 
 
@@ -306,38 +403,37 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     With a declared symmetry (see the module docstring) only the sector
     [0, 2 pi / fold) is meshed: the first 16 / fold angular cells of the
     16-cell mesh, refined by the same rule.  value and error_bound are fold
-    times the sector's sums of accepted values and of error estimates (the
-    Monte Carlo bar included), so error_bound stays at most tol when no
-    fallback happens; evaluations counts only what was evaluated.  With
-    fold 1 this is the whole disk.
+    times the sector's correctly rounded sums of accepted values and of
+    error estimates (the Monte Carlo block sums and bar included), so
+    error_bound stays at most tol when no fallback happens; evaluations
+    counts only what was evaluated.  With fold 1 this is the whole disk.
 
     Each level is refined in slices of _LEVEL_SLICE open cells, which bounds
     the level's working memory; the budget is checked per level, before
     slicing, and the next level's cells come out in the order of an
-    unsliced level, so the result has the same bits for any slice size."""
+    unsliced level, so the result has the same bits for any slice size.
+    The angular edges, widths and e^{i mid-angle} of the cells are read
+    from one table of intervals (_Angles), computed once per interval."""
     if not (0.0 < tol < math.inf):
         raise BadParams("tol must be positive and finite")
     fold = _fold(ev)
 
     r_edges, evals = _seed_radial_edges(ev)
-    t_edges = np.linspace(0.0, math.tau, 17)[:16 // fold + 1]
-    nt = t_edges.size - 1
+    angles = _Angles(np.linspace(0.0, math.tau, 17)[:16 // fold + 1])
+    nt = angles.t0.size
     nr = r_edges.size - 1
     r0 = np.repeat(r_edges[:-1], nt)
     r1 = np.repeat(r_edges[1:], nt)
-    t0 = np.tile(t_edges[:-1], nr)
-    t1 = np.tile(t_edges[1:], nr)
-    # e = exp(i * mid-angle) of each open cell; a radial split keeps it
-    e = np.exp(1j * (0.5 * (t0 + t1)))
-    coarse = (_sph_many(ev, 0.5 * (r0 + r1) * e)
-              * _cell_area(r0, r1, t0, t1))
+    aid = np.tile(np.arange(nt), nr)
+    coarse = (_sph_many(ev, 0.5 * (r0 + r1) * angles.e[aid])
+              * _cell_area(r0, r1, angles.dt[aid]))
     evals += r0.size
 
-    values: list[np.ndarray] = []  # accepted cells' estimates, one array per slice
-    errors: list[np.ndarray] = []  # and their error estimates
+    value = _ExactSum()  # the accepted cells' estimates
+    error = _ExactSum()  # and their error estimates
     budget_hit = False
 
-    cells = (r0, r1, t0, t1, e, coarse)  # the open cells of the level
+    cells = (r0, r1, aid, coarse)  # the open cells of the level
     for _level in range(_MAX_LEVELS):
         n = cells[0].size
         if n == 0:
@@ -345,20 +441,21 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
         if evals + 4 * n > EVAL_BUDGET:
             budget_hit = True
             break
+        angles.split(cells[2])
         groups: tuple[list, ...] = ([], [], [], [])  # each child group, slice by slice
         for lo in range(0, n, _LEVEL_SLICE):
-            value, error, children = _refine_slice(
-                ev, tol, *(a[lo:lo + _LEVEL_SLICE] for a in cells))
-            values.append(value)
-            errors.append(error)
+            accepted, errs, children = _refine_slice(
+                ev, tol, angles, *(a[lo:lo + _LEVEL_SLICE] for a in cells))
+            value.add(accepted)
+            error.add(errs)
             for group, child in zip(groups, children):
                 group.append(child)
         evals += 4 * n
         # group by group, each group's slices in order: the order the
         # level's children would have in one piece
         cells = tuple(np.concatenate([child[j] for group in groups for child in group])
-                      for j in range(6))
-    r0, r1, t0, t1 = cells[:4]
+                      for j in range(4))
+    r0, r1, aid = cells[:3]
 
     if r0.size and not budget_hit:
         budget_hit = True  # ran out of levels with cells still open
@@ -367,28 +464,27 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
         rng = np.random.default_rng(np.random.SeedSequence([_MC_SEED, r0.size]))
         remaining = max(EVAL_BUDGET - evals, 2 * r0.size)
         per_cell = int(max(2, min(_MC_PER_CELL, remaining // r0.size)))
-        block_sums: list[float] = []
         var_parts: list[float] = []
         for lo in range(0, r0.size, _MC_BLOCK):
             hi = min(lo + _MC_BLOCK, r0.size)
             u = rng.random((hi - lo, per_cell))
             v = rng.random((hi - lo, per_cell))
             b0, b1 = r0[lo:hi, None], r1[lo:hi, None]
+            t0, t1 = angles.t0[aid[lo:hi]], angles.t1[aid[lo:hi]]
             rr = np.sqrt(b0**2 + u * (b1**2 - b0**2))
-            tt = t0[lo:hi, None] + v * (t1[lo:hi] - t0[lo:hi])[:, None]
+            tt = t0[:, None] + v * (t1 - t0)[:, None]
             pts = rr * np.exp(1j * tt)
             sph = _sph_many(ev, pts.ravel()).reshape(pts.shape)
             evals += pts.size
-            areas = _cell_area(r0[lo:hi], r1[lo:hi], t0[lo:hi], t1[lo:hi])
-            block_sums.append(float(np.sum(sph.mean(axis=1) * areas)))
+            areas = _cell_area(r0[lo:hi], r1[lo:hi], t1 - t0)
+            value.add(np.array([np.sum(sph.mean(axis=1) * areas)]))
             var_parts.append(float(np.sum(
                 sph.var(axis=1, ddof=1) / per_cell * areas**2)))
-        values.append(np.array(block_sums))
-        errors.append(np.array([3.0 * math.sqrt(math.fsum(var_parts))]))
+        error.add(np.array([3.0 * math.sqrt(math.fsum(var_parts))]))
 
     return IntegralEstimate(
-        value=fold * _fsum(values),
-        error_bound=fold * _fsum(errors),
+        value=fold * value.total(),
+        error_bound=fold * error.total(),
         evaluations=evals,
         degree=int(ev.degree),
         budget_exceeded=budget_hit,
