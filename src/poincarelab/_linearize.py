@@ -25,6 +25,8 @@ from .errors import OverflowSentinel, ResonantAngle
 RESONANCE_EPS = 1e-14
 
 
+# overflow raises OverflowSentinel below; numpy's warnings would add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def conjugacy_coeffs(local: np.ndarray, N: int) -> np.ndarray:
     """Coefficients b[0..N] (b[0]=0, b[1]=1) of the linearizer for `local`.
 

@@ -5,21 +5,21 @@ The pipeline per period q mirrors a three-stage construction:
 
   1. bisect the real equation Q_c^q(0) = 0 for the center closest to -2
      (the leftmost real sign change in the bracket),
-  2. Newton in the parameter on the cycle multiplier, continued from that
-     center, to hit multiplier -1 (parabolic) or e^{2 pi i gamma} with a
+  2. from that center, Newton in the pair (z, c) on P_c^q(z) = z and
+     (P_c^q)'(z) = m, with m walked in equal steps from the center's
+     multiplier 0 to -1 (parabolic) or to e^{2 pi i gamma} with a
      bounded-type gamma near 1/2 (Siegel cycle),
   3. read off the repelling fixed point branch z(c) = (1 + sqrt(1-4c))/2
      continuing z = 2, whose multiplier mu = 2 z(c) stays below 4 in modulus
      and drives the order rho = log 2 / log |mu| down toward 1/2.
 
-Cycle continuation walks the parameter segment in fixed small steps and
-re-Newtons the cycle at each step, raising CycleCollision the moment two
-cycle points merge (period halving), rather than silently following the
-wrong branch.
+The seed cycle and the cycle found are checked for merged points (a period
+halving), which raises CycleCollision rather than returning the wrong cycle.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,9 +44,10 @@ from .errors import (
 from .siegel import RotationAngle, build_cycle_siegel_map
 
 _SCAN_POINTS = 4096
-_CONT_STEPS = 32
+_PATH_STEPS = 8
 _COLLISION_GAP = 1e-8
 _NEWTON_ITERS = 60
+_STEP_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -150,66 +151,54 @@ def _cycle(c: complex, z1: complex, q: int) -> Cycle:
     cyc = cycle_through(QuadMap(kind="c", param=c), z1, q)
     scale = max(1.0, max(abs(p) for p in cyc.points))
     if cyc.min_gap() < _COLLISION_GAP * scale:
-        raise CycleCollision(f"cycle points merged during continuation at c={c}")
+        raise CycleCollision(f"period-{q} cycle points merged at c={c}")
     return cyc
 
 
-def _continue_cycle(z1: complex, q: int, c_from: complex, c_to: complex) -> complex:
-    """Track one cycle point along the parameter segment in fixed steps."""
-    for t in np.linspace(0.0, 1.0, _CONT_STEPS + 1)[1:]:
-        c_t = c_from + t * (c_to - c_from)
-        z1 = find_cycle(QuadMap(kind="c", param=c_t), q, z1).points[0]
-        _cycle(c_t, z1, q)
-    return z1
+def _newton_step(z: complex, c: complex, q: int, m: complex):
+    """The Newton step (dz, dc) on P_c^q(z) = z, (P_c^q)'(z) = m.
+
+    Along the orbit w_k = P_c^k(z) the chain rule carries a = dw/dz,
+    b = dw/dc and the derivatives a_z, a_c of a, which give the exact
+    Jacobian rows (a - 1, b) and (a_z, a_c)."""
+    w, a, b, a_z, a_c = z, 1.0, 0.0, 0.0, 0.0
+    for _ in range(q):
+        w, a, b, a_z, a_c = (w * w + c, 2.0 * w * a, 2.0 * w * b + 1.0,
+                             2.0 * (a * a + w * a_z), 2.0 * (a * b + w * a_c))
+    f, g = w - z, a - m
+    det = (a - 1.0) * a_c - b * a_z
+    if det == 0 or not all(map(cmath.isfinite, (f, g, det))):
+        raise NoConvergence(f"multiplier Newton Jacobian singular or not finite at c={c}")
+    return (a_c * f - b * g) / det, ((a - 1.0) * g - a_z * f) / det
 
 
 def find_multiplier_param(q: int, target: complex, seed_c: complex) -> ParamSearchResult:
-    """Newton in the parameter on (multiplier of the period-q cycle) = target,
-    with the cycle tracked by continuation from seed_c."""
-    target = complex(target)
-    c = complex(seed_c)
-    z1 = find_cycle(QuadMap(kind="c", param=c), q, 0.0 + 0.0j).points[0]
+    """The parameter whose period-q cycle, continued from the cycle of seed_c
+    through find_cycle(seed_c, q, 0), has multiplier `target`.
 
-    def m_of(c_new: complex, z_anchor: complex, c_anchor: complex):
-        z_new = _continue_cycle(z_anchor, q, c_anchor, c_new)
-        return cycle_through(QuadMap(kind="c", param=c_new), z_new, q).multiplier, z_new
-
-    m = _cycle(c, z1, q).multiplier
-    res = abs(m - target)
-    for _ in range(_NEWTON_ITERS):
-        if res < 1e-10:
-            break
-        h = 1e-6 * (1.0 + abs(c))
-        try:
-            m_h, _ = m_of(c + h, z1, c)
-            dm = (m_h - m) / h
-        except (NoConvergence, CycleCollision):
-            # the forward probe can step over a cusp where the cycle
-            # degenerates; probe backward instead
-            m_h, _ = m_of(c - h, z1, c)
-            dm = (m - m_h) / h
-        if abs(dm) < 1e-14:
-            raise NoConvergence("multiplier derivative vanished")
-        step = (m - target) / dm
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            c_cand = c - t * step
-            try:
-                m_cand, z_cand = m_of(c_cand, z1, c)
-            except NoConvergence:
-                t *= 0.5
-                continue
-            if abs(m_cand - target) < res:
-                c, z1, m, res = c_cand, z_cand, m_cand, abs(m_cand - target)
-                improved = True
+    Newton in (z, c) on P_c^q(z) = z and (P_c^q)'(z) = m, with m walked
+    from the seed cycle's multiplier to the target in _PATH_STEPS equal
+    steps.  The multiplier map of a hyperbolic component is a conformal
+    isomorphism onto the disk, so from a center this path is regular.
+    Raises NoConvergence when a Jacobian is singular or not finite, or a
+    step does not converge; CycleCollision when two points of the seed or
+    the final cycle merge."""
+    target, c = complex(target), complex(seed_c)
+    z = find_cycle(QuadMap(kind="c", param=c), q, 0.0 + 0.0j).points[0]
+    m0 = _cycle(c, z, q).multiplier
+    for s in range(1, _PATH_STEPS + 1):
+        m_t = m0 + s / _PATH_STEPS * (target - m0)
+        for _ in range(_NEWTON_ITERS):
+            dz, dc = _newton_step(z, c, q, m_t)
+            z, c = z - dz, c - dc
+            if abs(dz) <= _STEP_TOL * (1 + abs(z)) and abs(dc) <= _STEP_TOL * (1 + abs(c)):
                 break
-            t *= 0.5
-        if not improved:
-            break
-    if res >= 1e-8:
-        raise NoConvergence(f"multiplier Newton stalled at residual {res:.3e}")
-    cyc = _cycle(c, z1, q)
+        else:
+            raise NoConvergence(f"multiplier Newton did not converge at step {s}/{_PATH_STEPS}")
+    cyc = _cycle(c, z, q)
+    res = abs(cyc.multiplier - target)
+    if not res < 1e-8:  # NaN fails too
+        raise NoConvergence(f"multiplier Newton ended at residual {res:.3e}")
     if target == 0:
         kind = "Superattracting"
     elif target == -1:
@@ -219,7 +208,7 @@ def find_multiplier_param(q: int, target: complex, seed_c: complex) -> ParamSear
     else:
         kind = "MultiplierTarget"
     return ParamSearchResult(
-        c=c, q=q, cycle=cyc, multiplier=m, residual=res, kind=kind,
+        c=c, q=q, cycle=cyc, multiplier=cyc.multiplier, residual=res, kind=kind,
     )
 
 

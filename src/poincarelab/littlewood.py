@@ -45,6 +45,7 @@ one may have passed 1e50.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -197,6 +198,9 @@ def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
 
 
 def spherical_derivative(ev: PolyEvaluator, z: complex) -> float:
+    """2 |P'(z)| / (1 + |P(z)|^2) at one point; BadParams unless z is finite."""
+    if not cmath.isfinite(z):
+        raise BadParams(f"spherical derivative at a non-finite point {z}")
     return float(_sph_many(ev, np.array([z], dtype=complex))[0])
 
 

@@ -1,9 +1,13 @@
 import cmath
+import functools
 import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab.chebfamily import (
     family_angle,
@@ -22,6 +26,19 @@ from poincarelab.errors import (
 # real parameter with a superattracting 3-cycle (root of c^3 + 2c^2 + c + 1
 # on the negative axis), long verified in the dynamics literature
 C3_CENTER = -1.7548776662466928
+
+# brackets around the superattracting center closest to -2, per period, as
+# in test_superattracting_centers and test_tip_scaling_toward_flat_limit
+CENTER_BRACKETS = {
+    1: (-0.4, 0.2), 2: (-1.4, -0.6), 3: (-1.79, -1.7), 4: (-1.95, -1.92),
+    5: (-1.99, -1.976), 6: (-1.9975, -1.995), 7: (-1.9995, -1.9985),
+    8: (-1.9999, -1.99), 9: (-1.99999, -1.99975), 10: (-1.999999, -1.99993),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _center(q):
+    return find_superattracting(q, CENTER_BRACKETS[q]).c
 
 
 def test_family_angle_matches_continued_fraction():
@@ -49,6 +66,7 @@ def test_family_angle_matches_continued_fraction():
         # 1e-12; the centers are 50-digit Newton roots rounded to double
         (9, (-1.99999, -1.99975), -1.999943521765674),
         (10, (-1.999999, -1.99993), -1.999985881140392),
+        (7, (-1.9995, -1.9985), -1.9990956823270185),
     ],
 )
 def test_superattracting_centers(q, bracket, c_want):
@@ -102,6 +120,46 @@ def test_siegel_parameters_closed_form():
     assert abs(s1.c - (lam / 2 - lam * lam / 4)) < 1e-10
     s2 = find_multiplier_param(2, lam, seed_c=-1 + 0j)
     assert abs(s2.c - (-1 + lam / 4)) < 1e-10
+
+
+def _mp_multiplier_param(q, target, c0, steps=8):
+    """c with a period-q cycle of multiplier `target`: mpmath's Newton (its
+    own difference Jacobian) at 50 digits on P_c^q(z) = z and
+    (P_c^q)'(z) = t * target, t = 1/steps, ..., 1, from (z, c) = (0, c0)."""
+    def system(z, c, m):
+        w, d = z, mpmath.mpc(1)
+        for _ in range(q):
+            w, d = w * w + c, 2 * w * d
+        return [w - z, d - m]
+
+    with mpmath.workdps(50):
+        z, c = mpmath.mpc(0), mpmath.mpc(c0)
+        for s in range(1, steps + 1):
+            m = mpmath.mpc(target) * s / steps
+            z, c = mpmath.findroot(lambda z, c: system(z, c, m), (z, c))
+        return complex(c)
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 10])
+@pytest.mark.parametrize("which", ["parabolic", "siegel"])
+def test_deep_multiplier_params_match_mpmath(q, which):
+    target = -1 + 0j if which == "parabolic" else family_angle().lam
+    res = find_multiplier_param(q, target, _center(q))
+    assert abs(res.c - _mp_multiplier_param(q, target, _center(q).real)) <= 1e-14
+    assert res.cycle.min_gap() > 0.0
+    assert res.cycle.period == q
+    assert res.residual < 1e-8
+    assert abs(res.multiplier - target) == res.residual
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=st.integers(1, 10), mod=st.floats(0.0, 0.99), arg=st.floats(-math.pi, math.pi))
+def test_multiplier_param_hits_target_in_the_disk(q, mod, arg):
+    target = cmath.rect(mod, arg)
+    res = find_multiplier_param(q, target, _center(q))  # CycleCollision fails the test
+    assert res.residual < 1e-8
+    assert abs(res.cycle.multiplier - target) < 1e-8
+    assert res.cycle.period == q
 
 
 def test_degenerate_seed_collides():

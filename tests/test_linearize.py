@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from poincarelab import RotationAngle
+from poincarelab import QuadMap, RotationAngle
 from poincarelab._linearize import conjugacy_coeffs, resubstitution_residuals
+from poincarelab.errors import OverflowSentinel
+from poincarelab.poincare import build_poincare_map
+from poincarelab.siegel import build_siegel_map
 
 LAM = RotationAngle.golden().lam
 
@@ -20,3 +25,16 @@ def test_resubstitution_residuals(m, N):
     bad = b.copy()
     bad[2] *= 1.0 + 1e-6
     assert np.max(resubstitution_residuals(local, bad)) > 1e-7
+
+
+@pytest.mark.parametrize("build, first_bad", [
+    (lambda: build_poincare_map(QuadMap.c_form(-1.5 + 0.3j), N=1024), "b_548"),
+    (lambda: build_siegel_map(RotationAngle.golden(), N=1024), "b_643"),
+], ids=["poincare", "siegel"])
+def test_overflow_raises_without_warnings(build, first_bad):
+    """Coefficients that leave double range raise OverflowSentinel, and
+    numpy warns of nothing first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowSentinel, match=first_bad):
+            build()

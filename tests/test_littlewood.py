@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,20 @@ def test_spherical_derivative_identity_map():
     ev = lw.coeff_evaluator([0.0, 1.0])
     assert abs(lw.spherical_derivative(ev, 0j) - 2.0) < 1e-15
     assert abs(lw.spherical_derivative(ev, 1 + 0j) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("z", [
+    complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0),
+    complex(0.5, math.nan), complex(math.inf, math.nan),
+])
+@pytest.mark.parametrize("ev", [
+    lw.iterate_evaluator(-1, 3), lw.monomial_evaluator(4), lw.coeff_evaluator([1.0, 0.0, 2.0]),
+], ids=["iterate", "monomial", "coeff"])
+def test_spherical_derivative_rejects_non_finite_points(ev, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParams):
+            lw.spherical_derivative(ev, z)
 
 
 def test_monomial_and_coeff_evaluators_agree():
