@@ -1,15 +1,25 @@
-"""Coefficient recursion shared by the Siegel and repelling-point linearizers.
+"""Coefficient recursion shared by the Siegel, cycle and repelling-point
+linearizers.
 
-Both solve the same formal problem: given a map with local expansion
-F(u) = m*u + f2*u**2 + ... (no constant term) around a fixed point, find
-g(z) = z + b2*z**2 + ... with  F(g(z)) = g(m*z).  Matching the z**n
-coefficient gives
+Every linearizer here conjugates a chain of quadratic steps: around the
+points zeta_0, ..., zeta_{q-1} of a period-q cycle (q = 1 for a fixed
+point), P(zeta_i + u) - zeta_{i+1} = s_i u + u**2 with s_i = P'(zeta_i),
+and the return map is the composition of the q steps, with multiplier
+m = s_0 ... s_{q-1}.  The linearizer g(z) = z + b2*z**2 + ... solves
+F(g(z)) = g(m*z) for that composition F.  Following g along the chain,
 
-    b_n = [z^n] sum_{k>=2} f_k * g(z)**k  /  (m**n - m),
+    g_0 = g,   g_{i+1} = s_i g_i + g_i**2,   g_q(z) = g(m z),
 
-where the numerator only involves b_1 .. b_{n-1} because g has valuation 1.
-For a quadratic map (f2 = 1, nothing higher) this is the familiar
-b_n = (sum_{i+j=n} b_i b_j) / (m**n - m).
+the z**n coefficient of g_i is c_i b_n + R_i, with c_i = s_0 ... s_{i-1}
+(coefficient 1 of g_i), R_0 = 0 and R_{i+1} = s_i R_i + [z^n] g_i**2: the
+squares involve only coefficients 1 .. n-1, as each g_i has valuation 1.
+So R_i is what the chain gives while b_n is 0, and g_q(z) = g(m z) gives
+
+    b_n = R_q / (m**n - m).
+
+For q = 1 this is the familiar b_n = (sum_{i+j=n} b_i b_j) / (m**n - m).
+A cycle costs q quadratic steps per coefficient, never a composed
+polynomial of degree 2**q.
 
 The divisors m**n - m are the whole story: bounded away from zero for a
 repelling multiplier |m| > 1, and arbitrarily small for rotation numbers
@@ -27,43 +37,43 @@ RESONANCE_EPS = 1e-14
 
 # overflow raises OverflowSentinel below; numpy's warnings would add nothing
 @np.errstate(over="ignore", invalid="ignore")
-def conjugacy_coeffs(local: np.ndarray, N: int) -> np.ndarray:
-    """Coefficients b[0..N] (b[0]=0, b[1]=1) of the linearizer for `local`.
+def conjugacy_coeffs(slopes, N: int) -> np.ndarray:
+    """Coefficients b[0..N] (b[0]=0, b[1]=1) of the linearizer of the chain
+    of quadratic steps u -> s u + u**2, one per slope, in cycle order.
 
-    `local` holds the Taylor coefficients of F at the fixed point in the
-    shifted variable: local[0] must be 0, local[1] is the multiplier m.
     Raises ResonantAngle when some divisor |m**n - m| < 1e-14 (n <= N),
     and OverflowSentinel if coefficients leave double range.
     """
-    local = np.asarray(local, dtype=complex)
-    if abs(local[0]) != 0.0:
-        raise ValueError("local expansion must have zero constant term")
-    m = local[1]
-    b = np.zeros(N + 1, dtype=complex)
-    if N >= 1:
-        b[1] = 1.0
-    deg = len(local) - 1
+    s = np.asarray(slopes, dtype=complex)
+    # chain[i] holds the coefficients of g_i found so far; chain[0] is b
+    chain = [np.zeros(max(N, 1) + 1, dtype=complex) for _ in range(s.size + 1)]
+    b = chain[0]
+    b[1] = 1.0
+    for i in range(s.size):
+        chain[i + 1][1] = s[i] * chain[i][1]  # c_{i+1}
+    m = chain[-1][1]
     for n in range(2, N + 1):
+        # b[n] is still 0, so coefficient n of each g_i comes out as R_i; in
+        # the squares it meets only the zero constant terms
+        for i in range(s.size):
+            g = chain[i][: n + 1]
+            chain[i + 1][n] = s[i] * g[n] + np.convolve(g, g)[n]
         divisor = m**n - m
         if abs(divisor) < RESONANCE_EPS:
             raise ResonantAngle(
                 f"divisor |m^{n} - m| = {abs(divisor):.3e} below resonance threshold"
             )
-        head = b[: n + 1]  # b[n] still zero, harmless in the convolutions
-        acc = head
-        s = 0.0 + 0.0j
-        for k in range(2, deg + 1):
-            acc = np.convolve(acc, head)[: n + 1]
-            if local[k] != 0:
-                s += local[k] * acc[n]
-        b[n] = s / divisor
+        b[n] = chain[-1][n] / divisor
         if not np.isfinite(b[n]):
             raise OverflowSentinel(f"linearizer coefficient b_{n} left double range")
-    return b
+        for g in chain[1:-1]:
+            g[n] += g[1] * b[n]
+    return b[: N + 1]  # N < 1 asks for fewer than the two entries set above
 
 
 def resubstitution_residuals(local: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Relative defect of each coefficient equation m^n b_n = [z^n] F(g(z)).
+    """Relative defect of each coefficient equation m^n b_n = [z^n] F(g(z)),
+    for F given by its Taylor coefficients `local` (local[1] = m).
 
     Used by tests to confirm the recursion was solved, not just filled in.
     """

@@ -12,6 +12,10 @@ form is the natural chart for linearization at the origin while the c form
 is the standard chart for parameter-plane work.
 
 All map evaluation accepts numpy arrays transparently.
+
+Also here: find_cycle, the scalar Newton for periodic points, and
+newton_lanes, the damped lane-wise Newton that inverts both the Poincare
+function (preimage.newton_solve) and the Siegel linearizer (h_inverse_many).
 """
 
 from __future__ import annotations
@@ -20,7 +24,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadParams, NoConvergence, NotRepelling
+
+NEWTON_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,51 @@ def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
     if abs(iterate_with_deriv(qmap, z, q)[0] - z) < 1e-10 * (1.0 + abs(z)):
         return cycle_through(qmap, z, q)
     raise NoConvergence(f"cycle Newton did not converge from seed {seed}")
+
+
+def newton_lanes(F, dF, target, seed, iters: int):
+    """Damped Newton on F(z) = target, lane by lane: (z, ok) arrays.
+
+    F and dF map an array of lanes to the values of the function and of its
+    derivative; target and seed broadcast to one array of lanes.  Per lane:
+    stop once |F(z) - target| <= NEWTON_TOL (1 + |target|), within iters
+    iterations; each step z - t (F(z) - target)/F'(z) takes the first t in
+    1, 1/2, ..., 2^-39 that lowers the residual.  A lane fails (ok False)
+    when F' drops below 1e-14, when no t lowers the residual (a stall), when
+    the iterations run out, or when an evaluation gives NaN (an overflow);
+    its z is then the last iterate."""
+    target, z = np.broadcast_arrays(np.asarray(target, dtype=complex),
+                                    np.asarray(seed, dtype=complex))
+    target, z = target.reshape(-1).copy(), z.reshape(-1).copy()
+    tol = NEWTON_TOL * (1.0 + np.abs(target))
+    f = F(z)
+    res = np.abs(f - target)
+    failed = np.isnan(res)
+    for _ in range(iters):
+        live = np.flatnonzero(~failed & ~(res <= tol))
+        if live.size == 0:
+            break
+        d = dF(z[live])
+        usable = np.abs(d) >= 1e-14  # False for an overflowed (NaN) lane too
+        failed[live[~usable]] = True
+        live, d = live[usable], d[usable]
+        step = (f[live] - target[live]) / d
+        t = 1.0
+        for _ in range(40):
+            if live.size == 0:
+                break
+            cand = z[live] - t * step
+            f_cand = F(cand)
+            res_cand = np.abs(f_cand - target[live])
+            better = res_cand < res[live]
+            took = live[better]
+            z[took], f[took], res[took] = cand[better], f_cand[better], res_cand[better]
+            failed[live[np.isnan(res_cand)]] = True
+            keep = ~better & ~np.isnan(res_cand)
+            live, step = live[keep], step[keep]
+            t *= 0.5
+        failed[live] = True  # stalled: no step length lowered the residual
+    return z, ~failed & (res <= tol)
 
 
 def order_from_multiplier(mu: complex) -> float:

@@ -80,7 +80,11 @@ class PolyEvaluator:
     fn: Callable  # ndarray -> (values, derivatives)
 
     def __call__(self, z):
-        return self.fn(np.asarray(z, dtype=complex))
+        """fn at z; BadParams unless every lane is finite."""
+        z = np.asarray(z, dtype=complex)
+        if not np.all(np.isfinite(z)):
+            raise BadParams(f"{self.label} evaluated at non-finite points")
+        return self.fn(z)
 
     @property
     def symmetry(self) -> tuple[int, bool]:
@@ -205,7 +209,7 @@ def spherical_derivative(ev: PolyEvaluator, z: complex) -> float:
 
 
 def _sph_many(ev: PolyEvaluator, z: np.ndarray) -> np.ndarray:
-    v, d = ev(z)
+    v, d = ev.fn(z)
     return 2.0 * np.abs(d) / (1.0 + np.abs(v) ** 2)
 
 

@@ -76,9 +76,7 @@ def poincare_coefficients(qmap: QuadMap, z0: complex, N: int) -> TruncatedSeries
     mu = multiplier_at(qmap, z0)
     if abs(mu) <= 1.0:
         raise NotRepelling(f"|mu| = {abs(mu)} <= 1 at z0 = {z0}")
-    local = np.array([0.0, mu, 1.0], dtype=complex)
-    b = conjugacy_coeffs(local, N)
-    coeffs = b.copy()
+    coeffs = conjugacy_coeffs([mu], N)
     coeffs[0] = z0
     return make_series(coeffs)
 

@@ -13,15 +13,16 @@ levels, so every intermediate value lies in the bounded sub-Siegel disk and
 the check never overflows.
 
 The solvers work on arrays of independent lanes, one (seed, target) pair
-each: newton_solve runs damped Newton on every lane at once, with the step
-rules of a scalar solver applied per lane, and a lane that fails (overflow
-included) fails only itself.  find_base_preimage solves its whole seed grid
-in one call, and branch_continue continues every point it is given along
-its own segment, with the segment parameter t as the outer loop.  The
-segments end at h^{-1}(w), from siegel.h_inverse_many, again one lane-wise
-Newton, which raises OutOfDomain for a w outside the sub-Siegel disk.
-Because numpy computes each lane by the same operations at any position in
-any array, a lane's result does not depend on its batch.
+each: newton_solve runs dyncore.newton_lanes, damped Newton on every lane at
+once with the step rules of a scalar solver applied per lane, and a lane
+that fails (overflow included) fails only itself.  find_base_preimage solves
+its whole seed grid in one call, and branch_continue continues every point
+it is given along its own segment, with the segment parameter t as the
+outer loop.  The segments end at h^{-1}(w), from siegel.h_inverse_many,
+which runs the same newton_lanes on h and raises OutOfDomain for a w whose
+lane fails or settles outside the sub-Siegel disk.  Because numpy computes
+each lane by the same operations at any position in any array, a lane's
+result does not depend on its batch.
 
 Also here: brute-force counting of all preimages in a disk by the argument
 principle, and an empirical density-transfer probe for thin target sets.
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from .dyncore import newton_lanes
 from .errors import BadParams, ContinuationLost, NoCertificate, NoConvergence, NotFound
 from .poincare import PoincareMap, eval_on_circle, poincare_derivative_eval, poincare_eval
 from .serialize import csv_text, json_text
@@ -51,7 +52,6 @@ from .siegel import (  # noqa: F401
     sub_siegel_sample,
 )
 
-NEWTON_TOL = 1e-12
 NEWTON_ITERS = 60
 CACHE_RESIDUAL = 1e-10
 _GRID_MODULI = 24
@@ -81,52 +81,17 @@ class PreimageReport:
     w: complex
     r: float
     orbit_points: list  # of OrbitPoint
-    argument_count: Optional[int]
+    argument_count: int
     notes: str = ""
 
 
 def newton_solve(pm: PoincareMap, target, seed):
-    """Damped Newton on f(z) = target, lane by lane: (z, ok) arrays.
-
-    target and seed broadcast to one array of lanes.  Per lane: stop once
-    |f(z) - target| <= NEWTON_TOL (1 + |target|), within NEWTON_ITERS
-    iterations; each step z - t (f(z) - target)/f'(z) takes the first t in
-    1, 1/2, ..., 2^-39 that lowers the residual.  A lane fails (ok False)
-    when f' drops below 1e-14, when no t lowers the residual (a stall), when
-    the iterations run out, or when an evaluation overflows; its z is then
-    the last iterate."""
-    target, z = np.broadcast_arrays(np.asarray(target, dtype=complex),
-                                    np.asarray(seed, dtype=complex))
-    target, z = target.reshape(-1).copy(), z.reshape(-1).copy()
-    tol = NEWTON_TOL * (1.0 + np.abs(target))
-    f = poincare_eval(pm, z)
-    res = np.abs(f - target)
-    failed = np.isnan(res)
-    for _ in range(NEWTON_ITERS):
-        live = np.flatnonzero(~failed & ~(res <= tol))
-        if live.size == 0:
-            break
-        d = poincare_derivative_eval(pm, z[live])
-        usable = np.abs(d) >= 1e-14  # False for an overflowed (NaN) lane too
-        failed[live[~usable]] = True
-        live, d = live[usable], d[usable]
-        step = (f[live] - target[live]) / d
-        t = 1.0
-        for _ in range(40):
-            if live.size == 0:
-                break
-            cand = z[live] - t * step
-            f_cand = poincare_eval(pm, cand)
-            res_cand = np.abs(f_cand - target[live])
-            better = res_cand < res[live]
-            took = live[better]
-            z[took], f[took], res[took] = cand[better], f_cand[better], res_cand[better]
-            failed[live[np.isnan(res_cand)]] = True
-            keep = ~better & ~np.isnan(res_cand)
-            live, step = live[keep], step[keep]
-            t *= 0.5
-        failed[live] = True  # stalled: no step length lowered the residual
-    return z, ~failed & (res <= tol)
+    """dyncore.newton_lanes on f(z) = target: (z, ok) arrays, one lane per
+    broadcast (target, seed) pair; a lane whose evaluation overflows fails
+    alone."""
+    return newton_lanes(lambda z: poincare_eval(pm, z),
+                        lambda z: poincare_derivative_eval(pm, z),
+                        target, seed, NEWTON_ITERS)
 
 
 def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
@@ -288,18 +253,15 @@ def koebe_density_transfer(ib: InverseBranch, S: SetModel, k: int,
 
 
 def build_preimage_report(ib: InverseBranch, S: SetModel, w: complex, r: float,
-                          k_max: int, with_count: bool = True) -> PreimageReport:
+                          k_max: int) -> PreimageReport:
     pts = []
     for k, z in orbit_preimages(ib, w, k_max):
         res = verify_orbit_point(ib, w, k, z)
         pts.append(OrbitPoint(k=k, z=z, in_S=S.contains(z), residual=res))
-    count = None
-    notes = "orbit preimages via linearizing-coordinate continuation"
-    if with_count:
-        count = argument_principle_count(ib.pm, w, r)
-        notes += "; disk count via argument principle"
     return PreimageReport(w=complex(w), r=float(r), orbit_points=pts,
-                          argument_count=count, notes=notes)
+                          argument_count=argument_principle_count(ib.pm, w, r),
+                          notes="orbit preimages via linearizing-coordinate continuation"
+                                "; disk count via argument principle")
 
 
 def report_to_csv(report: PreimageReport) -> str:

@@ -17,6 +17,8 @@ from .poincare import PoincareMap, poincare_eval_many
 from .sets import SetModel, disk_pack
 from .siegel import SiegelMap, h_eval, sub_siegel_sample
 
+SVG_CELLS = 64  # cells per side of the vector domain coloring
+
 
 def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Vectorized HSV -> RGB, all components in [0, 1]."""
@@ -99,18 +101,17 @@ def siegel_scatter_ppm(sm: SiegelMap, size: int = 512, samples: int = 4000,
     return ppm_bytes(img)
 
 
-def _svg(width: int, height: int, r: float, body) -> str:
-    """An SVG document: a dark square of half-width 1.05 r, then body."""
+def _svg(r: float, body) -> str:
+    """An 800 x 800 SVG document: a dark square of half-width 1.05 r, then body."""
     return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
         f'viewBox="{-1.05 * r:.6e} {-1.05 * r:.6e} {2.1 * r:.6e} {2.1 * r:.6e}">\n'
         f'<rect x="{-1.05 * r:.6e}" y="{-1.05 * r:.6e}" width="{2.1 * r:.6e}" '
         f'height="{2.1 * r:.6e}" fill="#101018"/>\n' + "".join(body) + "</svg>\n"
     )
 
 
-def orbit_svg(points: Iterable[complex], S: SetModel | None, r: float,
-              width: int = 800) -> str:
+def orbit_svg(points: Iterable[complex], S: SetModel | None, r: float) -> str:
     """Orbit preimage markers inside D_r over the set's disks.
 
     Each orbit point becomes one element with class "marker", so the marker
@@ -140,7 +141,7 @@ def orbit_svg(points: Iterable[complex], S: SetModel | None, r: float,
             f'r="{marker_r:.6e}" fill="#ffcc40" stroke="#805000" '
             f'stroke-width="{0.25 * marker_r:.6e}"/>\n'
         )
-    return _svg(width, width, r, parts)
+    return _svg(r, parts)
 
 
 def orbit_ppm(points: Iterable[complex], S: SetModel | None, r: float,
@@ -159,13 +160,13 @@ def orbit_ppm(points: Iterable[complex], S: SetModel | None, r: float,
     return ppm_bytes(img)
 
 
-def domain_coloring_svg(pm: PoincareMap, r: float, cells: int = 64) -> str:
+def domain_coloring_svg(pm: PoincareMap, r: float) -> str:
     """Coarse vector version of the domain coloring (one rect per cell)."""
-    rgb = np.clip(_domain_rgb(pm, _grid(r, cells)) * 255.0, 0, 255)
-    step = 2.0 * r / cells
+    rgb = np.clip(_domain_rgb(pm, _grid(r, SVG_CELLS)) * 255.0, 0, 255)
+    step = 2.0 * r / SVG_CELLS
     parts = []
-    for i in range(cells):
-        for j in range(cells):
+    for i in range(SVG_CELLS):
+        for j in range(SVG_CELLS):
             cc = rgb[i, j].astype(int)
             x = -r + j * step
             y = -r + i * step
@@ -173,7 +174,7 @@ def domain_coloring_svg(pm: PoincareMap, r: float, cells: int = 64) -> str:
                 f'<rect x="{x:.6e}" y="{y:.6e}" width="{step:.6e}" '
                 f'height="{step:.6e}" fill="#{cc[0]:02x}{cc[1]:02x}{cc[2]:02x}"/>\n'
             )
-    return _svg(800, 800, r, parts)
+    return _svg(r, parts)
 
 
 def siegel_scatter_svg(sm: SiegelMap, samples: int = 1500, seed: int = 7) -> str:
@@ -188,4 +189,4 @@ def siegel_scatter_svg(sm: SiegelMap, samples: int = 1500, seed: int = 7) -> str
                 f'<circle cx="{q.real:.6e}" cy="{-q.imag:.6e}" r="{dot:.6e}" '
                 f'fill="{fill}"/>\n'
             )
-    return _svg(800, 800, span, parts)
+    return _svg(span, parts)

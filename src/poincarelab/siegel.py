@@ -8,9 +8,9 @@ experiment consumes.  On W the map acts as a rigid rotation in linearizing
 coordinates, which is what makes the inverse iterates P^{-k} computable:
 P^{-k}(w) = h(lambda^{-k} h^{-1}(w)).
 
-For the parameter-family work the same recursion is applied to the q-fold
-composition at one cycle point (its local Taylor polynomial is composed
-numerically), giving a periodic Siegel disk's linearizer.
+For the parameter-family work the same recursion, run along the chain of
+the q quadratic steps of a Siegel cycle, linearizes the q-fold composition
+at one cycle point: a periodic Siegel disk's linearizer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._linearize import conjugacy_coeffs
-from .dyncore import QuadMap
+from .dyncore import QuadMap, newton_lanes
 from .errors import BadParams, NoConvergence, OutOfDomain
 from .series import (
     TruncatedSeries,
@@ -34,7 +34,6 @@ from .series import (
 )
 
 H_INV_NEWTON_ITERS = 50
-H_INV_TOL = 1e-12
 RESIDUAL_SCAN_THRESHOLD = 1e-8
 SUB_FRACTION = 0.5  # W = h(D_{SUB_FRACTION * R_hat})
 
@@ -118,8 +117,7 @@ def siegel_coefficients(qmap: QuadMap, N: int) -> TruncatedSeries:
         raise BadParams("lambda must lie on the unit circle")
     if N < 1:
         raise BadParams("N must be >= 1")
-    b = conjugacy_coeffs(np.array([0.0, lam, 1.0], dtype=complex), N)
-    return make_series(b)
+    return make_series(conjugacy_coeffs([lam], N))
 
 
 def _residual_on_circle(series, center, lam, forward, r, n_angles=128):
@@ -218,38 +216,22 @@ def build_siegel_map(angle: RotationAngle, N: int = 64) -> SiegelMap:
     return _assemble(angle, qmap, series, angle.lam, 0j, 1, est, resid)
 
 
-def cycle_local_poly(qmap: QuadMap, zeta: complex, q: int) -> np.ndarray:
-    """Taylor coefficients of P^q(zeta+u) - zeta in u, by polynomial composition."""
-    if qmap.kind != "c":
-        raise BadParams("cycle linearization implemented for c-form maps")
-    c = qmap.param
-    p = np.array([zeta, 1.0], dtype=complex)
-    for _ in range(q):
-        p = np.convolve(p, p)
-        p[0] += c
-    if abs(p[0] - zeta) > 1e-8 * (1.0 + abs(zeta)):
-        raise BadParams(f"point {zeta} is not period-{q} (residual {abs(p[0]-zeta):.2e})")
-    p[0] = 0.0
-    return p
-
-
 def build_cycle_siegel_map(
     qmap: QuadMap,
     cycle,
     angle: RotationAngle,
     N: int = 64,
 ) -> SiegelMap:
-    """Linearize the q-fold composition at one point of a Siegel cycle."""
-    zeta = complex(cycle.points[0])
-    q = int(cycle.period)
-    local = cycle_local_poly(qmap, zeta, q)
-    lam = complex(local[1])
+    """Linearize the q-fold composition at the first point of a Siegel
+    cycle, as the chain of the q quadratic steps along the cycle.  lam is
+    the cycle's multiplier, the product of the steps' slopes in cycle order."""
+    lam = complex(cycle.multiplier)
     if abs(abs(lam) - 1.0) > 1e-6:
         raise BadParams(f"cycle multiplier |{lam}| = {abs(lam)} is not on the unit circle")
-    b = conjugacy_coeffs(local, N)
-    series = make_series(b)
-    est, resid = _radius_and_residual(series, zeta, lam, _power(qmap, q))
-    return _assemble(angle, qmap, series, lam, zeta, q, est, resid)
+    series = make_series(conjugacy_coeffs([qmap.deriv(p) for p in cycle.points], N))
+    zeta = complex(cycle.points[0])
+    est, resid = _radius_and_residual(series, zeta, lam, _power(qmap, cycle.period))
+    return _assemble(angle, qmap, series, lam, zeta, cycle.period, est, resid)
 
 
 def h_eval(sm: SiegelMap, z):
@@ -265,37 +247,25 @@ def h_eval(sm: SiegelMap, z):
     return sm.center_value + horner_unchecked(sm.series_h.coeffs, z)
 
 
+# an overflowing lane fails alone and raises OutOfDomain; warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def h_inverse_many(sm: SiegelMap, w) -> np.ndarray:
-    """h^{-1} for an array of points, by Newton on every lane at once.
+    """h^{-1} for an array of points, by dyncore.newton_lanes on every lane
+    at once, each seeded at w - center pulled into D_{0.95 R_hat}.
 
-    OutOfDomain when some lane does not settle to H_INV_TOL (1 + |w|) within
-    H_INV_NEWTON_ITERS steps, or settles outside the sub-Siegel disk: from
-    inside the disk every lane settles well within that budget."""
+    OutOfDomain when some lane fails within H_INV_NEWTON_ITERS steps, or
+    settles outside the sub-Siegel disk: from inside the disk every lane
+    settles well within that budget."""
     w = np.asarray(w, dtype=complex)
-    target = w - sm.center_value
-    u = target.copy()
+    seed = w - sm.center_value
     cap = 0.95 * sm.radius_hat
-    big = np.abs(u) > cap
-    u[big] *= cap / np.abs(u[big])
-    live = np.ones(len(w), dtype=bool)
-    for _ in range(H_INV_NEWTON_ITERS):
-        if not np.any(live):
-            break
-        ul = u[live]
-        g = horner_unchecked(sm.series_h.coeffs, ul) - target[live]
-        done = np.abs(g) < H_INV_TOL * (1.0 + np.abs(w[live]))
-        dg = horner_unchecked(sm.series_dh.coeffs, ul)
-        step = np.where(done | (np.abs(dg) < 1e-14), 0.0, g / np.where(dg == 0, 1.0, dg))
-        un = ul - step
-        au = np.abs(un)
-        clamp = 1.2 * sm.radius_hat
-        over = au > clamp
-        un[over] *= clamp / au[over]
-        u[live] = un
-        idx = np.flatnonzero(live)
-        live[idx[done]] = False
-    if np.any(live):
-        raise OutOfDomain(f"Newton for h^-1 did not settle for {np.count_nonzero(live)} points")
+    big = np.abs(seed) > cap
+    seed[big] *= cap / np.abs(seed[big])
+    u, ok = newton_lanes(lambda u: sm.center_value + horner_unchecked(sm.series_h.coeffs, u),
+                         lambda u: horner_unchecked(sm.series_dh.coeffs, u),
+                         w, seed, H_INV_NEWTON_ITERS)
+    if not np.all(ok):
+        raise OutOfDomain(f"Newton for h^-1 did not settle for {np.count_nonzero(~ok)} points")
     bound = sm.sub_fraction * sm.radius_hat
     worst = float(np.max(np.abs(u), initial=0.0))
     if worst > bound * (1.0 + 1e-6):

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from poincarelab import (
@@ -11,6 +12,7 @@ from poincarelab import (
     order_from_multiplier,
     repelling_fixed_point,
 )
+from poincarelab.dyncore import newton_lanes
 from poincarelab.errors import BadParams, NotRepelling
 
 
@@ -116,3 +118,23 @@ def test_order_rejects_non_repelling():
 def test_quadmap_bad_kind():
     with pytest.raises(BadParams):
         QuadMap(kind="cubic", param=1j)
+
+
+def test_newton_lanes_rules():
+    """z^2 = target lane by lane: a converging lane, a lane at the critical
+    point (derivative floor), a NaN lane and a lane that needs more steps
+    than it is given each keep to their own outcome."""
+    square = (lambda z: z * z, lambda z: 2.0 * z)
+    target = np.array([4.0, 4.0, 4.0, 1e40])
+    seed = np.array([1.0, 0.0, complex(math.nan, 0.0), 1.0])
+    with np.errstate(invalid="ignore"):
+        z, ok = newton_lanes(*square, target, seed, 20)
+    assert ok.tolist() == [True, False, False, False]
+    assert abs(z[0] - 2.0) <= 1e-12 * 5.0
+    assert z[1] == 0.0
+    for i in (0, 1, 3):
+        zi, oki = newton_lanes(*square, target[i], seed[i], 20)
+        assert zi.tobytes() == z[i:i + 1].tobytes() and oki[0] == ok[i]
+    # a step that does not lower the residual is halved until it does
+    z, ok = newton_lanes(*square, 4.0, 100.0, 60)
+    assert ok[0] and abs(z[0] - 2.0) <= 1e-12 * 5.0

@@ -36,6 +36,23 @@ def test_spherical_derivative_rejects_non_finite_points(ev, z):
             lw.spherical_derivative(ev, z)
 
 
+@pytest.mark.parametrize("ev", [
+    lw.iterate_evaluator(-1, 3), lw.monomial_evaluator(4), lw.coeff_evaluator([1.0, 0.0, 2.0]),
+], ids=["iterate", "monomial", "coeff"])
+def test_evaluator_rejects_non_finite_lanes(ev):
+    """A batch with a NaN or infinite lane raises BadParams, and numpy warns
+    of nothing first; finite lanes evaluate as before."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([math.nan, math.inf], [0.5, complex(0.0, -math.inf)],
+                    [complex(math.nan, 0.0), 0.25j]):
+            with pytest.raises(BadParams):
+                ev(np.array(bad, dtype=complex))
+        z = np.array([0.5, 0.25j, -0.3 + 0.1j])
+        for got, want in zip(ev(z), ev.fn(z)):
+            assert np.array_equal(got, want)
+
+
 def test_monomial_and_coeff_evaluators_agree():
     n = 5
     a = lw.monomial_evaluator(n)

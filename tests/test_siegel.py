@@ -1,11 +1,13 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from poincarelab import QuadMap, find_cycle
-from poincarelab.chebfamily import family_angle
+from poincarelab._linearize import conjugacy_coeffs, resubstitution_residuals
+from poincarelab.chebfamily import family_angle, find_multiplier_param, find_superattracting
 from poincarelab.errors import BadParams, OutOfDomain, ResonantAngle
 from poincarelab.series import horner_unchecked
 from poincarelab.siegel import (
@@ -13,7 +15,6 @@ from poincarelab.siegel import (
     build_cycle_siegel_map,
     build_siegel_map,
     conjugacy_residual,
-    cycle_local_poly,
     h_eval,
     h_inverse,
     h_inverse_many,
@@ -24,6 +25,20 @@ from poincarelab.siegel import (
 )
 
 GAMMA_GOLD = (math.sqrt(5) - 1) / 2
+
+
+def cycle_local_poly(qmap, zeta, q):
+    """Reference for the cycle linearizer: Taylor coefficients of
+    P^q(zeta+u) - zeta in u, by composing the polynomial q times (degree
+    2^q)."""
+    c = qmap.param
+    p = np.array([zeta, 1.0], dtype=complex)
+    for _ in range(q):
+        p = np.convolve(p, p)
+        p[0] += c
+    assert abs(p[0] - zeta) <= 1e-8 * (1.0 + abs(zeta)), "not a period-q point"
+    p[0] = 0.0
+    return p
 
 
 def scalar_h_inverse(sm, w):
@@ -163,6 +178,16 @@ def test_h_inverse_domain(which, request):
             h_inverse_many(sm, np.concatenate([ws[:8], ws_bad[:1]]))
 
 
+def test_h_inverse_outside_raises_without_warnings(golden_siegel):
+    """Lanes far outside the disk overflow in the series and fail; the call
+    raises OutOfDomain and numpy warns of nothing first."""
+    ws = np.array([2.5, 40.0j, -1e3, 1e30 + 1e30j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomain):
+            h_inverse_many(golden_siegel, ws)
+
+
 def test_h_eval_domain_bound(golden_siegel):
     bad = 1.01 * golden_siegel.sub_fraction * golden_siegel.radius_hat
     with pytest.raises(OutOfDomain):
@@ -249,6 +274,40 @@ def test_cycle_local_poly_matches_composition():
         for a in poly[::-1]:
             horner = horner * u + a
         assert abs(horner - direct) < 1e-10 * (1 + abs(direct))
+
+
+@pytest.fixture(scope="module")
+def family_siegel_cycles():
+    """{q: (map, cycle)} for the Siegel cycles of `chebyshev --q 1,...,8`,
+    found by family_report's walk from one superattracting center to the
+    next."""
+    lam = family_angle().lam
+    out, prev = {}, 0.25
+    for q in range(1, 9):
+        bracket = (-2.0 + 1e-9, prev - (prev + 2.0) / 4.0 if q > 1 else 0.25)
+        sup = find_superattracting(q, bracket)
+        sie = find_multiplier_param(q, lam, sup.c)
+        out[q] = (QuadMap(kind="c", param=sie.c), sie.cycle)
+        prev = float(sup.c.real)
+    return out
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_cycle_chain_solves_composed_equations(q, family_siegel_cycles):
+    """At the Siegel cycles of the Chebyshev family, the chain of q quadratic
+    steps gives coefficients that solve the equations of the composed
+    polynomial P^q (truncated to the series length, which drops only terms
+    of valuation > N).  Both sides are rescaled by z -> 2^e z, an exact
+    change of variable, so that the coefficients are of order one."""
+    N = 64
+    qm, cycle = family_siegel_cycles[q]
+    b = conjugacy_coeffs([qm.deriv(p) for p in cycle.points], N)
+    local = cycle_local_poly(qm, cycle.points[0], q)[: N + 1]
+    scale = 2.0 ** round(math.log2(abs(b[N]) ** (-1.0 / (N - 1))))
+    n = np.arange(N + 1)
+    res = resubstitution_residuals(local * scale ** (n[: local.size] - 1.0),
+                                   b * scale ** (n - 1.0))
+    assert np.max(res) <= 1e-12
 
 
 def test_build_cycle_siegel_map_fixed_point_case(golden_angle):

@@ -5,12 +5,12 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 33 invocations that cover every subcommand, each
-target set and each branch of the file writers, a failed run included.
+`src`).  RUNS lists 35 invocations that cover every subcommand, each
+target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
-stdout carries no absolute path; the stdout goes to `stdout.txt` and the
-exit code to `exit_code.txt` beside them.  Snapshots of two trees are
+stdout carries no absolute path; the stdout goes to `stdout.txt`, the
+stderr to `stderr.txt` and the exit code to `exit_code.txt` beside them.  Snapshots of two trees are
 byte-identical exactly when `diff -r OUT_A OUT_B` prints nothing.  All runs
 together take under a minute on a 2-vCPU machine.
 """
@@ -28,8 +28,10 @@ RUNS = [
     ("poincare_golden", ["poincare", "--lambda-gamma", "golden", "--terms", "128"]),
     ("poincare_no_map", ["poincare"]),
     ("poincare_overflow_eval", ["poincare", "--c", "-2,0", "--eval", "1e300,0"]),
+    ("poincare_terms_1024", ["poincare", "--c", "-1.5,0.3", "--terms", "1024"]),
     ("siegel_golden", ["siegel", "--lambda-gamma", "golden"]),
     ("siegel_gamma", ["siegel", "--lambda-gamma", "0.38297", "--terms", "128"]),
+    ("siegel_terms_1024", ["siegel", "--lambda-gamma", "golden", "--terms", "1024"]),
     ("siegel_both_maps", ["siegel", "--lambda-gamma", "golden", "--c", "1,1"]),
     ("preimages_golden", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
                           "--r", "200", "--kmax", "10", "--set", "powerlaw"]),
@@ -85,9 +87,10 @@ def main(argv=None) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         proc = subprocess.run(
             [sys.executable, "-m", "poincarelab", *args, "--out-dir", "."],
-            cwd=run_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            cwd=run_dir, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         (run_dir / "stdout.txt").write_bytes(proc.stdout)
+        (run_dir / "stderr.txt").write_bytes(proc.stderr)
         (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
         print(f"{name}: exit {proc.returncode}")
     print(f"{len(RUNS)} runs in {time.perf_counter() - start:.1f} s")
