@@ -20,11 +20,14 @@ the tail certificate (truncation) and the majorant sum |a_n| r^n
 smaller of the two bounds; see conditioning_radius.
 
 poincare_eval and poincare_derivative_eval take a complex number or an array
-of independent lanes.  Lanes are grouped by pullback depth and every lane is
-computed by the same numpy operations whatever the array around it, so a
-lane's value does not depend on the batch it was evaluated in.  An array call
-marks a lane whose pullback overflows with NaN and leaves the other lanes
-alone; a scalar call evaluates one lane and raises OverflowSentinel instead.
+of independent lanes; a complex number is evaluated as a 1-element array.
+Lanes are grouped by pullback depth, the series of f (and of f') is
+evaluated once over the scaled lanes of every depth, and each group then
+runs its own map steps.  Every lane is computed by the same numpy operations
+whatever the array around it, so a lane's value does not depend on the batch
+it was evaluated in.  An array call marks a lane whose pullback overflows
+with NaN and leaves the other lanes alone; a scalar call evaluates one lane
+and raises OverflowSentinel instead.
 """
 
 from __future__ import annotations
@@ -155,18 +158,31 @@ def _pullback(pm: PoincareMap, z: np.ndarray, depths: np.ndarray, derivative: bo
     """(f, f', ok) on a 1-D array of lanes, each pulled back through its own
     depth; f' is None unless derivative.  A lane that is not finite, or
     whose iterate or derivative passes OVERFLOW_BOUND, gets ok False and NaN
-    values."""
+    values.
+
+    The finite lanes are gathered depth by depth, and each depth-k group's
+    z / mu^k is written into its slice of one buffer, so the series of f
+    (and of f') is evaluated once over all depths; each group then runs its
+    k map steps on its own slice of the values."""
     f = np.full(z.shape, complex(math.nan, math.nan))
     df = f.copy() if derivative else None
     ok = np.zeros(z.shape, dtype=bool)
     live = np.isfinite(z)
+    zk = np.empty(np.count_nonzero(live), dtype=complex)
+    groups, lo = [], 0
     # the depths present, ascending (np.unique would hash them)
     for k in np.flatnonzero(np.bincount(depths[live])):
         idx = np.flatnonzero(live & (depths == k))
-        scale = pm.mu ** int(k)
-        zk = z[idx] / scale
-        u = series_eval(pm.series_f, zk)
-        d = series_eval(pm.series_df, zk) / scale if derivative else None
+        scale, part = pm.mu ** int(k), slice(lo, lo + idx.size)
+        np.divide(z[idx], scale, out=zk[part])
+        groups.append((k, idx, scale, part))
+        lo = part.stop
+    u_all = series_eval(pm.series_f, zk)
+    d_all = series_eval(pm.series_df, zk) if derivative else None
+    del zk  # free before the map steps allocate theirs
+    for k, idx, scale, part in groups:
+        u = u_all[part]
+        d = d_all[part] / scale if derivative else None
         good = np.ones(idx.size, dtype=bool)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(k):

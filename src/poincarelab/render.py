@@ -76,10 +76,7 @@ def _siegel_scatter(sm: SiegelMap, samples: int, seed: int, n_boundary: int):
     holds both)."""
     pts = sub_siegel_sample(sm, samples, seed)
     theta = np.arange(n_boundary) * (math.tau / n_boundary)
-    boundary = np.array([
-        h_eval(sm, sm.sub_fraction * sm.radius_hat * complex(math.cos(t), math.sin(t)))
-        for t in theta
-    ])
+    boundary = h_eval(sm, sm.sub_fraction * sm.radius_hat * np.exp(1j * theta))
     span = 1.3 * float(np.max(np.abs(np.concatenate([pts, boundary]) - sm.center_value))) + 1e-12
     return pts, boundary, span
 

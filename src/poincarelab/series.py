@@ -212,8 +212,12 @@ def horner_unchecked(coeffs: np.ndarray, dz):
     array, with one exception that the code steers around: numpy rounds an
     in-place complex multiply of a single element differently from a longer
     one, so an input of one lane, and a final block of one lane, take that
-    out-of-place loop.  A lane's value therefore does not depend on the
-    batch it is evaluated in."""
+    out-of-place loop.  A lane of an array therefore gets the same bits
+    whatever array it is evaluated in, a 1-element array included.  A 0-d
+    input (a Python complex or a numpy scalar) is not such a lane: it goes
+    through numpy's scalar arithmetic, which can round differently in the
+    last bits, so a caller that wants a point's batched bits passes it as a
+    1-element array."""
     lanes = np.asarray(dz, dtype=complex)
     if lanes.size <= 1:
         return _horner_out_of_place(coeffs, dz)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab import QuadMap
 from poincarelab import poincare as pc
@@ -107,6 +109,57 @@ def test_pullback_depth_groups_with_gaps(cheb_poincare):
     f_ref, df_ref = unique_depth_pullback(pm, z, depths)
     assert ok.all()
     assert f.tobytes() == f_ref.tobytes() and df.tobytes() == df_ref.tobytes()
+
+
+_SPECIAL_LANES = [complex(math.nan, math.nan), complex(math.inf, 0.0),
+                  complex(math.nan, 1.0), complex(-math.inf, math.inf), 1e20 + 0j]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(golden=st.booleans(), seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       extra=st.one_of(st.none(), st.integers(0, 2)))
+def test_fused_pullback_lanes_match_one_lane_calls(golden, seed, n, extra,
+                                                   golden_poincare, cheb_poincare):
+    """One series evaluation over all depths gives every lane the bits of
+    its own one-lane call, NaN lanes included, at natural or forced depth."""
+    pm = golden_poincare if golden else cheb_poincare
+    rng = np.random.default_rng(seed)
+    # one lane at each of the depths 0..3, n more up to depth 10, where
+    # both maps overflow, then the non-finite and overflowing lanes
+    expo = np.concatenate([np.arange(4) - 0.5, rng.uniform(-2.0, 10.0, n)])
+    z = pm.r0 * abs(pm.mu) ** expo * np.exp(2j * np.pi * rng.random(expo.size))
+    z = rng.permutation(np.concatenate([z, _SPECIAL_LANES]))
+    depths = pullback_depths(pm, np.abs(z))
+    assert np.unique(depths[np.isfinite(z)]).size >= 4
+    depth = None if extra is None else int(depths.max()) + extra
+    f = poincare_eval(pm, z, depth)
+    df = poincare_derivative_eval(pm, z, depth)
+    one_f = np.concatenate([poincare_eval(pm, z[i:i + 1], depth) for i in range(z.size)])
+    one_df = np.concatenate([poincare_derivative_eval(pm, z[i:i + 1], depth)
+                             for i in range(z.size)])
+    assert np.array_equal(np.isnan(f), np.isnan(one_f)) and np.isnan(f).any()
+    assert f.tobytes() == one_f.tobytes() and df.tobytes() == one_df.tobytes()
+
+
+def test_pullback_evaluates_each_series_once(monkeypatch, golden_poincare):
+    pm = golden_poincare
+    calls, series_eval = [], pc.series_eval
+
+    def counting(s, z):
+        calls.append(s)
+        return series_eval(s, z)
+
+    monkeypatch.setattr(pc, "series_eval", counting)
+    z = pm.r0 * abs(pm.mu) ** (np.arange(7) - 0.5) * np.exp(1j * np.arange(7))
+    assert pullback_depths(pm, np.abs(z)).tolist() == list(range(7))
+    for depth in (None, 9):
+        for lanes in (z, z[3]):
+            calls.clear()
+            poincare_eval(pm, lanes, depth)
+            assert len(calls) == 1 and calls[0] is pm.series_f
+            calls.clear()
+            poincare_derivative_eval(pm, lanes, depth)
+            assert len(calls) == 2 and calls[0] is pm.series_f and calls[1] is pm.series_df
 
 
 def test_cancellation_limited_accuracy_near_negative_axis(cheb_poincare):

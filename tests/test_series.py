@@ -94,6 +94,18 @@ def test_blocked_horner_every_lane_alone(monkeypatch):
             assert horner_unchecked(coeffs, z[i:i + 1]).tobytes() == got[i:i + 1].tobytes()
 
 
+def test_one_lane_array_is_the_batched_lane():
+    """A 1-element array gets its lane's bits in a batch; a 0-d input goes
+    through numpy's scalar arithmetic and is only close to them."""
+    coeffs = _lanes(RNG, 257) / 2.0 ** np.arange(257)
+    z = 1.5 * np.exp(1j * np.arange(720) * (math.tau / 720))
+    batch = horner_unchecked(coeffs, z)
+    for i in range(z.size):
+        assert horner_unchecked(coeffs, z[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+        alone = complex(horner_unchecked(coeffs, complex(z[i])))
+        assert abs(alone - batch[i]) <= 1e-14 * (1.0 + abs(batch[i]))
+
+
 def test_blocked_horner_keeps_shapes():
     coeffs = _lanes(RNG, 9)
     for z in (_lanes(RNG, 2 * _BLOCK + 1).reshape(1, -1),

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from poincarelab import QuadMap, find_cycle
+from poincarelab import siegel
 from poincarelab._linearize import conjugacy_coeffs, resubstitution_residuals
 from poincarelab.chebfamily import family_angle, find_multiplier_param, find_superattracting
 from poincarelab.errors import BadParams, OutOfDomain, ResonantAngle
-from poincarelab.series import horner_unchecked
+from poincarelab.series import horner_unchecked, make_series
 from poincarelab.siegel import (
     RotationAngle,
     build_cycle_siegel_map,
@@ -308,6 +309,80 @@ def test_cycle_chain_solves_composed_equations(q, family_siegel_cycles):
     res = resubstitution_residuals(local * scale ** (n[: local.size] - 1.0),
                                    b * scale ** (n - 1.0))
     assert np.max(res) <= 1e-12
+
+
+def circle_residual(series, center, lam, forward, r, n_angles=128):
+    """Reference for the batched scan: the worst residual on one circle,
+    with two Horner calls of its own (inf when some residual is not
+    finite)."""
+    theta = np.arange(n_angles) * (math.tau / n_angles)
+    z = r * np.exp(1j * theta)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = center + horner_unchecked(series.coeffs, z)
+        lhs = forward(h)
+        rhs = center + horner_unchecked(series.coeffs, lam * z)
+        rel = np.abs(lhs - rhs) / (1.0 + np.abs(rhs))
+    return float(np.max(rel)) if np.all(np.isfinite(rel)) else math.inf
+
+
+def scan_radii(series):
+    return siegel_radius_estimate(series).root_estimate * np.geomspace(0.05, 1.5, 48)
+
+
+def check_batched_scan(series, center, lam, forward):
+    """The batched residuals equal the per-circle ones on every circle, and
+    the scan's radius is the last circle before the first that fails,
+    found circle by circle; no numpy warning on the way."""
+    radii = scan_radii(series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = siegel._circle_residuals(series, center, lam, forward, radii)
+        est = siegel_radius_estimate(series, forward=forward, lam=lam, center=center)
+    want = np.array([circle_residual(series, center, lam, forward, r) for r in radii])
+    assert rows.tobytes() == want.tobytes()
+    passed = -1
+    for i, residual in enumerate(want):
+        if not residual < siegel.RESIDUAL_SCAN_THRESHOLD:
+            break
+        passed = i
+    assert est.residual_estimate == (float(radii[passed]) if passed >= 0 else 0.0)
+    return rows, est
+
+
+@pytest.mark.parametrize("gamma,N", [(GAMMA_GOLD, 64), (GAMMA_GOLD, 256), (0.38297, 128)])
+def test_batched_scan_matches_circle_loop(gamma, N):
+    qm = QuadMap(kind="lambda", param=RotationAngle(gamma).lam)
+    check_batched_scan(siegel_coefficients(qm, N), 0j, qm.param, qm)
+
+
+@pytest.mark.parametrize("q", range(2, 9))
+def test_batched_scan_matches_circle_loop_on_cycles(q, family_siegel_cycles):
+    qm, cycle = family_siegel_cycles[q]
+    series = make_series(conjugacy_coeffs([qm.deriv(p) for p in cycle.points], 64))
+    check_batched_scan(series, complex(cycle.points[0]), complex(cycle.multiplier),
+                       siegel._power(qm, q))
+
+
+@pytest.mark.parametrize("bad", [1e-6, math.nan])
+def test_batched_scan_ends_at_first_failed_circle(bad, golden_angle):
+    """Break the conjugacy on circle 10 alone (its |h| band is disjoint
+    from its neighbours'): the scan stops there although later circles
+    pass, and a NaN residual fails its circle as inf."""
+    qm = QuadMap(kind="lambda", param=golden_angle.lam)
+    series = siegel_coefficients(qm, 256)
+    theta = np.arange(128) * (math.tau / 128)
+    band = np.abs(horner_unchecked(series.coeffs, scan_radii(series)[10] * np.exp(1j * theta)))
+    lo, hi = band.min(), band.max()
+
+    def forward(h):
+        a = np.abs(h)
+        return np.where((a >= lo) & (a <= hi), qm(h) + bad, qm(h))
+
+    rows, est = check_batched_scan(series, 0j, qm.param, forward)
+    assert np.all(rows[:10] < siegel.RESIDUAL_SCAN_THRESHOLD)
+    assert rows[10] == math.inf if math.isnan(bad) else 1e-8 < rows[10] < math.inf
+    assert np.all(rows[11:20] < siegel.RESIDUAL_SCAN_THRESHOLD)
+    assert est.residual_estimate == float(scan_radii(series)[9])
 
 
 def test_build_cycle_siegel_map_fixed_point_case(golden_angle):

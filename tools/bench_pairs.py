@@ -17,9 +17,15 @@ The output file holds, for every workload and end-to-end metric of the
 change tree's BENCHMARK.json: each side's values in pair order, median and
 quartiles (statistics.quantiles, inclusive method), the number of pairs in
 which the change did better, and the median gap against the parent's
-quartile distance; per workload, whether every run was correct and how many
-operations failed; and the seeds, the run order and the machine (nproc,
-CPU, Python, numpy and scipy versions).  Nothing in either tree is written.
+quartile distance.  Beside `setup_s` and `solve_s`, which are
+reference-speed seconds, it keeps the same statistics of each run's wall
+medians (`setup_wall_median_s` and `solve_wall_median_s` of the workload's
+`env` line): the probe that corrects for the host's speed shares the cache
+with the work, so a change that alters cache state should be judged on
+both.  Per workload it also records whether every run was correct and how
+many operations failed; and the seeds, the run order and the machine
+(nproc, CPU, Python, numpy and scipy versions).  Nothing in either tree is
+written.
 """
 
 from __future__ import annotations
@@ -32,8 +38,12 @@ import sys
 from pathlib import Path
 
 
+WALL = {"setup_s": "setup_wall_median_s", "solve_s": "solve_wall_median_s"}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float):
-    """(results by workload, env records) of one perfbench run in tree."""
+    """(results by workload, env records by workload) of one perfbench run
+    in tree."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -44,12 +54,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float):
     last = json.loads(lines[-1])
     results = last if workload == "all" else {workload: last}
     envs = [json.loads(line[4:]) for line in lines if line.startswith("env ")]
-    return results, envs
+    return results, {e["workload"]: e for e in envs}
 
 
 def summary(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": med, "q1": q1, "q3": q3}
+
+
+def compare(vals: dict, lower: bool) -> dict:
+    """Both sides' summaries of one metric, the change's wins and its median
+    gap against the parent's quartile distance."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(vals["parent"], vals["change"]))
+    parent, change = summary(vals["parent"]), summary(vals["change"])
+    return {
+        "parent": parent, "change": change, "change_wins": wins,
+        "median_rel_change": change["median"] / parent["median"] - 1.0,
+        "median_gap": abs(change["median"] - parent["median"]),
+        "parent_iqr": parent["q3"] - parent["q1"],
+    }
 
 
 def main(argv=None) -> int:
@@ -68,6 +91,7 @@ def main(argv=None) -> int:
     declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
+    walls = {"parent": [], "change": []}
     order, seeds, env = [], [], {}
     for i in range(args.pairs):
         seed = args.seeds[i % len(args.seeds)]
@@ -75,7 +99,8 @@ def main(argv=None) -> int:
         for side in first:
             results, envs = run_once(sides[side], args.workload, seed, args.seconds)
             runs[side].append(results)
-            env.setdefault(side, envs[0])
+            walls[side].append(envs)
+            env.setdefault(side, next(iter(envs.values())))
             print(f"pair {i} seed {seed} {side}: " + ", ".join(
                 f"{w} {r['metrics']['solve_s']['value']:.4g}" for w, r in results.items()),
                 flush=True)
@@ -89,19 +114,13 @@ def main(argv=None) -> int:
             name = m["name"]
             vals = {side: [r[w]["metrics"][name]["value"] for r in runs[side]]
                     for side in sides}
-            lower = m["better"] == "lower"
-            wins = sum((c < p) if lower else (c > p)
-                       for p, c in zip(vals["parent"], vals["change"]))
-            parent, change = summary(vals["parent"]), summary(vals["change"])
-            metrics[name] = {
-                "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-                "parent": parent, "change": change, "change_wins": wins,
-                "median_rel_change": change["median"] / parent["median"] - 1.0,
-                "median_gap": abs(change["median"] - parent["median"]),
-                "parent_iqr": parent["q3"] - parent["q1"],
-            }
+            metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                             **compare(vals, m["better"] == "lower")}
+        wall = {key: compare({side: [e[w][key] for e in walls[side]] for side in sides}, True)
+                for key in WALL.values()}
         workloads[w] = {
             "metrics": metrics,
+            "wall_medians": wall,
             "all_correct": all(r[w]["correct"] for side in sides for r in runs[side]),
             "failed_operations": sum(r[w]["failed"] for side in sides for r in runs[side]),
         }
@@ -116,9 +135,14 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     for w, data in workloads.items():
         for name, m in data["metrics"].items():
-            print(f"{w:11s} {name:12s} {m['parent']['median']:10.4g} -> "
-                  f"{m['change']['median']:10.4g} ({m['median_rel_change']:+.1%}), "
-                  f"change better in {m['change_wins']}/{args.pairs}")
+            line = (f"{w:11s} {name:12s} {m['parent']['median']:10.4g} -> "
+                    f"{m['change']['median']:10.4g} ({m['median_rel_change']:+.1%}), "
+                    f"change better in {m['change_wins']}/{args.pairs}")
+            if name in WALL:
+                wm = data["wall_medians"][WALL[name]]
+                line += (f"; wall {wm['parent']['median']:.4g} -> {wm['change']['median']:.4g} "
+                         f"({wm['median_rel_change']:+.1%}), better in {wm['change_wins']}")
+            print(line)
     return 0
 
 
