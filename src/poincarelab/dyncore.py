@@ -16,6 +16,8 @@ All map evaluation accepts numpy arrays transparently.
 Also here: find_cycle, the scalar Newton for periodic points, and
 newton_lanes, the damped lane-wise Newton that inverts both the Poincare
 function (preimage.newton_solve) and the Siegel linearizer (h_inverse_many).
+It takes one callable giving the function and its derivative together, and
+makes at most two batched calls of it per round.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import numpy as np
 from .errors import BadParams, NoConvergence, NotRepelling
 
 NEWTON_TOL = 1e-12
+# the step lengths newton_lanes tries: 1, 1/2, ..., 2^-39
+_STEP_LENGTHS = np.ldexp(1.0, -np.arange(40))
 
 
 @dataclass(frozen=True)
@@ -149,47 +153,58 @@ def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
     raise NoConvergence(f"cycle Newton did not converge from seed {seed}")
 
 
-def newton_lanes(F, dF, target, seed, iters: int):
+def newton_lanes(FdF, target, seed, iters: int):
     """Damped Newton on F(z) = target, lane by lane: (z, ok) arrays.
 
-    F and dF map an array of lanes to the values of the function and of its
-    derivative; target and seed broadcast to one array of lanes.  Per lane:
-    stop once |F(z) - target| <= NEWTON_TOL (1 + |target|), within iters
-    iterations; each step z - t (F(z) - target)/F'(z) takes the first t in
-    1, 1/2, ..., 2^-39 that lowers the residual.  A lane fails (ok False)
-    when F' drops below 1e-14, when no t lowers the residual (a stall), when
-    the iterations run out, or when an evaluation gives NaN (an overflow);
-    its z is then the last iterate."""
+    FdF maps a 1-D array of lanes to the pair (F, F') of arrays of the
+    function's values and derivatives; target and seed broadcast to one
+    array of lanes.  Per lane: stop once |F(z) - target| <= NEWTON_TOL
+    (1 + |target|), within iters iterations; each step
+    z - t (F(z) - target)/F'(z) takes the first t in 1, 1/2, ..., 2^-39 that
+    lowers the residual.  A lane fails (ok False) when F' drops below 1e-14,
+    when no t lowers the residual (a stall), when the iterations run out, or
+    when an evaluation at or before the t it would take gives NaN (an
+    overflow); its z is then the last iterate.
+
+    A round makes at most two FdF calls: one at t = 1 over the live lanes,
+    then one over all the halved t of the lanes that t = 1 did not help, as
+    a (lanes, 39) array whose candidates past a lane's first lowering t are
+    not used.  F' at the point a step lands on is kept for the next round.
+    The outcome is the same as trying one t after the other."""
     target, z = np.broadcast_arrays(np.asarray(target, dtype=complex),
                                     np.asarray(seed, dtype=complex))
     target, z = target.reshape(-1).copy(), z.reshape(-1).copy()
     tol = NEWTON_TOL * (1.0 + np.abs(target))
-    f = F(z)
+    f, d = FdF(z)
     res = np.abs(f - target)
     failed = np.isnan(res)
     for _ in range(iters):
         live = np.flatnonzero(~failed & ~(res <= tol))
         if live.size == 0:
             break
-        d = dF(z[live])
-        usable = np.abs(d) >= 1e-14  # False for an overflowed (NaN) lane too
+        usable = np.abs(d[live]) >= 1e-14  # False for an overflowed (NaN) lane too
         failed[live[~usable]] = True
-        live, d = live[usable], d[usable]
-        step = (f[live] - target[live]) / d
-        t = 1.0
-        for _ in range(40):
+        live = live[usable]
+        step = (f[live] - target[live]) / d[live]
+        for lengths in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):
             if live.size == 0:
                 break
-            cand = z[live] - t * step
-            f_cand = F(cand)
-            res_cand = np.abs(f_cand - target[live])
-            better = res_cand < res[live]
-            took = live[better]
-            z[took], f[took], res[took] = cand[better], f_cand[better], res_cand[better]
-            failed[live[np.isnan(res_cand)]] = True
-            keep = ~better & ~np.isnan(res_cand)
+            cand = z[live, None] - lengths * step[:, None]
+            f_cand, d_cand = (v.reshape(cand.shape) for v in FdF(cand.reshape(-1)))
+            res_cand = np.abs(f_cand - target[live, None])
+            better = res_cand < res[live, None]
+            nan = np.isnan(res_cand)
+            first = np.argmax(better, axis=1)
+            first_nan = np.where(nan.any(axis=1), np.argmax(nan, axis=1), lengths.size)
+            # a lane takes its first lowering t unless a NaN came first,
+            # and fails on a NaN that came first
+            took = better.any(axis=1) & (first < first_nan)
+            lanes, rows, cols = live[took], np.flatnonzero(took), first[took]
+            z[lanes], f[lanes], d[lanes], res[lanes] = (
+                cand[rows, cols], f_cand[rows, cols], d_cand[rows, cols], res_cand[rows, cols])
+            failed[live[~took & (first_nan < lengths.size)]] = True
+            keep = ~took & (first_nan == lengths.size)
             live, step = live[keep], step[keep]
-            t *= 0.5
         failed[live] = True  # stalled: no step length lowered the residual
     return z, ~failed & (res <= tol)
 

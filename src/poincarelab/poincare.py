@@ -21,6 +21,8 @@ smaller of the two bounds; see conditioning_radius.
 
 poincare_eval and poincare_derivative_eval take a complex number or an array
 of independent lanes; a complex number is evaluated as a 1-element array.
+poincare_derivative_eval(..., with_value=True) gives f and f' from one
+pullback, for Newton solvers that need both at each point.
 Lanes are grouped by pullback depth, the series of f (and of f') is
 evaluated once over the scaled lanes of every depth, and each group then
 runs its own map steps.  Every lane is computed by the same numpy operations
@@ -242,13 +244,22 @@ def poincare_eval_many(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
     return f.reshape(np.shape(z))
 
 
-def poincare_derivative_eval(pm: PoincareMap, z, depth: int | None = None):
+def poincare_derivative_eval(pm: PoincareMap, z, depth: int | None = None, *,
+                             with_value: bool = False):
     """f'(z) by the chain rule through the pullback, for a complex z or an
-    array of lanes, with the lane rules of poincare_eval."""
-    _, df, ok = _lanes(pm, z, depth, derivative=True)
+    array of lanes, with the lane rules of poincare_eval.
+
+    With with_value the result is the pair (f(z), f'(z)) from the same
+    pullback, each with the bits of its own call.  A lane whose iterate or
+    derivative overflows gets NaN for both.  Empirically f alone decides:
+    along rays of the golden and z^2 - 2 maps, |f'| is 40 to 1000 times
+    below |f| where |f| reaches OVERFLOW_BOUND."""
+    f, df, ok = _lanes(pm, z, depth, derivative=True)
     if np.ndim(z) == 0:
-        return _one_lane(df, ok, z)
-    return df.reshape(np.shape(z))
+        d = _one_lane(df, ok, z)
+        return (complex(f[0]), d) if with_value else d
+    df = df.reshape(np.shape(z))
+    return (f.reshape(np.shape(z)), df) if with_value else df
 
 
 def _circle(pm: PoincareMap, r: float, n: int):

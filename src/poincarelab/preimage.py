@@ -15,7 +15,9 @@ the check never overflows.
 The solvers work on arrays of independent lanes, one (seed, target) pair
 each: newton_solve runs dyncore.newton_lanes, damped Newton on every lane at
 once with the step rules of a scalar solver applied per lane, and a lane
-that fails (overflow included) fails only itself.  find_base_preimage solves
+that fails (overflow included) fails only itself.  Each of its evaluations
+is one pullback that gives f and f' together, and a round tries all the
+halved steps of its lanes in one such call.  find_base_preimage solves
 its whole seed grid in one call, and branch_continue continues every point
 it is given along its own segment, with the segment parameter t as the
 outer loop.  The segments end at h^{-1}(w), from siegel.h_inverse_many,
@@ -88,16 +90,17 @@ class PreimageReport:
 def newton_solve(pm: PoincareMap, target, seed):
     """dyncore.newton_lanes on f(z) = target: (z, ok) arrays, one lane per
     broadcast (target, seed) pair; a lane whose evaluation overflows fails
-    alone."""
-    return newton_lanes(lambda z: poincare_eval(pm, z),
-                        lambda z: poincare_derivative_eval(pm, z),
+    alone.  Each evaluation is one pullback giving f and f' together."""
+    return newton_lanes(lambda z: poincare_derivative_eval(pm, z, with_value=True),
                         target, seed, NEWTON_ITERS)
 
 
 def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
     """Solve f(z) = Siegel center from a coarse polar grid over D_{20 r0},
     all 24 x 32 seeds in one newton_solve call; keep the smallest-modulus
-    solution (ties: smallest angle)."""
+    solution (ties: smallest angle).  The converged lanes, in seed order,
+    give the distinct roots: each lane not within 1e-6 (1 + |r|) of an
+    earlier root r is a new root."""
     if pm.map != sm.map:
         raise BadParams("Poincare and Siegel structures built from different maps")
     center = sm.center_value
@@ -108,13 +111,13 @@ def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
         moduli = np.geomspace(0.05 * grid_radius, grid_radius, _GRID_MODULI)
         seeds = (moduli[:, None] * unit).reshape(-1)  # modulus-major order
         zs, ok = newton_solve(pm, center, seeds)
+        zs = zs[ok]
+        zs = zs[np.abs(zs) >= 1e-12]  # f(0) = z0 is off-center by construction
         roots = []
-        for z in zs[ok]:
-            z = complex(z)
-            if abs(z) < 1e-12:
-                continue  # f(0) = z0 is off-center by construction
-            if all(abs(z - r) > 1e-6 * (1.0 + abs(r)) for r in roots):
-                roots.append(z)
+        while zs.size:
+            r = complex(zs[0])
+            roots.append(r)
+            zs = zs[1:][np.abs(zs[1:] - r) > 1e-6 * (1.0 + abs(r))]
         if roots:
             roots.sort(key=lambda z: (abs(z), math.atan2(z.imag, z.real) % math.tau))
             base = roots[0]

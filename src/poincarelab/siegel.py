@@ -254,7 +254,8 @@ def h_eval(sm: SiegelMap, z):
 @np.errstate(over="ignore", invalid="ignore")
 def h_inverse_many(sm: SiegelMap, w) -> np.ndarray:
     """h^{-1} for an array of points, by dyncore.newton_lanes on every lane
-    at once, each seeded at w - center pulled into D_{0.95 R_hat}.
+    at once, each seeded at w - center pulled into D_{0.95 R_hat}; each
+    evaluation gives h and h' from the two stored series.
 
     OutOfDomain when some lane fails within H_INV_NEWTON_ITERS steps, or
     settles outside the sub-Siegel disk: from inside the disk every lane
@@ -264,8 +265,8 @@ def h_inverse_many(sm: SiegelMap, w) -> np.ndarray:
     cap = 0.95 * sm.radius_hat
     big = np.abs(seed) > cap
     seed[big] *= cap / np.abs(seed[big])
-    u, ok = newton_lanes(lambda u: sm.center_value + horner_unchecked(sm.series_h.coeffs, u),
-                         lambda u: horner_unchecked(sm.series_dh.coeffs, u),
+    u, ok = newton_lanes(lambda u: (sm.center_value + horner_unchecked(sm.series_h.coeffs, u),
+                                    horner_unchecked(sm.series_dh.coeffs, u)),
                          w, seed, H_INV_NEWTON_ITERS)
     if not np.all(ok):
         raise OutOfDomain(f"Newton for h^-1 did not settle for {np.count_nonzero(~ok)} points")

@@ -139,6 +139,20 @@ def test_fused_pullback_lanes_match_one_lane_calls(golden, seed, n, extra,
                              for i in range(z.size)])
     assert np.array_equal(np.isnan(f), np.isnan(one_f)) and np.isnan(f).any()
     assert f.tobytes() == one_f.tobytes() and df.tobytes() == one_df.tobytes()
+    # with_value: the pair of the two calls from one pullback, for the array
+    # and for every lane as a scalar, where either call raises exactly when
+    # the fused call does
+    fv, dfv = poincare_derivative_eval(pm, z, depth, with_value=True)
+    assert fv.tobytes() == f.tobytes() and dfv.tobytes() == df.tobytes()
+    for zi in z.tolist():
+        try:
+            want = (poincare_eval(pm, zi, depth), poincare_derivative_eval(pm, zi, depth))
+        except OverflowSentinel:
+            with pytest.raises(OverflowSentinel):
+                poincare_derivative_eval(pm, zi, depth, with_value=True)
+            continue
+        got = poincare_derivative_eval(pm, zi, depth, with_value=True)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_pullback_evaluates_each_series_once(monkeypatch, golden_poincare):

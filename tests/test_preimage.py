@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from poincarelab import QuadMap
+from poincarelab import poincare as pc
+from poincarelab import preimage as pre
 from poincarelab.errors import BadParams
 from poincarelab.poincare import poincare_eval
 from poincarelab.preimage import (
@@ -74,6 +76,28 @@ def test_newton_overflow_fails_only_its_lane(cheb_poincare):
         assert abs(poincare_eval(cheb_poincare, complex(z[i])) - 3.0) <= 4e-12
         zi, _ = newton_solve(cheb_poincare, 3.0, seeds[i])
         assert zi[0] == z[i]
+
+
+def test_base_preimage_search_pullback_calls(monkeypatch, golden_branch,
+                                             golden_poincare, golden_siegel):
+    # each Newton round is at most two fused (f, f') pullbacks: one at the
+    # full step, one for all the halved steps of the lanes it did not help
+    calls, pullback = [], pc._pullback
+    monkeypatch.setattr(pc, "_pullback",
+                        lambda *args: calls.append(args[1].size) or pullback(*args))
+    ib = find_base_preimage(golden_poincare, golden_siegel)
+    assert ib.base_point == golden_branch.base_point
+    assert 0 < len(calls) <= 120
+
+
+def test_newton_solve_evaluates_f_with_f_prime(monkeypatch, golden_poincare, golden_siegel):
+    def refuse(*args, **kwargs):
+        raise AssertionError("newton_solve evaluated f without f'")
+
+    monkeypatch.setattr(pre, "poincare_eval", refuse)
+    seeds = golden_poincare.r0 * np.array([2.0, 9.0j, -15.0])
+    z, ok = newton_solve(golden_poincare, golden_siegel.center_value, seeds)
+    assert ok.any()
 
 
 def test_branch_continue_array_matches_elementwise(golden_branch, golden_siegel):

@@ -16,11 +16,23 @@ machine.  A run that exits nonzero stops the script.
 The output file holds, for every workload and end-to-end metric of the
 change tree's BENCHMARK.json: each side's values in pair order, median and
 quartiles (statistics.quantiles, inclusive method), the number of pairs in
-which the change did better, and the median gap against the parent's
-quartile distance.  Beside `setup_s` and `solve_s`, which are
-reference-speed seconds, it keeps the same statistics of each run's wall
-medians (`setup_wall_median_s` and `solve_wall_median_s` of the workload's
-`env` line): the probe that corrects for the host's speed shares the cache
+which the change did better, the median gap against the parent's
+quartile distance, and a verdict, printed beside the medians:
+
+    unresolved  the parent's quartile distance exceeds the metric's bound
+                (relative to the parent's median), so the runs cannot
+                tell a move within the bound from noise;
+    regression  the change's median is worse than the parent's by more
+                than the bound;
+    gain        the change did better in at least nine tenths of the
+                pairs, and its median is better by more than the
+                parent's quartile distance;
+    none        none of these.
+
+Beside `setup_s` and `solve_s`, which are reference-speed seconds, it
+keeps the same statistics of each run's wall medians
+(`setup_wall_median_s` and `solve_wall_median_s` of the workload's `env`
+line): the probe that corrects for the host's speed shares the cache
 with the work, so a change that alters cache state should be judged on
 both.  Per workload it also records whether every run was correct and how
 many operations failed; and the seeds, the run order and the machine
@@ -75,6 +87,19 @@ def compare(vals: dict, lower: bool) -> dict:
     }
 
 
+def verdict(m: dict, pairs: int) -> str:
+    """unresolved, regression, gain or none for one metric's comparison
+    (the first that applies, in that order)."""
+    worse = m["median_rel_change"] if m["better"] == "lower" else -m["median_rel_change"]
+    if m["parent_iqr"] > m["bound"] * abs(m["parent"]["median"]):
+        return "unresolved"
+    if worse > m["bound"]:
+        return "regression"
+    if 10 * m["change_wins"] >= 9 * pairs and worse < 0 and m["median_gap"] > m["parent_iqr"]:
+        return "gain"
+    return "none"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", type=Path)
@@ -116,6 +141,7 @@ def main(argv=None) -> int:
                     for side in sides}
             metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                              **compare(vals, m["better"] == "lower")}
+            metrics[name]["verdict"] = verdict(metrics[name], args.pairs)
         wall = {key: compare({side: [e[w][key] for e in walls[side]] for side in sides}, True)
                 for key in WALL.values()}
         workloads[w] = {
@@ -136,8 +162,8 @@ def main(argv=None) -> int:
     for w, data in workloads.items():
         for name, m in data["metrics"].items():
             line = (f"{w:11s} {name:12s} {m['parent']['median']:10.4g} -> "
-                    f"{m['change']['median']:10.4g} ({m['median_rel_change']:+.1%}), "
-                    f"change better in {m['change_wins']}/{args.pairs}")
+                    f"{m['change']['median']:10.4g} ({m['median_rel_change']:+.1%}) "
+                    f"{m['verdict']}, change better in {m['change_wins']}/{args.pairs}")
             if name in WALL:
                 wm = data["wall_medians"][WALL[name]]
                 line += (f"; wall {wm['parent']['median']:.4g} -> {wm['change']['median']:.4g} "
