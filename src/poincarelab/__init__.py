@@ -5,8 +5,6 @@ from .dyncore import (
     Cycle,
     QuadMap,
     find_cycle,
-    fixed_points,
-    multiplier_at,
     order_from_multiplier,
     repelling_fixed_point,
 )
@@ -19,7 +17,6 @@ from .errors import (
     NoConvergence,
     NoSignChange,
     NotFound,
-    NotInvertible,
     NotRepelling,
     OutOfDomain,
     OutOfSafeRadius,
@@ -32,8 +29,6 @@ from .series import (
     make_series,
     series_derivative,
     series_eval,
-    series_from_json,
-    series_reversion,
     series_to_json,
 )
 from .siegel import (
@@ -65,8 +60,6 @@ from .sets import (
     make_empty_set,
     make_powerlaw_set,
     make_sector_set,
-    set_from_json,
-    set_to_json,
 )
 from .preimage import (
     InverseBranch,
@@ -110,26 +103,23 @@ __all__ = [
     "BadParams", "ContinuationLost", "Cycle", "CycleCollision",
     "ExceptionalReport", "FamilyReport", "InsufficientData", "IntegralEstimate",
     "InverseBranch", "NoCertificate", "NoConvergence", "NoSignChange",
-    "NotFound", "NotInvertible", "NotRepelling", "OutOfDomain",
-    "OutOfSafeRadius", "OverflowSentinel", "PoincareLabError", "PoincareMap",
-    "PreimageReport", "QuadMap", "ResonantAngle", "RotationAngle", "SetModel",
-    "SiegelMap", "TruncatedSeries", "argument_principle_count",
-    "build_cycle_siegel_map", "build_poincare_map", "build_preimage_report",
-    "build_siegel_map", "certified_bound", "check_functional_equation",
-    "cs_bound", "density_estimate", "disk_integral", "exceptional_count",
+    "NotFound", "NotRepelling", "OutOfDomain", "OutOfSafeRadius",
+    "OverflowSentinel", "PoincareLabError", "PoincareMap", "PreimageReport",
+    "QuadMap", "ResonantAngle", "RotationAngle", "SetModel", "SiegelMap",
+    "TruncatedSeries", "argument_principle_count", "build_cycle_siegel_map",
+    "build_poincare_map", "build_preimage_report", "build_siegel_map",
+    "certified_bound", "check_functional_equation", "cs_bound",
+    "density_estimate", "disk_integral", "exceptional_count",
     "exceptional_survey", "exponent_fit", "family_angle", "family_report",
     "find_base_preimage", "find_cycle", "find_multiplier_param",
-    "find_superattracting", "fixed_points", "h_eval", "h_inverse",
-    "iterate_evaluator", "multiplier_at",
-    "iterate_family_integrals", "koebe_density_transfer",
-    "log_growth_table",
+    "find_superattracting", "h_eval", "h_inverse", "iterate_evaluator",
+    "iterate_family_integrals", "koebe_density_transfer", "log_growth_table",
     "log_modulus_eval", "make_custom_set", "make_empty_set",
-    "make_powerlaw_set", "make_sector_set", "monomial_evaluator",
+    "make_powerlaw_set", "make_sector_set", "make_series", "monomial_evaluator",
     "monomial_integral_oracle", "orbit_preimages", "order_estimate",
     "order_from_multiplier", "p_inverse_on_disk", "poincare_coefficients",
     "poincare_eval", "poincare_eval_many", "repelling_fixed_data",
     "repelling_fixed_point", "series_derivative", "series_eval",
-    "series_from_json", "series_reversion", "series_to_json",
-    "set_from_json", "set_to_json", "siegel_radius_estimate",
-    "spherical_derivative", "sub_siegel_sample", "verify_orbit_point",
+    "series_to_json", "siegel_radius_estimate", "spherical_derivative",
+    "sub_siegel_sample", "verify_orbit_point",
 ]

@@ -65,6 +65,13 @@ def _angle_from_flag(text: str) -> RotationAngle:
     return RotationAngle(g)
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise BadParams(f"{flag} takes comma-separated integers, got {text!r}")
+
+
 def _build_map(args):
     """(QuadMap, RotationAngle | None) from --lambda-gamma / --c flags."""
     lg = getattr(args, "lambda_gamma", None)
@@ -204,6 +211,8 @@ def cmd_littlewood(args):
         estimates = littlewood.iterate_family_integrals(c, args.nmax, args.tol)
         label = f"iterates of z^2 + ({c})"
     else:  # monomials, the only other choice
+        if args.nmax < 0:
+            raise BadParams(f"--nmax must be >= 0 for monomials, got {args.nmax}")
         degrees = [2**j for j in range(0, args.nmax + 1)]
         estimates = [
             littlewood.disk_integral(littlewood.monomial_evaluator(n), tol=args.tol)
@@ -232,9 +241,9 @@ def cmd_littlewood(args):
 
 
 def cmd_chebyshev(args):
-    q_list = [int(x) for x in args.q.split(",") if x]
+    q_list = _int_list(args.q, "--q")
     if args.gamma_cf:
-        cf = [int(x) for x in args.gamma_cf.split(",") if x]
+        cf = _int_list(args.gamma_cf, "--gamma-cf")
         angle = RotationAngle.from_cf(cf)
     else:
         angle = chebfamily.family_angle()
@@ -301,6 +310,8 @@ def cmd_density(args):
 def cmd_render(args):
     if args.r is not None and not (0.0 < args.r < math.inf):
         raise BadParams(f"--r must be positive and finite, got {args.r}")
+    if args.size < 1:
+        raise BadParams(f"--size must be >= 1, got {args.size}")
     fmt = Path(args.out).suffix.lower()
     if fmt not in (".ppm", ".svg"):
         raise BadParams(f"unknown image format {fmt!r}; use .ppm or .svg")

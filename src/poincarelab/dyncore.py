@@ -68,23 +68,6 @@ class QuadMap:
         return 2.0 * z
 
 
-def fixed_points(qmap: QuadMap) -> tuple[complex, complex]:
-    """Both finite fixed points.
-
-    lambda form: (0, 1-lambda).  c form: ((1+s)/2, (1-s)/2) with s the
-    principal square root of 1-4c.  A double fixed point is returned twice.
-    """
-    if qmap.kind == "lambda":
-        return 0.0 + 0.0j, 1.0 - qmap.param
-    s = cmath.sqrt(1.0 - 4.0 * qmap.param)
-    return (1.0 + s) / 2.0, (1.0 - s) / 2.0
-
-
-def multiplier_at(qmap: QuadMap, z: complex) -> complex:
-    """Derivative of the map at a point (the multiplier when z is periodic)."""
-    return complex(qmap.deriv(z))
-
-
 @dataclass(frozen=True)
 class Cycle:
     """A period-q orbit: points[i+1] = P(points[i]), with its multiplier."""
@@ -229,7 +212,7 @@ def repelling_fixed_point(qmap: QuadMap) -> tuple[complex, complex]:
         z = 1.0 - qmap.param
     else:
         z = (1.0 + cmath.sqrt(1.0 - 4.0 * qmap.param)) / 2.0
-    mu = multiplier_at(qmap, z)
+    mu = complex(qmap.deriv(z))
     if abs(mu) <= 1.0:
         raise NotRepelling(f"fixed point {z} has |mu| = {abs(mu)} <= 1")
     return z, mu

@@ -26,10 +26,6 @@ class OutOfSafeRadius(PoincareLabError):
     """A series was evaluated outside its certified disk."""
 
 
-class NotInvertible(PoincareLabError):
-    """Series reversion needs a nonzero linear coefficient."""
-
-
 class ResonantAngle(PoincareLabError):
     """A rotation number hit a small divisor below the resonance threshold."""
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linearize import conjugacy_coeffs
-from .dyncore import QuadMap, multiplier_at, order_from_multiplier, repelling_fixed_point
+from .dyncore import QuadMap, order_from_multiplier, repelling_fixed_point
 from .errors import BadParams, NotRepelling, OverflowSentinel
 from .series import TruncatedSeries, log_bisect, make_series, series_derivative, series_eval
 
@@ -78,7 +78,7 @@ def poincare_coefficients(qmap: QuadMap, z0: complex, N: int) -> TruncatedSeries
         raise BadParams("N must be >= 1")
     if abs(qmap(z0) - z0) > 1e-9 * (1.0 + abs(z0)):
         raise BadParams(f"{z0} is not a fixed point of the map")
-    mu = multiplier_at(qmap, z0)
+    mu = complex(qmap.deriv(z0))
     if abs(mu) <= 1.0:
         raise NotRepelling(f"|mu| = {abs(mu)} <= 1 at z0 = {z0}")
     coeffs = conjugacy_coeffs([mu], N)
@@ -200,15 +200,10 @@ def _pullback(pm: PoincareMap, z: np.ndarray, depths: np.ndarray, derivative: bo
     return f, df, ok
 
 
-def _lanes(pm: PoincareMap, z, depth: int | None, derivative: bool):
-    """The lanes of z, flattened, evaluated at their own or a forced depth."""
+def _lanes(pm: PoincareMap, z, derivative: bool):
+    """The lanes of z, flattened, each evaluated at its own depth."""
     lanes = np.asarray(z, dtype=complex).reshape(-1)
-    depths = pullback_depths(pm, np.abs(lanes))
-    if depth is not None:
-        if np.any(depths > int(depth)):
-            raise BadParams("forced depth too small for |z|")
-        depths = np.full_like(depths, int(depth))
-    return _pullback(pm, lanes, depths, derivative)
+    return _pullback(pm, lanes, pullback_depths(pm, np.abs(lanes)), derivative)
 
 
 def _one_lane(values, ok, z) -> complex:
@@ -220,14 +215,13 @@ def _one_lane(values, ok, z) -> complex:
     return complex(values[0])
 
 
-def poincare_eval(pm: PoincareMap, z, depth: int | None = None):
+def poincare_eval(pm: PoincareMap, z):
     """f(z) anywhere in the plane, for a complex z or an array of lanes.
 
-    Each lane is pulled back through its own depth (normally chosen
-    automatically; forcing a larger depth is allowed and must not change the
-    value).  An array call returns one value per lane, NaN where the
-    pullback overflowed; a scalar call raises OverflowSentinel there."""
-    f, _, ok = _lanes(pm, z, depth, derivative=False)
+    Each lane is pulled back through its own depth.  An array call returns
+    one value per lane, NaN where the pullback overflowed; a scalar call
+    raises OverflowSentinel there."""
+    f, _, ok = _lanes(pm, z, derivative=False)
     if np.ndim(z) == 0:
         return _one_lane(f, ok, z)
     return f.reshape(np.shape(z))
@@ -236,7 +230,7 @@ def poincare_eval(pm: PoincareMap, z, depth: int | None = None):
 def poincare_eval_many(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
     """Vector evaluation, grouping points by pullback depth; OverflowSentinel
     if any point overflows."""
-    f, _, ok = _lanes(pm, z, None, derivative=False)
+    f, _, ok = _lanes(pm, z, derivative=False)
     if not np.all(ok):
         raise OverflowSentinel(
             "iterate exceeded 1e290; use log_modulus_eval for growth queries"
@@ -244,8 +238,7 @@ def poincare_eval_many(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
     return f.reshape(np.shape(z))
 
 
-def poincare_derivative_eval(pm: PoincareMap, z, depth: int | None = None, *,
-                             with_value: bool = False):
+def poincare_derivative_eval(pm: PoincareMap, z, *, with_value: bool = False):
     """f'(z) by the chain rule through the pullback, for a complex z or an
     array of lanes, with the lane rules of poincare_eval.
 
@@ -254,7 +247,7 @@ def poincare_derivative_eval(pm: PoincareMap, z, depth: int | None = None, *,
     derivative overflows gets NaN for both.  Empirically f alone decides:
     along rays of the golden and z^2 - 2 maps, |f'| is 40 to 1000 times
     below |f| where |f| reaches OVERFLOW_BOUND."""
-    f, df, ok = _lanes(pm, z, depth, derivative=True)
+    f, df, ok = _lanes(pm, z, derivative=True)
     if np.ndim(z) == 0:
         d = _one_lane(df, ok, z)
         return (complex(f[0]), d) if with_value else d
@@ -262,14 +255,14 @@ def poincare_derivative_eval(pm: PoincareMap, z, depth: int | None = None, *,
     return (f.reshape(np.shape(z)), df) if with_value else df
 
 
-def _circle(pm: PoincareMap, r: float, n: int):
+def _circle(r: float, n: int):
     theta = np.arange(n) * (math.tau / n)
     return r * np.exp(1j * theta)
 
 
 def eval_on_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES):
     """(z, f(z), f'(z)) on |z|=r, all at the circle's common pullback depth."""
-    z = _circle(pm, r, n)
+    z = _circle(r, n)
     depths = np.full(z.shape, pullback_depth(pm, r))
     f, df, ok = _pullback(pm, z, depths, derivative=True)
     if not np.all(ok):
@@ -302,7 +295,7 @@ def _log_modulus(pm: PoincareMap, z: np.ndarray, k: int) -> np.ndarray:
 
 def log_modulus_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES) -> np.ndarray:
     """log|f| on |z|=r with the overflow-safe doubling path."""
-    return _log_modulus(pm, _circle(pm, r, n), pullback_depth(pm, r))
+    return _log_modulus(pm, _circle(r, n), pullback_depth(pm, r))
 
 
 def log_modulus_eval(pm: PoincareMap, z: complex) -> float:
@@ -330,7 +323,7 @@ def check_functional_equation(pm: PoincareMap, radii=None, n: int = 256):
     worst_abs = 0.0
     sup_f = 0.0
     for r in radii:
-        z = _circle(pm, r, n)
+        z = _circle(r, n)
         fz = poincare_eval_many(pm, z)
         fmz = poincare_eval_many(pm, pm.mu * z)
         resid = np.abs(pm.map(fz) - fmz)

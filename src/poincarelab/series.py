@@ -1,7 +1,7 @@
-"""Truncated power series with estimated safe-evaluation radii.
+"""Truncated power series about 0 with estimated safe-evaluation radii.
 
 A TruncatedSeries is a coefficient list plus a disk on which evaluating the
-truncation is estimated to be within tail_eps of the underlying function.
+truncation is estimated to be within TAIL_EPS of the underlying function.
 The tail "certificate" is an empirical geometric majorant, not a proof: it
 is built from the observable part of the tail, taking the last nonzero
 coefficient a_M and assuming that the unseen tail obeys
@@ -10,63 +10,43 @@ coefficient a_M and assuming that the unseen tail obeys
     q = max( largest of the last 8 stepwise coefficient ratios,
              root-test growth rate over the last quarter of coefficients ),
 
-and the radius solves  T(r) = |a_M| * r**M * q*r / (1 - q*r) = tail_eps  by
+and the radius solves  T(r) = |a_M| * r**M * q*r / (1 - q*r) = TAIL_EPS  by
 bisection in log r (T increases with r).  Nothing bounds the unseen
 coefficients, so a series whose tail grows faster than the observed rate
 breaks the bound.  Siegel series have irregular ratios (small divisors),
-which is why the root test is folded in; when some observed ratio exceeds 1
-the certificate carries irregular=True.
+which is why the root test is folded in.
 
-Exact polynomials are a separate regime: their tail is genuinely zero, so
-construction with exact=True (and the degenerate top-half-zero detection in
-safe_radius_estimate) yields the +inf sentinel instead of a certificate.
+The radius is +inf only for a degenerate list: a constant, or one of at
+least 16 coefficients whose top half is identically zero.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams, NotInvertible, OutOfSafeRadius
+from .errors import BadParams, OutOfSafeRadius
 from .serialize import json_text
 
-DEFAULT_TAIL_EPS = 1e-16
+TAIL_EPS = 1e-16
 _RADIUS_SLACK = 1.0 + 1e-12  # evaluation boundary tolerance
 _HORNER_BLOCK = 1 << 15  # lanes per in-place Horner block (512 KB, stays in L2)
 
 
 @dataclass(frozen=True)
-class RadiusCertificate:
-    """Result of a tail-bound analysis on a coefficient list."""
-
-    safe_radius: float
-    root_radius: float
-    ratio: float  # geometric majorant rate q (0 when degenerate)
-    degenerate: bool  # tail identically zero (polynomial)
-    irregular: bool  # some of the last-8 ratios exceed 1
-
-
-@dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients about `center` and the radius inside which evaluation is
+    """Coefficients about 0 and the radius inside which evaluation is
     trusted: safe_radius comes from the empirical geometric majorant of the
-    module docstring (an estimate, not a proof), or is +inf for an exact
-    polynomial."""
+    module docstring (an estimate, not a proof)."""
 
-    center: complex
-    coeffs: np.ndarray  # coeffs[n] multiplies (z - center)**n
+    coeffs: np.ndarray  # coeffs[n] multiplies z**n
     safe_radius: float
-    tail_eps: float
 
     def __post_init__(self):
         if len(self.coeffs) == 0:
             raise BadParams("series needs at least one coefficient")
-
-    def __call__(self, z):
-        return series_eval(self, z)
 
 
 def root_test_rate(a: np.ndarray, nz: np.ndarray) -> float:
@@ -79,33 +59,27 @@ def root_test_rate(a: np.ndarray, nz: np.ndarray) -> float:
     return float(np.max(a[ks] ** (1.0 / ks)))
 
 
-def _certificate(coeffs: np.ndarray, eps: float) -> RadiusCertificate:
+def _safe_radius(coeffs: np.ndarray, eps: float) -> float:
+    """The radius at which the tail majorant of the module docstring
+    reaches eps; +inf for a degenerate list."""
     a = np.abs(np.asarray(coeffs, dtype=complex))
     n = len(a)
     nz = np.flatnonzero(a > 0.0)
     if len(nz) == 0 or nz[-1] == 0:
         # constant (or zero): nothing past degree 0, evaluate anywhere
-        return RadiusCertificate(math.inf, math.inf, 0.0, True, False)
+        return math.inf
     M = int(nz[-1])
     if n >= 16 and M < n // 2:
-        # top half identically zero: treat as an exact polynomial
-        return RadiusCertificate(math.inf, math.inf, 0.0, True, False)
-
-    root_rate = root_test_rate(a, nz)
-    root_radius = math.inf if root_rate == 0.0 else 1.0 / root_rate
+        # top half identically zero: the list is a polynomial
+        return math.inf
 
     # stepwise ratios between consecutive nonzero coefficients (last 8)
     support = nz[nz >= 1]
-    step_rates = []
-    for i, j in zip(support[:-1], support[1:]):
-        step_rates.append((a[j] / a[i]) ** (1.0 / (j - i)))
-    step_rates = step_rates[-8:]
-    ratio_rate = max(step_rates) if step_rates else 0.0
-    irregular = any(rate > 1.0 for rate in step_rates)
-
-    q = max(ratio_rate, root_rate)
+    step_rates = [(a[j] / a[i]) ** (1.0 / (j - i))
+                  for i, j in zip(support[:-1], support[1:])][-8:]
+    q = max(max(step_rates, default=0.0), root_test_rate(a, nz))
     if q == 0.0:
-        return RadiusCertificate(math.inf, root_radius, 0.0, True, False)
+        return math.inf
 
     log_am = math.log(a[M])
     log_eps = math.log(eps)
@@ -116,17 +90,14 @@ def _certificate(coeffs: np.ndarray, eps: float) -> RadiusCertificate:
     hi = (1.0 - 1e-12) / q
     if log_tail_minus_eps(hi) <= 0.0:
         # tail below eps on the whole majorant disk (a_M far below trend)
-        safe = hi
-    else:
-        lo_r = hi * 1e-12
-        # widen downward until the tail is below eps at the left end
-        while log_tail_minus_eps(lo_r) > 0.0 and lo_r > 1e-280:
-            lo_r *= 1e-12
-        if log_tail_minus_eps(lo_r) > 0.0:
-            safe = lo_r  # pathological growth; only a token disk is certified
-        else:
-            safe = log_bisect(lambda r: log_tail_minus_eps(r) <= 0.0, lo_r, hi)
-    return RadiusCertificate(safe, root_radius, float(q), False, irregular)
+        return hi
+    lo_r = hi * 1e-12
+    # widen downward until the tail is below eps at the left end
+    while log_tail_minus_eps(lo_r) > 0.0 and lo_r > 1e-280:
+        lo_r *= 1e-12
+    if log_tail_minus_eps(lo_r) > 0.0:
+        return lo_r  # pathological growth; only a token disk is certified
+    return log_bisect(lambda r: log_tail_minus_eps(r) <= 0.0, lo_r, hi)
 
 
 def log_bisect(holds, lo: float, hi: float) -> float:
@@ -145,62 +116,34 @@ def log_bisect(holds, lo: float, hi: float) -> float:
     return math.exp(llo)
 
 
-def make_series(
-    coeffs,
-    center: complex = 0.0,
-    tail_eps: float = DEFAULT_TAIL_EPS,
-    exact: bool = False,
-) -> TruncatedSeries:
+def make_series(coeffs) -> TruncatedSeries:
     """Build a TruncatedSeries with a safe radius from the empirical tail
-    majorant (an estimate, not a proof), unless exact=True.
-
-    exact=True declares the coefficient list to BE the function (a
-    polynomial), so evaluation is allowed everywhere.
-    """
+    majorant (an estimate, not a proof)."""
     arr = np.array(coeffs, dtype=complex)
-    if exact:
-        return TruncatedSeries(complex(center), arr, math.inf, float(tail_eps))
-    cert = _certificate(arr, tail_eps)
-    return TruncatedSeries(complex(center), arr, cert.safe_radius, float(tail_eps))
-
-
-def safe_radius_estimate(coeffs, eps: float) -> RadiusCertificate:
-    """Tail "certificate" for a coefficient list (needs >= 16 coefficients).
-
-    safe_radius solves |a_M| r^M (q r)/(1-q r) = eps for the majorant rate q
-    described in the module docstring; the majorant is fitted to the observed
-    coefficients, so the radius is an empirical estimate, not a proof.
-    root_radius is 1/max |a_k|^{1/k} over the last quarter. A zero tail (top
-    half of the list identically zero) returns the +inf sentinel with
-    degenerate=True.
-    """
-    if len(coeffs) < 16:
-        raise BadParams("safe_radius_estimate needs at least 16 coefficients")
-    if eps <= 0:
-        raise BadParams("eps must be positive")
-    return _certificate(np.asarray(coeffs, dtype=complex), eps)
+    return TruncatedSeries(arr, _safe_radius(arr, TAIL_EPS))
 
 
 def series_eval(s: TruncatedSeries, z):
     """Horner evaluation; z may be scalar or ndarray. Refuses points outside
     the safe disk, whose radius is the empirical tail estimate (not a proof
-    that the truncation error stays below tail_eps)."""
-    dz = np.asarray(z, dtype=complex) - s.center
+    that the truncation error stays below TAIL_EPS).  A 0-d z is passed to
+    Horner as a numpy scalar, so it takes numpy's scalar arithmetic."""
+    x = np.asarray(z, dtype=complex)[()]
     if s.safe_radius != math.inf:
-        bad = np.abs(dz) > s.safe_radius * _RADIUS_SLACK
+        bad = np.abs(x) > s.safe_radius * _RADIUS_SLACK
         if np.any(bad):
-            worst = float(np.max(np.abs(dz)))
+            worst = float(np.max(np.abs(x)))
             raise OutOfSafeRadius(
-                f"|z - center| = {worst:.6g} exceeds safe radius {s.safe_radius:.6g}"
+                f"|z| = {worst:.6g} exceeds safe radius {s.safe_radius:.6g}"
             )
-    val = horner_unchecked(s.coeffs, dz)
+    val = horner_unchecked(s.coeffs, x)
     if np.ndim(z) == 0:
         return complex(val)
     return val
 
 
 def horner_unchecked(coeffs: np.ndarray, dz):
-    """Raw Horner on already-shifted arguments; no radius policing.
+    """Raw Horner; no radius policing.
 
     Internal diagnostics (radius scans) need values outside the certified
     disk; ordinary callers should use series_eval.
@@ -252,79 +195,17 @@ def series_derivative(s: TruncatedSeries) -> TruncatedSeries:
         d = np.zeros(1, dtype=complex)
     else:
         d = s.coeffs[1:] * np.arange(1, n)
-    exact = s.safe_radius == math.inf
-    return make_series(d, center=s.center, tail_eps=s.tail_eps, exact=exact)
-
-
-def _trunc_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    return np.convolve(a, b)[:n]
-
-
-def _trunc_compose(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
-    """outer(inner(w)) truncated to n coefficients; inner[0] must be 0."""
-    out = np.zeros(n, dtype=complex)
-    out[0] = outer[-1]
-    for k in range(len(outer) - 2, -1, -1):
-        out = _trunc_mul(out, inner[:n], n)
-        out[0] += outer[k]
-    return out
-
-
-def series_reversion(s: TruncatedSeries, terms: int) -> TruncatedSeries:
-    """Compositional inverse t with s(t(w)) = w + O(w^{terms+1}).
-
-    Requires coeffs[0] = 0 and coeffs[1] != 0 (relative to the center: s
-    maps its center to 0). Newton iteration on the composition doubles the
-    attained degree each pass. The result is centered at 0 and satisfies
-    t(0) = s.center.
-    """
-    a = np.asarray(s.coeffs, dtype=complex)
-    if abs(a[0]) > 1e-14:
-        raise BadParams("reversion needs a series with zero constant term")
-    if len(a) < 2 or a[1] == 0:
-        raise NotInvertible("reversion needs a nonzero linear coefficient")
-    if terms < 1:
-        raise BadParams("terms must be >= 1")
-
-    n = terms + 1
-    da = a[1:] * np.arange(1, len(a))  # s'
-    t = np.zeros(2, dtype=complex)
-    t[1] = 1.0 / a[1]
-    deg = 1
-    while deg < terms:
-        deg = min(2 * deg, terms)
-        m = deg + 1
-        tt = np.zeros(m, dtype=complex)
-        tt[: len(t)] = t[:m]
-        comp = _trunc_compose(a, tt, m)  # s(t)
-        comp[1] -= 1.0  # s(t) - id
-        dcomp = _trunc_compose(da, tt, m)  # s'(t)
-        # invert s'(t): leading term a1 != 0
-        inv = np.zeros(m, dtype=complex)
-        inv[0] = 1.0 / dcomp[0]
-        for k in range(1, m):
-            inv[k] = -inv[0] * np.dot(dcomp[1 : k + 1], inv[k - 1 :: -1][: k])
-        t = tt - _trunc_mul(comp, inv, m)
-    t = t[:n]
-    coeffs = t.copy()
-    coeffs[0] = s.center
-    return make_series(coeffs, center=0.0, tail_eps=s.tail_eps,
-                       exact=s.safe_radius == math.inf)
+    return make_series(d)
 
 
 def series_to_json(s: TruncatedSeries, provenance: dict | None = None) -> str:
+    """The series as JSON.  Every series is about 0 with tail TAIL_EPS; the
+    "center" and "tail_eps" fields keep the file format of the series
+    records written before."""
     return json_text({
-        "center": complex(s.center),
+        "center": 0j,
         "coeffs": [complex(c) for c in s.coeffs],
         "safe_radius": s.safe_radius,
-        "tail_eps": s.tail_eps,
+        "tail_eps": TAIL_EPS,
         "provenance": provenance or {},
     })
-
-
-def series_from_json(text: str) -> tuple[TruncatedSeries, dict]:
-    doc = json.loads(text)
-    center = complex(doc["center"][0], doc["center"][1])
-    coeffs = np.array([complex(re, im) for re, im in doc["coeffs"]], dtype=complex)
-    s = TruncatedSeries(center, coeffs, float(doc["safe_radius"]), float(doc["tail_eps"]))
-    return s, doc.get("provenance", {})

@@ -19,7 +19,6 @@ one-sided safe no matter how the rejection sampling goes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,7 +26,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadParams, NoCertificate
-from .serialize import json_text
 
 SAMPLE_BLOCK = 1 << 16
 _PACK_TRIES = 200
@@ -275,19 +273,3 @@ def density_estimate(S: SetModel, r: float, samples: int, seed: int) -> DensityE
 def set_payload(S: SetModel) -> dict:
     C, delta = S.certificate if S.certificate is not None else (None, None)
     return {"kind": S.kind, "C": C, "delta": delta, "seed": S.seed}
-
-
-def set_to_json(S: SetModel) -> str:
-    return json_text(set_payload(S))
-
-
-def set_from_json(text: str) -> SetModel:
-    d = json.loads(text)
-    kind = d.get("kind")
-    if kind == "Empty":
-        return make_empty_set()
-    if kind == "PowerLawDisks":
-        return make_powerlaw_set(d["C"], d["delta"], d["seed"])
-    if kind == "AnnularSectors":
-        return make_sector_set(d["C"], d["delta"])
-    raise BadParams(f"cannot rebuild set of kind {kind!r} from JSON")

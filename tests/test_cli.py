@@ -52,6 +52,19 @@ def test_usage_errors_exit_2(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["chebyshev", "--q", "a"],
+    ["chebyshev", "--q", "1", "--gamma-cf", "x"],
+    ["littlewood", "--family", "monomials", "--nmax", "-1"],
+    ["render", "--what", "domain", "--size", "-5", "--out", "x.ppm"],
+    ["render", "--what", "domain", "--size", "0", "--out", "x.ppm"],
+], ids=["q", "gamma-cf", "monomials-nmax", "size-negative", "size-zero"])
+def test_malformed_flags_exit_2(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("BadParams: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_poincare_flat_family_eval(tmp_path, capsys):
     code = run(tmp_path, "poincare", "--c", "-2,0", "--eval", "25,0")
     assert code == 0

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from poincarelab import (
     QuadMap,
     find_cycle,
-    fixed_points,
-    multiplier_at,
     order_from_multiplier,
     repelling_fixed_point,
 )
@@ -22,19 +20,20 @@ from poincarelab.errors import BadParams, NotRepelling
 def test_lambda_form_fixed_points():
     lam = 0.3 + 0.4j
     qm = QuadMap(kind="lambda", param=lam)
-    z1, z2 = fixed_points(qm)
-    assert z1 == 0
+    assert qm(0) == 0 and qm.deriv(0) == lam
+    z2, mu = repelling_fixed_point(qm)
     assert abs(z2 - (1 - lam)) < 1e-15
-    assert abs(multiplier_at(qm, 0)) == abs(lam)
-    assert abs(multiplier_at(qm, z2) - (2 - lam)) < 1e-14
+    assert abs(qm(z2) - z2) < 1e-15
+    assert abs(mu - (2 - lam)) < 1e-14
 
 
 def test_c_form_fixed_points_chebyshev():
+    # the fixed points of z^2 - 2 are the period-1 cycles -1 and 2
     qm = QuadMap(kind="c", param=-2 + 0j)
-    z1, z2 = fixed_points(qm)
-    pts = sorted([z1, z2], key=lambda z: z.real)
-    assert abs(pts[0] - (-1)) < 1e-15
-    assert abs(pts[1] - 2) < 1e-15
+    for seed, want in ((-0.8 + 0.1j, -1.0), (2.3 - 0.1j, 2.0)):
+        cyc = find_cycle(qm, 1, seed)
+        assert abs(cyc.points[0] - want) < 1e-15
+        assert abs(cyc.multiplier - 2.0 * want) < 1e-14
 
 
 def test_repelling_fixed_point_chebyshev():

@@ -27,3 +27,16 @@ def test_superattracting_search_needs_no_scipy():
     assert _loaded_scipy(
         "from poincarelab.chebfamily import find_superattracting; "
         "find_superattracting(3, (-1.79, -1.7))") == "[]"
+
+
+def test_all_lists_every_public_name():
+    """__all__ names exactly the public names that __init__ imports, so an
+    entry left behind by a deletion, or one never added, fails."""
+    import types
+
+    import poincarelab
+
+    bound = {name for name, value in vars(poincarelab).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(poincarelab.__all__) == len(set(poincarelab.__all__))
+    assert set(poincarelab.__all__) == bound

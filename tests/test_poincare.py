@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from poincarelab import QuadMap
 from poincarelab import poincare as pc
-from poincarelab.errors import BadParams, NotRepelling, OverflowSentinel
+from poincarelab.errors import BadParams, NotRepelling, OutOfSafeRadius, OverflowSentinel
 from poincarelab.poincare import (
     build_poincare_map,
     check_functional_equation,
@@ -24,6 +24,7 @@ from poincarelab.poincare import (
     pullback_depth,
     pullback_depths,
 )
+from poincarelab.series import series_eval
 
 
 def cosh_model(z: complex) -> complex:
@@ -88,8 +89,8 @@ def unique_depth_pullback(pm, z, depths):
     for k in np.unique(depths):
         idx = np.flatnonzero(depths == k)
         scale = pm.mu ** int(k)
-        u = pm.series_f(z[idx] / scale)
-        d = pm.series_df(z[idx] / scale) / scale
+        u = series_eval(pm.series_f, z[idx] / scale)
+        d = series_eval(pm.series_df, z[idx] / scale) / scale
         for _ in range(k):
             d = pm.map.deriv(u) * d
             u = pm.map(u)
@@ -121,7 +122,8 @@ _SPECIAL_LANES = [complex(math.nan, math.nan), complex(math.inf, 0.0),
 def test_fused_pullback_lanes_match_one_lane_calls(golden, seed, n, extra,
                                                    golden_poincare, cheb_poincare):
     """One series evaluation over all depths gives every lane the bits of
-    its own one-lane call, NaN lanes included, at natural or forced depth."""
+    its own one-lane call, NaN lanes included: at the lanes' own depths
+    through the public calls, or at one larger depth through _pullback."""
     pm = golden_poincare if golden else cheb_poincare
     rng = np.random.default_rng(seed)
     # one lane at each of the depths 0..3, n more up to depth 10, where
@@ -131,27 +133,34 @@ def test_fused_pullback_lanes_match_one_lane_calls(golden, seed, n, extra,
     z = rng.permutation(np.concatenate([z, _SPECIAL_LANES]))
     depths = pullback_depths(pm, np.abs(z))
     assert np.unique(depths[np.isfinite(z)]).size >= 4
-    depth = None if extra is None else int(depths.max()) + extra
-    f = poincare_eval(pm, z, depth)
-    df = poincare_derivative_eval(pm, z, depth)
-    one_f = np.concatenate([poincare_eval(pm, z[i:i + 1], depth) for i in range(z.size)])
-    one_df = np.concatenate([poincare_derivative_eval(pm, z[i:i + 1], depth)
-                             for i in range(z.size)])
+    if extra is None:
+        def pair(lanes):
+            return poincare_eval(pm, lanes), poincare_derivative_eval(pm, lanes)
+    else:
+        depth = int(depths.max()) + extra
+
+        def pair(lanes):
+            return pc._pullback(pm, lanes, np.full(lanes.shape, depth), derivative=True)[:2]
+    f, df = pair(z)
+    one = [pair(z[i:i + 1]) for i in range(z.size)]
+    one_f, one_df = (np.concatenate(v) for v in zip(*one))
     assert np.array_equal(np.isnan(f), np.isnan(one_f)) and np.isnan(f).any()
     assert f.tobytes() == one_f.tobytes() and df.tobytes() == one_df.tobytes()
+    if extra is not None:
+        return
     # with_value: the pair of the two calls from one pullback, for the array
     # and for every lane as a scalar, where either call raises exactly when
     # the fused call does
-    fv, dfv = poincare_derivative_eval(pm, z, depth, with_value=True)
+    fv, dfv = poincare_derivative_eval(pm, z, with_value=True)
     assert fv.tobytes() == f.tobytes() and dfv.tobytes() == df.tobytes()
     for zi in z.tolist():
         try:
-            want = (poincare_eval(pm, zi, depth), poincare_derivative_eval(pm, zi, depth))
+            want = (poincare_eval(pm, zi), poincare_derivative_eval(pm, zi))
         except OverflowSentinel:
             with pytest.raises(OverflowSentinel):
-                poincare_derivative_eval(pm, zi, depth, with_value=True)
+                poincare_derivative_eval(pm, zi, with_value=True)
             continue
-        got = poincare_derivative_eval(pm, zi, depth, with_value=True)
+        got = poincare_derivative_eval(pm, zi, with_value=True)
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
@@ -166,14 +175,18 @@ def test_pullback_evaluates_each_series_once(monkeypatch, golden_poincare):
     monkeypatch.setattr(pc, "series_eval", counting)
     z = pm.r0 * abs(pm.mu) ** (np.arange(7) - 0.5) * np.exp(1j * np.arange(7))
     assert pullback_depths(pm, np.abs(z)).tolist() == list(range(7))
-    for depth in (None, 9):
-        for lanes in (z, z[3]):
-            calls.clear()
-            poincare_eval(pm, lanes, depth)
-            assert len(calls) == 1 and calls[0] is pm.series_f
-            calls.clear()
-            poincare_derivative_eval(pm, lanes, depth)
-            assert len(calls) == 2 and calls[0] is pm.series_f and calls[1] is pm.series_df
+    for lanes in (z, z[3]):
+        calls.clear()
+        poincare_eval(pm, lanes)
+        assert len(calls) == 1 and calls[0] is pm.series_f
+        calls.clear()
+        poincare_derivative_eval(pm, lanes)
+        assert len(calls) == 2 and calls[0] is pm.series_f and calls[1] is pm.series_df
+    # every lane at one larger depth
+    for derivative, want in ((False, [pm.series_f]), (True, [pm.series_f, pm.series_df])):
+        calls.clear()
+        pc._pullback(pm, z, np.full(z.shape, 9), derivative)
+        assert calls == want
 
 
 def test_cancellation_limited_accuracy_near_negative_axis(cheb_poincare):
@@ -196,9 +209,10 @@ def test_pullback_depth_monotone(cheb_poincare):
 
 
 def test_explicit_depth_must_reach_disk(cheb_poincare):
-    z = 100.0 * cheb_poincare.r0
-    with pytest.raises(BadParams):
-        poincare_eval(cheb_poincare, z, depth=1)
+    # a depth that leaves z / mu^k outside the series disk is refused
+    z = np.array([100.0 * cheb_poincare.r0], dtype=complex)
+    with pytest.raises(OutOfSafeRadius):
+        pc._pullback(cheb_poincare, z, np.array([1]), derivative=False)
 
 
 def test_overflow_sentinel(cheb_poincare):

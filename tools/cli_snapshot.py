@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 35 invocations that cover every subcommand, each
+`src`).  RUNS lists 40 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -69,6 +69,16 @@ for what in ("domain", "siegel", "orbit"):
 RUNS.append(("render_orbit_sectors_ppm",
              ["render", "--what", "orbit", "--size", "128", "--out", "orbit.ppm",
               "--set", "sectors"]))
+# malformed flags: each exits 2 and writes nothing
+RUNS += [
+    ("chebyshev_bad_q", ["chebyshev", "--q", "a"]),
+    ("chebyshev_bad_gamma_cf", ["chebyshev", "--q", "1", "--gamma-cf", "x"]),
+    ("littlewood_monomials_bad_nmax", ["littlewood", "--family", "monomials",
+                                       "--nmax", "-1"]),
+    ("render_size_negative", ["render", "--what", "domain", "--size", "-5",
+                              "--out", "x.ppm"]),
+    ("render_size_zero", ["render", "--what", "domain", "--size", "0", "--out", "x.ppm"]),
+]
 
 
 def main(argv=None) -> int:
