@@ -242,6 +242,8 @@ def cmd_littlewood(args):
 
 def cmd_chebyshev(args):
     q_list = _int_list(args.q, "--q")
+    if not q_list or min(q_list) < 1:
+        raise BadParams(f"--q takes comma-separated periods >= 1, got {args.q!r}")
     if args.gamma_cf:
         cf = _int_list(args.gamma_cf, "--gamma-cf")
         angle = RotationAngle.from_cf(cf)

@@ -17,7 +17,8 @@ breaks the bound.  Siegel series have irregular ratios (small divisors),
 which is why the root test is folded in.
 
 The radius is +inf only for a degenerate list: a constant, or one of at
-least 16 coefficients whose top half is identically zero.
+least 16 coefficients whose top half is identically zero; and for the
+derivative of a series of radius +inf, since it too is a polynomial.
 """
 
 from __future__ import annotations
@@ -190,11 +191,17 @@ def _horner_out_of_place(coeffs: np.ndarray, dz):
 
 
 def series_derivative(s: TruncatedSeries) -> TruncatedSeries:
+    """The term-by-term derivative.  A series of radius +inf is a
+    polynomial, and so is its derivative: it keeps +inf, which the shorter
+    list alone need not earn (a padded polynomial can lose its zero top
+    half)."""
     n = len(s.coeffs)
     if n == 1:
         d = np.zeros(1, dtype=complex)
     else:
         d = s.coeffs[1:] * np.arange(1, n)
+    if s.safe_radius == math.inf:
+        return TruncatedSeries(d, math.inf)
     return make_series(d)
 
 

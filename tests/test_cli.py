@@ -58,7 +58,9 @@ def test_usage_errors_exit_2(tmp_path):
     ["littlewood", "--family", "monomials", "--nmax", "-1"],
     ["render", "--what", "domain", "--size", "-5", "--out", "x.ppm"],
     ["render", "--what", "domain", "--size", "0", "--out", "x.ppm"],
-], ids=["q", "gamma-cf", "monomials-nmax", "size-negative", "size-zero"])
+    ["chebyshev", "--q", ","],
+    ["chebyshev", "--q", "0"],
+], ids=["q", "gamma-cf", "monomials-nmax", "size-negative", "size-zero", "q-empty", "q-zero"])
 def test_malformed_flags_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("BadParams: ")

@@ -198,6 +198,41 @@ def test_undeclared_evaluator_bits_unchanged():
             expected, ev.label
 
 
+# (value, error_bound, evaluations, budget_exceeded) of the benchmark's
+# quadrature workload at tol 1e-4, captured before the level slices shrank
+# to fit in L2 and the exact sums were binned in blocks
+_WORKLOAD_BITS = {
+    "iterate n=1": (4.059547408866901, 5.701383919949261e-05, 31448, False),
+    "iterate n=2": (7.756258140547021, 5.839085673477201e-05, 67164, False),
+    "iterate n=3": (9.093779000690654, 5.7991036905980294e-05, 224632, False),
+    "iterate n=4": (11.680621086827099, 5.9474314297860714e-05, 860664, False),
+    "iterate n=5": (12.708514732898918, 6.185893823336146e-05, 3979616, False),
+    "z^1": (4.355172180753951, 5.4828640492553564e-05, 19728, False),
+    "z^2": (6.126049214256292, 7.449466812047554e-05, 20380, False),
+    "z^4": (7.597939517191959, 5.8784786095300356e-05, 18498, False),
+    "z^8": (8.599504372054913, 5.330762243934597e-05, 17779, False),
+    "z^16": (9.19491087086075, 5.026228528574087e-05, 18341, False),
+    "z^32": (9.521427223229566, 3.3004731648895546e-05, 18959, False),
+    "z^64": (9.692679339742643, 1.9133958347280505e-05, 20201, False),
+    "z^128": (9.780414375131619, 1.3624162062419667e-05, 21515, False),
+    "z^256": (9.824826554861609, 5.444371762639606e-06, 23635, False),
+    "z^512": (9.84716903183088, 3.154274997024899e-06, 26285, False),
+    "z^1024": (9.858375047525627, 1.6556588258369798e-06, 31692, False),
+    "z^2048": (9.863986867659243, 8.792559128181951e-07, 36339, False),
+    "z^4096": (9.866794896441702, 5.391553090056583e-07, 46877, False),
+}
+
+
+def test_quadrature_workload_bits_unchanged():
+    evs = ([(f"iterate n={n}", lw.iterate_evaluator(-1.0, n)) for n in range(1, 6)]
+           + [(f"z^{2**k}", lw.monomial_evaluator(2**k)) for k in range(13)])
+    got = {}
+    for name, ev in evs:
+        est = lw.disk_integral(ev, 1e-4)
+        got[name] = (est.value, est.error_bound, est.evaluations, est.budget_exceeded)
+    assert got == _WORKLOAD_BITS
+
+
 _SLICED = ([lw.iterate_evaluator(c, n) for c in (-1 + 0j, 0.3 + 0.2j) for n in (1, 2, 3, 4)]
            + [lw.coeff_evaluator([-1, 0, 1]), lw.monomial_evaluator(8)])
 
@@ -271,6 +306,45 @@ def test_exact_sum_of_long_arrays():
     x = np.concatenate([x, -x[::3]])
     rng.shuffle(x)
     assert _exact_sum([x[:7], x[7:]]).hex() == math.fsum(x.tolist()).hex()
+
+
+_B = lw._SUM_BLOCK
+
+
+def _total_or_error(chunks):
+    """The _ExactSum total of chunks as hex ('nan' for NaN), or the type of
+    the error total() raises."""
+    try:
+        t = _exact_sum(chunks)
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    return "nan" if math.isnan(t) else t.hex()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(pool=st.lists(st.one_of(
+           _summand,
+           st.sampled_from([2.0**1009, -1.5 * 2.0**1015, 1.7976931348623157e308])),
+           min_size=1, max_size=12),
+       specials=st.lists(st.sampled_from([math.inf, -math.inf, math.nan]), max_size=2),
+       size=st.sampled_from([0, 1, 2, _B - 1, _B, _B + 1, 2 * _B + 1]),
+       cuts=st.lists(st.sampled_from([0, 1, _B - 1, _B, _B + 1, 3, 1000]), max_size=8),
+       data=st.data())
+def test_exact_sum_ignores_chunking(pool, specials, size, cuts, data):
+    # the floats tile a small pool to the chosen size, with the specials at
+    # drawn places; every chunking gives the one-chunk total bit for bit
+    x = np.resize(np.array(pool, dtype=float), size)
+    for v in specials:
+        x = np.insert(x, data.draw(st.integers(0, x.size)), v)
+    chunks, lo = [], 0
+    for c in cuts:
+        chunks.append(x[lo:lo + c])
+        lo += c
+    chunks.append(x[lo:])
+    assert _total_or_error(chunks) == _total_or_error([x])
+    if not specials and np.max(np.abs(x), initial=0.0) < 1e300:
+        # no overflow of any partial sum: math.fsum is the reference
+        assert _total_or_error(chunks) == math.fsum(x.tolist()).hex()
 
 
 def test_exact_sum_non_finite_and_overflow():

@@ -150,6 +150,22 @@ def test_series_derivative_coefficients():
     assert abs(series_eval(ds, z) - fd) < 1e-6
 
 
+def test_derivative_of_short_padded_polynomial_keeps_unbounded_domain():
+    # 16 coefficients are the fewest that _safe_radius reads as a
+    # polynomial; the derivative's 15 alone would get a radius near 1.4e-6
+    s = make_series([5, 1, 2, 3] + [0] * 12)
+    assert s.safe_radius == math.inf
+    assert series._safe_radius(s.coeffs[1:] * np.arange(1, 16), series.TAIL_EPS) < 1e-5
+    ds = series_derivative(s)
+    assert ds.safe_radius == math.inf
+    assert series_eval(ds, 2.0) == 1 + 4 * 2.0 + 9 * 2.0**2
+    assert series_derivative(ds).safe_radius == math.inf
+    # a series of finite radius still gets the majorant's radius
+    g = make_series([2.0**-n for n in range(40)])
+    assert series_derivative(g).safe_radius == series._safe_radius(
+        g.coeffs[1:] * np.arange(1, 40), series.TAIL_EPS)
+
+
 def test_json_roundtrip_is_exact_and_stable():
     """The file holds every coefficient bit, the constant center and
     tail_eps, and a series rebuilt from it writes the same text."""

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 40 invocations that cover every subcommand, each
+`src`).  RUNS lists 42 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -78,6 +78,8 @@ RUNS += [
     ("render_size_negative", ["render", "--what", "domain", "--size", "-5",
                               "--out", "x.ppm"]),
     ("render_size_zero", ["render", "--what", "domain", "--size", "0", "--out", "x.ppm"]),
+    ("chebyshev_no_q", ["chebyshev", "--q", ","]),
+    ("chebyshev_q_zero", ["chebyshev", "--q", "0"]),
 ]
 
 
