@@ -226,15 +226,14 @@ def family_report(q_list, gamma: RotationAngle, series_terms: int = 64) -> Famil
     """One row per period q: superattracting center, parabolic and Siegel
     parameters continued from it, repelling fixed data at the Siegel
     parameter, and the cycle linearizer residual. Rows whose search fails
-    record the error and leave the remaining fields empty."""
+    record the error and leave the remaining fields empty.  A row depends
+    only on (q, gamma): for q >= 2 the center lies in -2 + (8, 24) / 4^q."""
     if list(q_list) != sorted(set(int(qq) for qq in q_list)):
         raise BadParams("q_list must be strictly increasing")
     lam = gamma.lam
     rows = []
-    prev = 0.25
     for q in q_list:
-        margin = (prev + 2.0) / 4.0
-        bracket = (-2.0 + 1e-9, prev - margin if q > 1 else 0.25)
+        bracket = (-2.0 + 8.0 / 4**q, -2.0 + 24.0 / 4**q) if q > 1 else (-2.0 + 1e-9, 0.25)
         try:
             sup = find_superattracting(q, bracket)
             par = find_multiplier_param(q, -1.0, sup.c)
@@ -248,7 +247,6 @@ def family_report(q_list, gamma: RotationAngle, series_terms: int = 64) -> Famil
                 siegel_residual=sm.conj_residual,
                 mult_residual=max(sup.residual, par.residual, sie.residual),
             ))
-            prev = float(sup.c.real)
         except PoincareLabError as exc:
             rows.append(FamilyRow(
                 q=q, c_super=None, c_parabolic=None, c_siegel=None,

@@ -13,7 +13,9 @@ rho/log 2 for the order rho of f.  The liminf proxy reported for each w is
 the minimum of that ratio over the last ten radii.
 
 C1 is the largest of |g0(center)| and the |g0(P^{-k} w)| that the call
-itself continued, so a report is a function of its inputs alone.
+itself continued, so a report is a function of its inputs alone.  Each w's
+moduli |z(k)|, with the points in S read as +inf, are sorted once, and one
+searchsorted (side="right", so a tie counts) gives its count at every radius.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ class RatioRow:
 class WRecord:
     w: complex
     points: list  # of (k, z, in_S)
-    ratio_rows: list  # of RatioRow
+    counts: list  # of int, the count at each radius r_k
     liminf_proxy: float
     escaped: bool  # no S-hits in the final third of k-values
     conditional: bool  # S carried no certificate
@@ -62,61 +64,51 @@ class ExceptionalReport:
     k_max: int
 
 
-def _ratio_row(r: float, count) -> RatioRow:
-    """The row at radius r for a count, or for a median count, which is
-    rounded for the count column but not for the ratio."""
-    log_r = math.log(r) if r > 0 else -math.inf
-    return RatioRow(r=r, count=int(round(count)),
-                    ratio=count / log_r if log_r > 0 else math.nan)
-
-
-def _ratio_rows(points, abs_mu: float, c1: float):
-    rows = []
-    for k, _, _ in points:
-        r = abs_mu**k * c1
-        count = sum(1 for _kk, z, hit in points if abs(z) <= r and not hit)
-        rows.append(_ratio_row(r, count))
-    return rows
-
-
-def _liminf_proxy(rows) -> float:
-    tail = [row.ratio for row in rows[-LIMINF_WINDOW:] if not math.isnan(row.ratio)]
-    return min(tail) if tail else math.nan
-
-
-def _escaped(points, k_max: int) -> bool:
-    cutoff = math.ceil(2.0 * k_max / 3.0)
-    return not any(hit for k, _, hit in points if k >= cutoff)
+def _count_table(moduli: np.ndarray, hits: np.ndarray, radii: list):
+    """(counts, liminf proxies, escaped flags, median rows) of the (w, k)
+    arrays of orbit moduli and S hits at the shared radii, where
+    counts[i][j] = #{k : moduli[i, k] <= radii[j] and not hits[i, k]}."""
+    masked = np.where(hits, np.inf, moduli)
+    masked.sort(axis=1)
+    counts = np.array([np.searchsorted(row, radii, side="right") for row in masked])
+    logs = [math.log(r) if r > 0 else -math.inf for r in radii]
+    tail = [j for j in range(len(radii))[-LIMINF_WINDOW:] if logs[j] > 0]
+    proxies = np.fmin.reduce(counts[:, tail] / np.array(logs)[tail], axis=1,
+                             initial=math.nan)
+    escaped = ~hits[:, math.ceil(2.0 * (hits.shape[1] - 1) / 3.0):].any(axis=1)
+    median_rows = [  # the count column rounds the median; the ratio does not
+        RatioRow(r=r, count=int(round(m)), ratio=m / lr if lr > 0 else math.nan)
+        for r, lr, m in zip(radii, logs, np.median(counts, axis=0).tolist())
+    ]
+    return counts.tolist(), proxies.tolist(), escaped.tolist(), median_rows
 
 
 def _records(ib: InverseBranch, S: SetModel, ws: list, k_max: int):
-    """(per-w records, C1) for the points ws, all orbits from one
-    orbit_preimages call."""
+    """(per-w records, median rows, C1) for the points ws, all orbits from
+    one orbit_preimages call.  The counts at r_k = |mu|^k * C1 take each w's
+    moduli, S points read as +inf, sorted once; one searchsorted
+    (side="right", so a tie counts) gives them at every radius."""
     g, z = orbit_preimages(ib, np.array(ws, dtype=complex), k_max)
     c1 = max([abs(ib.base_point)] + [abs(v) for v in g.ravel().tolist()])
-    flags = np.asarray(S.contains_many(z), dtype=bool).tolist()
+    hits = np.asarray(S.contains_many(z), dtype=bool)
     abs_mu = abs(ib.pm.mu)
-    records = []
-    for w, zs, hits in zip(ws, z.tolist(), flags):
-        points = list(zip(range(k_max + 1), zs, hits))
-        rows = _ratio_rows(points, abs_mu, c1)
-        records.append(WRecord(
-            w=w,
-            points=points,
-            ratio_rows=rows,
-            liminf_proxy=_liminf_proxy(rows),
-            escaped=_escaped(points, k_max),
-            conditional=S.certificate is None,
-        ))
-    return records, c1
+    radii = [abs_mu**k * c1 for k in range(k_max + 1)]
+    counts, proxies, escaped, median_rows = _count_table(np.abs(z), hits, radii)
+    records = [
+        WRecord(w=w, points=list(zip(range(k_max + 1), zs, hs)), counts=c,
+                liminf_proxy=p, escaped=e, conditional=S.certificate is None)
+        for w, zs, hs, c, p, e in zip(ws, z.tolist(), hits.tolist(), counts,
+                                      proxies, escaped)
+    ]
+    return records, median_rows, c1
 
 
 def exceptional_count(ib: InverseBranch, S: SetModel, w: complex,
                       k_max: int) -> WRecord:
-    """Per-w record: orbit points with S membership, the count/log r table at
+    """Per-w record: orbit points with S membership, the counts at
     r_k = |mu|^k * C1 (C1 from this w's own orbit), the liminf proxy, and
     the escape flag."""
-    records, _ = _records(ib, S, [complex(w)], k_max)
+    records, _, _ = _records(ib, S, [complex(w)], k_max)
     return records[0]
 
 
@@ -142,13 +134,7 @@ def exceptional_survey(ib: InverseBranch, S: SetModel, w_count: int, k_max: int,
     if w_count < 10:
         raise BadParams("w_count must be >= 10")
     ws = [complex(w) for w in sub_siegel_sample(ib.sm, w_count, seed)]
-    records, c1 = _records(ib, S, ws, k_max)
-    abs_mu = abs(ib.pm.mu)
-    median_rows = [
-        _ratio_row(abs_mu**i * c1,
-                   float(np.median([rec.ratio_rows[i].count for rec in records])))
-        for i in range(k_max + 1)
-    ]
+    records, median_rows, c1 = _records(ib, S, ws, k_max)
 
     rho = order_from_multiplier(ib.pm.mu)
     return ExceptionalReport(

@@ -257,10 +257,10 @@ def koebe_density_transfer(ib: InverseBranch, S: SetModel, k: int,
 
 def build_preimage_report(ib: InverseBranch, S: SetModel, w: complex, r: float,
                           k_max: int) -> PreimageReport:
-    pts = []
-    for k, z in orbit_preimages(ib, w, k_max):
-        res = verify_orbit_point(ib, w, k, z)
-        pts.append(OrbitPoint(k=k, z=z, in_S=S.contains(z), residual=res))
+    orbit = orbit_preimages(ib, w, k_max)
+    hits = S.contains_many([z for _, z in orbit]).tolist()
+    pts = [OrbitPoint(k=k, z=z, in_S=bool(hit), residual=verify_orbit_point(ib, w, k, z))
+           for (k, z), hit in zip(orbit, hits)]
     return PreimageReport(w=complex(w), r=float(r), orbit_points=pts,
                           argument_count=argument_principle_count(ib.pm, w, r),
                           notes="orbit preimages via linearizing-coordinate continuation"

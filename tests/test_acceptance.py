@@ -149,11 +149,13 @@ def test_7_thinned_preimage_survey(golden_branch, golden_poincare, capsys):
     clean = sum(1 for rec in rep.records
                 if not any(in_s for (k, _, in_s) in rec.points if 20 <= k <= 30))
     frac = clean / len(rep.records)
-    med = statistics.median(rec.ratio_rows[-1].ratio for rec in rep.records)
+    med = statistics.median(rec.counts[-1] / math.log(rep.ratio_table[-1].r)
+                            for rec in rep.records)
 
     rep_e = exceptional_survey(golden_branch, make_empty_set(),
                                w_count=50, k_max=30, seed=11, threads=1)
-    med_e = statistics.median(rec.ratio_rows[-1].ratio for rec in rep_e.records)
+    med_e = statistics.median(rec.counts[-1] / math.log(rep_e.ratio_table[-1].r)
+                              for rec in rep_e.records)
     elapsed = time.perf_counter() - t0
 
     ok = (frac >= 0.9 and med >= 0.9 * target and med_e >= 0.95 * target

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import functools
 import json
 import math
@@ -208,6 +209,17 @@ def test_family_report_rows_and_limits():
     assert mus == sorted(mus)  # |mu| increases toward the flat-family limit 4
     assert rep.limits["mu_limit"] == 4.0
     assert rep.limits["rho_limit"] == 0.5
+
+
+def test_family_rows_depend_only_on_q():
+    """A row of a list run equals the row of its one-period run, so no row
+    carries state from the rows before it."""
+    g = family_angle()
+    listed = family_report(range(1, 11), g)
+    for row in listed.rows:
+        alone = family_report([row.q], g).rows[0]
+        for f in dataclasses.fields(row):
+            assert getattr(row, f.name) == getattr(alone, f.name), (row.q, f.name)
 
 
 def test_family_report_requires_increasing_q():

@@ -3,9 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab.errors import BadParams
 from poincarelab.exceptional import (
+    LIMINF_WINDOW,
+    RatioRow,
+    _count_table,
     escape_fraction,
     exceptional_count,
     exceptional_survey,
@@ -22,16 +27,13 @@ def test_empty_set_counts_every_level(golden_branch, golden_poincare):
     rec = exceptional_count(golden_branch, make_empty_set(), w=0.02 + 0.01j, k_max=15)
     # nothing is excluded; the count at r_k = |mu|^k C1 is k+1 up to the
     # bounded wobble of |g0| around the calibration constant C1
-    counts = [row.count for row in rec.ratio_rows]
+    counts = rec.counts
     assert all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
     for k, c in enumerate(counts):
         assert k - 1 <= c <= k + 2
     assert counts[-1] >= 14
     assert rec.escaped
     assert not rec.conditional
-    for row in rec.ratio_rows:
-        if row.r > 1:
-            assert abs(row.ratio - row.count / math.log(row.r)) < 1e-12
 
 
 def test_ratio_approaches_target_from_counts(golden_branch, golden_poincare):
@@ -121,3 +123,77 @@ def test_log_growth_table_rows(golden_branch):
     assert len(rows) == 9
     for r, count, ratio, target in rows:
         assert r > 0 and count >= 1
+
+
+def _scan(moduli, hits, radii):
+    """The O(k^2) reference for _count_table: every radius rescans every
+    point of every w."""
+    def ratio(r, count):
+        log_r = math.log(r) if r > 0 else -math.inf
+        return count / log_r if log_r > 0 else math.nan
+
+    k_max = len(hits[0]) - 1
+    counts, proxies, escaped = [], [], []
+    for mods, hs in zip(moduli, hits):
+        row = [sum(1 for m, hit in zip(mods, hs) if m <= r and not hit) for r in radii]
+        tail = [ratio(r, c) for r, c in zip(radii, row)][-LIMINF_WINDOW:]
+        tail = [x for x in tail if not math.isnan(x)]
+        counts.append(row)
+        proxies.append(min(tail) if tail else math.nan)
+        escaped.append(not any(hs[math.ceil(2.0 * k_max / 3.0):]))
+    median_rows = []
+    for j, r in enumerate(radii):
+        med = float(np.median([row[j] for row in counts]))
+        median_rows.append(RatioRow(r=r, count=int(round(med)), ratio=ratio(r, med)))
+    return counts, proxies, escaped, median_rows
+
+
+@st.composite
+def _survey_arrays(draw):
+    n_w = draw(st.integers(1, 6))
+    n_k = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        radii = draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=24))
+    else:
+        radii = draw(st.lists(st.floats(1e-3, 1e4), min_size=1, max_size=24))
+    modulus = st.one_of(st.floats(0.0, 2e4), st.sampled_from(radii))
+    moduli = [draw(st.lists(modulus, min_size=n_k, max_size=n_k)) for _ in range(n_w)]
+    hits = [[True] * n_k if draw(st.integers(0, 4)) == 0
+            else draw(st.lists(st.booleans(), min_size=n_k, max_size=n_k))
+            for _ in range(n_w)]
+    return np.array(moduli), np.array(hits, dtype=bool), radii
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(arrays=_survey_arrays())
+def test_count_table_matches_the_scan(arrays):
+    moduli, hits, radii = arrays
+    counts, proxies, escaped, median_rows = _count_table(moduli, hits, radii)
+    want_counts, want_proxies, want_escaped, want_rows = _scan(moduli.tolist(),
+                                                               hits.tolist(), radii)
+    assert counts == want_counts
+    assert escaped == want_escaped
+    assert len(proxies) == len(want_proxies)
+    assert all(_same(a, b) for a, b in zip(proxies, want_proxies))
+    assert len(median_rows) == len(want_rows)
+    for got, want in zip(median_rows, want_rows):
+        assert (got.r, got.count) == (want.r, want.count)
+        assert _same(got.ratio, want.ratio)
+
+
+def test_count_table_counts_ties_and_skips_small_radii():
+    radii = [0.5, 1.0, 2.0, 4.0]
+    moduli = np.array([[0.5, 2.0, 2.0, 3.0], [1.0, 1.0, 4.0, 9.0]])
+    hits = np.array([[False, True, False, False], [True, True, True, True]])
+    counts, proxies, escaped, median_rows = _count_table(moduli, hits, radii)
+    assert counts == [[1, 1, 2, 3], [0, 0, 0, 0]]
+    assert escaped == [True, False]
+    assert proxies == [3 / math.log(4.0), 0.0]
+    assert [row.count for row in median_rows] == [0, 0, 1, 2]
+    assert math.isnan(median_rows[0].ratio) and math.isnan(median_rows[1].ratio)
+    _, proxies, _, _ = _count_table(moduli[:1], hits[:1], [0.5, 1.0])
+    assert math.isnan(proxies[0])

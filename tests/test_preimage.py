@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poincarelab import QuadMap
 from poincarelab import poincare as pc
@@ -189,3 +191,17 @@ def test_report_csv_and_json_shape(golden_branch):
     blob = json.loads(report_to_json(rep))
     assert blob["argument_count"] == rep.argument_count
     assert len(blob["orbit_points"]) == 5
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.floats(5.0, 500.0))
+def test_orbit_count_never_exceeds_argument_count(golden_branch, golden_poincare,
+                                                  golden_siegel, seed, r):
+    w = complex(sub_siegel_sample(golden_siegel, 1, seed)[0])
+    try:
+        count = argument_principle_count(golden_poincare, w, r)
+    except BadParams as exc:  # the documented refusal for a preimage on |z| = r
+        assert "sits on" in str(exc)
+        assume(False)
+    inside = sum(1 for _, z in orbit_preimages(golden_branch, w, 12) if abs(z) <= r)
+    assert inside <= count

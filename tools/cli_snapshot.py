@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 42 invocations that cover every subcommand, each
+`src`).  RUNS lists 43 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -47,6 +47,8 @@ RUNS = [
                            "--kmax", "8", "--seed", "4"]),
     ("exceptional_c_flag", ["exceptional", "--c", "0.3,0.1", "--samples", "10",
                             "--kmax", "5"]),
+    ("exceptional_deep", ["exceptional", "--set", "sectors", "--samples", "20",
+                          "--kmax", "120", "--seed", "5"]),
     ("littlewood_iterates", ["littlewood", "--nmax", "4"]),
     ("littlewood_monomials", ["littlewood", "--family", "monomials", "--nmax", "3"]),
     ("littlewood_complex_c", ["littlewood", "--c", "0.3,0.2", "--nmax", "3"]),
