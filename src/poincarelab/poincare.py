@@ -30,6 +30,17 @@ whatever the array around it, so a lane's value does not depend on the batch
 it was evaluated in.  An array call marks a lane whose pullback overflows
 with NaN and leaves the other lanes alone; a scalar call evaluates one lane
 and raises OverflowSentinel instead.
+
+An array call of more than series._HORNER_BLOCK (2^15) lanes runs them in
+blocks of that many, each through its own depths and pullback, into
+preallocated outputs: a block's complex temporaries take 512 KB each and
+stay in a 2 MB L2, where whole-array passes over 2^18 lanes stream 4 MB
+arrays from memory.  Since a lane's value does not depend on its batch,
+blocks keep every bit.  Timed on a 2-vCPU Xeon (two 2^18-lane clouds and a
+512 x 512 domain coloring, median of 7), blocks of 2^12 .. 2^18 lanes took
+246, 206, 197, 197, 213, 268 and 304 ms, with traced peaks of 4.9, 5.2,
+6.0, 7.3, 12.8, 24.9 and 42.7 MB; 2^14 and 2^15 tie, so the Horner block
+is reused.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import series as _series
 from ._linearize import conjugacy_coeffs
 from .dyncore import QuadMap, order_from_multiplier, repelling_fixed_point
 from .errors import BadParams, NotRepelling, OverflowSentinel
@@ -201,9 +213,22 @@ def _pullback(pm: PoincareMap, z: np.ndarray, depths: np.ndarray, derivative: bo
 
 
 def _lanes(pm: PoincareMap, z, derivative: bool):
-    """The lanes of z, flattened, each evaluated at its own depth."""
+    """The lanes of z, flattened, each evaluated at its own depth, one block
+    of _HORNER_BLOCK lanes at a time into preallocated (f, f', ok)."""
     lanes = np.asarray(z, dtype=complex).reshape(-1)
-    return _pullback(pm, lanes, pullback_depths(pm, np.abs(lanes)), derivative)
+    block = _series._HORNER_BLOCK
+    if lanes.size <= block:
+        return _pullback(pm, lanes, pullback_depths(pm, np.abs(lanes)), derivative)
+    f = np.empty(lanes.shape, dtype=complex)
+    df = np.empty_like(f) if derivative else None
+    ok = np.empty(lanes.shape, dtype=bool)
+    for lo in range(0, lanes.size, block):
+        part = slice(lo, lo + block)
+        zb = lanes[part]
+        f[part], db, ok[part] = _pullback(pm, zb, pullback_depths(pm, np.abs(zb)), derivative)
+        if derivative:
+            df[part] = db
+    return f, df, ok
 
 
 def _one_lane(values, ok, z) -> complex:

@@ -100,9 +100,15 @@ def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
     all 24 x 32 seeds in one newton_solve call; keep the smallest-modulus
     solution (ties: smallest angle).  The converged lanes, in seed order,
     give the distinct roots: each lane not within 1e-6 (1 + |r|) of an
-    earlier root r is a new root."""
+    earlier root r is a new root.
+
+    Only a Siegel fixed point is supported: for a cycle of period q > 1,
+    p_inverse_many inverts the q-fold map while the orbit scales by mu per
+    step, so the orbit points would not solve f(z) = w."""
     if pm.map != sm.map:
         raise BadParams("Poincare and Siegel structures built from different maps")
+    if sm.period > 1:
+        raise BadParams(f"Siegel cycles of period {sm.period} > 1 are not supported")
     center = sm.center_value
     scale = 1.0 + abs(center)
     angles = np.arange(_GRID_ANGLES) * (math.tau / _GRID_ANGLES)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from poincarelab import QuadMap
 from poincarelab import poincare as pc
+from poincarelab import series
 from poincarelab.errors import BadParams, NotRepelling, OutOfSafeRadius, OverflowSentinel
 from poincarelab.poincare import (
     build_poincare_map,
@@ -162,6 +164,61 @@ def test_fused_pullback_lanes_match_one_lane_calls(golden, seed, n, extra,
             continue
         got = poincare_derivative_eval(pm, zi, with_value=True)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _block_lanes(pm, n, seed):
+    """n lanes over pullback depths 0..10, where both maps overflow, with
+    NaN, infinite and overflowing lanes mixed in when n allows."""
+    rng = np.random.default_rng(seed)
+    z = pm.r0 * abs(pm.mu) ** rng.uniform(-2.0, 10.0, n) * np.exp(2j * np.pi * rng.random(n))
+    special = np.array(_SPECIAL_LANES)[:n]
+    z[rng.choice(n, special.size, replace=False)] = special
+    return z
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_lane_blocks_do_not_change_results(block, monkeypatch, golden_poincare, cheb_poincare):
+    for pm in (golden_poincare, cheb_poincare):
+        # block - 1 and block + 1 lanes: one short block, or full blocks and
+        # a final one-lane block
+        for n in (block - 1, block + 1, 2 * block + 1, 5 * block):
+            z = _block_lanes(pm, n, seed=n)
+            monkeypatch.undo()
+            whole = (poincare_eval(pm, z), poincare_derivative_eval(pm, z),
+                     *poincare_derivative_eval(pm, z, with_value=True))
+            monkeypatch.setattr(series, "_HORNER_BLOCK", block)
+            got = (poincare_eval(pm, z), poincare_derivative_eval(pm, z),
+                   *poincare_derivative_eval(pm, z, with_value=True))
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
+            assert poincare_eval(pm, z.reshape(1, -1)).tobytes() == whole[0].tobytes()
+            if n >= 2:
+                assert np.isnan(whole[0]).any()
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_eval_many_raises_on_a_bad_lane_in_the_last_block(block, monkeypatch, cheb_poincare):
+    pm = cheb_poincare
+    z = np.linspace(1.0, 50.0, 2 * block + 1).astype(complex)
+    monkeypatch.setattr(series, "_HORNER_BLOCK", block)
+    assert poincare_eval_many(pm, z).tobytes() == poincare_eval(pm, z).tobytes()
+    for bad in (1e6 + 0j, complex(math.nan, 0.0)):
+        z[-1] = bad
+        with pytest.raises(OverflowSentinel):
+            poincare_eval_many(pm, z)
+
+
+def test_eval_many_memory_is_bounded(golden_poincare):
+    # one whole-array pass over 2^18 lanes peaks near 22 MB; in lane blocks
+    # only the 4 MB result outlives a block
+    rng = np.random.default_rng(2)
+    z = 1000.0 * np.sqrt(rng.random(1 << 18)) * np.exp(2j * np.pi * rng.random(1 << 18))
+    tracemalloc.start()
+    try:
+        poincare_eval_many(golden_poincare, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_pullback_evaluates_each_series_once(monkeypatch, golden_poincare):

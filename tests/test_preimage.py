@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poincarelab import QuadMap
+from poincarelab import QuadMap, build_cycle_siegel_map, build_poincare_map, chebfamily
 from poincarelab import poincare as pc
 from poincarelab import preimage as pre
 from poincarelab.errors import BadParams
@@ -39,6 +39,19 @@ def test_base_preimage_hits_center(golden_branch, golden_poincare, golden_siegel
 def test_mismatched_structures_rejected(cheb_poincare, golden_siegel):
     with pytest.raises(BadParams):
         find_base_preimage(cheb_poincare, golden_siegel)
+
+
+def test_base_preimage_refuses_siegel_cycles():
+    # the orbit scales by mu per step but p_inverse_many inverts the q-fold
+    # map, so a period-2 cycle would give points off f(z) = w
+    gamma = chebfamily.family_angle()
+    sup = chebfamily.find_superattracting(2, (-1.5, -0.5))
+    sie = chebfamily.find_multiplier_param(2, gamma.lam, sup.c)
+    qm = QuadMap(kind="c", param=sie.c)
+    sm = build_cycle_siegel_map(qm, sie.cycle, gamma, N=64)
+    assert sm.period == 2
+    with pytest.raises(BadParams, match="period 2"):
+        find_base_preimage(build_poincare_map(qm, N=64), sm)
 
 
 def test_branch_continue_solves_and_caches(golden_branch, golden_poincare, golden_siegel):

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 43 invocations that cover every subcommand, each
+`src`).  RUNS lists 44 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -68,6 +68,10 @@ for what in ("domain", "siegel", "orbit"):
         RUNS.append((f"render_{what}_{ext}",
                      ["render", "--what", what, "--size", "128",
                       "--out", f"{what}.{ext}"] + flags))
+# 600 x 600 pixels span several row blocks of the domain coloring and end in
+# a partial one; the 128-pixel runs fit in one block
+RUNS.append(("render_domain_ppm_600",
+             ["render", "--what", "domain", "--size", "600", "--out", "domain.ppm"]))
 RUNS.append(("render_orbit_sectors_ppm",
              ["render", "--what", "orbit", "--size", "128", "--out", "orbit.ppm",
               "--set", "sectors"]))
