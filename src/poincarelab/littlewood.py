@@ -9,7 +9,10 @@ here measured) to grow like n^{1/2 - alpha} on iterate families z -> z^2 + c.
 The integrand has sharp ridges along the preimages of the unit circle, so the
 quadrature is adaptive: polar cells, area-weighted midpoint values, one
 Richardson level per cell, and subdivision wherever the two disagree by more
-than the cell's share of the tolerance.
+than the cell's share of the tolerance.  EVAL_BUDGET caps the refinement:
+cells still open when the next level would pass it (or after _MAX_LEVELS
+levels) are added at their midpoint values, and the estimate then claims
+no error bound (error_bound = inf, budget_exceeded).
 
 Symmetry: an evaluator may declare that the integrand is invariant under the
 rotation z -> e^{2 pi i / m} z and, for real coefficients, under z -> conj(z)
@@ -18,10 +21,10 @@ then `fold` copies of one sector [0, 2 pi / fold), where fold = k (times 2
 with conjugation) and k = gcd(m, 8) with conjugation, gcd(m, 16) without, so
 fold divides 16 and the sector is the first 16 / fold cells of the 16-cell
 angular mesh.  Only the sector is integrated, under the same per-cell
-acceptance rule; its value and error sums, and a Monte Carlo fallback's
-3-sigma bar, are multiplied by fold.  The sector's error sum is at most
-tol / fold, so the disk's stays at most tol.  `evaluations` counts the
-evaluations made.  An evaluator without a declaration has fold 1.
+acceptance rule; its value and error sums are multiplied by fold.  The
+sector's error sum is at most tol / fold, so the disk's stays at most tol.
+`evaluations` counts the evaluations made.  An evaluator without a
+declaration has fold 1.
 
 Memory and cache: a level's open cells are refined _LEVEL_SLICE = 4096 at
 a time.  A slice probes 16,384 points, so each complex temporary of the
@@ -31,17 +34,15 @@ temporary was 1 MB and spilled out of L2 on every pass.  On a 2-vCPU Xeon
 (2 MB L2 per core) the 18 integrals of the benchmark's quadrature workload
 took a median of 421 ms with 2^11 cells a slice, 404 ms with 2^12, 429 ms
 with 2^13 and 567 ms with 2^14 (15 alternating runs in one process).  The
-children of each slice are gathered group by group (low-r, high-r, low-t,
-high-t children), which gives the next level the same cells in the same
-order as refining the level in one piece; every value, error, evaluation
-count and Monte Carlo draw is therefore independent of the slice size.
-An open cell is (r0, r1, angle id, coarse value), 32 bytes; the slices do
-not bound the open cells themselves.  The angle id indexes a table of the
-angular intervals met so far (edges, width and e^{i mid-angle}), which is
-small: every edge is the midpoint of its parent's, so each dyadic interval
-has one entry.  Accepted cells' values and errors are not kept: they go
-into exact sums (_ExactSum), binned _SUM_BLOCK floats at a time and
-rounded once at the end.
+sums are exact and a cell's children depend on that cell alone, so every
+value, error and evaluation count is independent of the slice size and of
+the order of the open cells.  An open cell is (r0, r1, angle id, coarse
+value), 32 bytes; the slices do not bound the open cells themselves.  The
+angle id indexes a table of the angular intervals met so far (edges, width
+and e^{i mid-angle}), which is small: every edge is the midpoint of its
+parent's, so each dyadic interval has one entry.  Accepted cells' values
+and errors are not kept: they go into exact sums (_ExactSum), binned
+_SUM_BLOCK floats at a time and rounded once at the end.
 
 Iterates are never expanded into coefficients; P^n and its derivative are
 computed by forward iteration with the chain rule.  Lanes whose orbit passes
@@ -61,15 +62,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadParams, InsufficientData
+from .errors import BadParams, InsufficientData, OverflowSentinel
 from .serialize import csv_text
 
 EVAL_BUDGET = 100_000_000
 ESCAPE_BOUND = 1e50
 _MAX_LEVELS = 48
-_MC_SEED = 0x5EED
-_MC_PER_CELL = 32
-_MC_BLOCK = 1 << 14  # cells sampled per fallback batch (bounds memory)
 _SUM_BLOCK = 1 << 14  # floats binned at a time by _ExactSum (keeps its bin sums exact)
 _LEVEL_SLICE = 1 << 12  # open cells refined at a time (a slice's temporaries stay in L2)
 
@@ -102,6 +100,11 @@ class PolyEvaluator:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
+    """A disk integral.  Within the budget, error_bound is the sum of the
+    accepted cells' Richardson errors (at most tol).  Over it
+    (budget_exceeded), value holds the cells left open at their midpoint
+    values and error_bound is inf: no bound is claimed."""
+
     value: float
     error_bound: float
     evaluations: int
@@ -210,19 +213,25 @@ def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
 
 
 def spherical_derivative(ev: PolyEvaluator, z: complex) -> float:
-    """2 |P'(z)| / (1 + |P(z)|^2) at one point; BadParams unless z is finite."""
+    """2 |P'(z)| / (1 + |P(z)|^2) at one point; BadParams unless z is finite,
+    OverflowSentinel unless the value is."""
     if not cmath.isfinite(z):
         raise BadParams(f"spherical derivative at a non-finite point {z}")
     return float(_sph_many(ev, np.array([z], dtype=complex))[0])
 
 
 def _sph_many(ev: PolyEvaluator, z: np.ndarray) -> np.ndarray:
-    v, d = ev.fn(z)
-    return 2.0 * np.abs(d) / (1.0 + np.abs(v) ** 2)
-
-
-def _cell_area(r0, r1, dt):
-    return 0.5 * (r1**2 - r0**2) * dt
+    """The spherical derivative at every point of z; OverflowSentinel,
+    without a numpy warning, unless every value is finite.  |P| past the
+    float range is fine: its value is 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, d = ev.fn(z)
+        sph = 2.0 * np.abs(d) / (1.0 + np.abs(v) ** 2)
+    if not np.isfinite(sph).all():
+        bad = np.count_nonzero(~np.isfinite(sph))
+        raise OverflowSentinel(
+            f"{ev.label}: spherical derivative not finite at {bad} of {sph.size} points")
+    return sph
 
 
 def _fold(ev: PolyEvaluator) -> int:
@@ -444,24 +453,27 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     (err <= tol * area / pi); otherwise it splits along the dimension whose
     discrepancy dominates, so ridge-like integrands (P^# concentrates where
     |P| is near 1) refine across the ridge instead of exploding four ways.
-    Past the evaluation budget the remaining cells fall back to stratified
-    Monte Carlo with a 3-sigma error bar.
+    A level is refined only if its 4 evaluations per open cell fit in
+    EVAL_BUDGET, so evaluations exceed it only when the seed scan and root
+    mesh (about 2e4) already do; cells still open then (or after
+    _MAX_LEVELS levels) are added at the midpoint values they carry, with
+    error_bound = inf and budget_exceeded set.  Every probe must give
+    a finite spherical derivative, else OverflowSentinel.
 
     With a declared symmetry (see the module docstring) only the sector
     [0, 2 pi / fold) is meshed: the first 16 / fold angular cells of the
     16-cell mesh, refined by the same rule.  value and error_bound are fold
     times the sector's correctly rounded sums of accepted values and of
-    error estimates (the Monte Carlo block sums and bar included), so
-    error_bound stays at most tol when no fallback happens; evaluations
-    counts only what was evaluated.  With fold 1 this is the whole disk.
+    error estimates, so error_bound stays at most tol within the budget;
+    evaluations counts only what was evaluated.  With fold 1 this is the
+    whole disk.
 
     Each level is refined in slices of _LEVEL_SLICE = 4096 open cells, whose
     16,384 probes keep every temporary of the evaluator and of the cell
     bookkeeping (256 KB per complex array) in a 2 MB L2 cache; 2^11 and
     2^13 cells were slower, 2^14 cells 40% slower (timings in the module
     docstring).  The budget is checked per level, before slicing, and the
-    next level's cells come out in the order of an unsliced level, so the
-    result has the same bits for any slice size.
+    sums are exact, so the result has the same bits for any slice size.
     The angular edges, widths and e^{i mid-angle} of the cells are read
     from one table of intervals (_Angles), computed once per interval."""
     if not (0.0 < tol < math.inf):
@@ -476,65 +488,34 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     r1 = np.repeat(r_edges[1:], nt)
     aid = np.tile(np.arange(nt), nr)
     coarse = (_sph_many(ev, 0.5 * (r0 + r1) * angles.e[aid])
-              * _cell_area(r0, r1, angles.dt[aid]))
+              * (0.5 * (r1**2 - r0**2) * angles.dt[aid]))
     evals += r0.size
 
     value = _ExactSum()  # the accepted cells' estimates
     error = _ExactSum()  # and their error estimates
-    budget_hit = False
 
     cells = (r0, r1, aid, coarse)  # the open cells of the level
     for _level in range(_MAX_LEVELS):
         n = cells[0].size
-        if n == 0:
-            break
-        if evals + 4 * n > EVAL_BUDGET:
-            budget_hit = True
+        if n == 0 or evals + 4 * n > EVAL_BUDGET:
             break
         angles.split(cells[2])
-        groups: tuple[list, ...] = ([], [], [], [])  # each child group, slice by slice
+        children = []  # the rejected cells' child groups, slice by slice
         for lo in range(0, n, _LEVEL_SLICE):
-            accepted, errs, children = _refine_slice(
+            accepted, errs, groups = _refine_slice(
                 ev, tol, angles, *(a[lo:lo + _LEVEL_SLICE] for a in cells))
             value.add(accepted)
             error.add(errs)
-            for group, child in zip(groups, children):
-                group.append(child)
+            children.extend(groups)
         evals += 4 * n
-        # group by group, each group's slices in order: the order the
-        # level's children would have in one piece
-        cells = tuple(np.concatenate([child[j] for group in groups for child in group])
-                      for j in range(4))
-    r0, r1, aid = cells[:3]
+        cells = tuple(np.concatenate(field) for field in zip(*children))
 
-    if r0.size and not budget_hit:
-        budget_hit = True  # ran out of levels with cells still open
-
-    if budget_hit and r0.size:
-        rng = np.random.default_rng(np.random.SeedSequence([_MC_SEED, r0.size]))
-        remaining = max(EVAL_BUDGET - evals, 2 * r0.size)
-        per_cell = int(max(2, min(_MC_PER_CELL, remaining // r0.size)))
-        var_parts: list[float] = []
-        for lo in range(0, r0.size, _MC_BLOCK):
-            hi = min(lo + _MC_BLOCK, r0.size)
-            u = rng.random((hi - lo, per_cell))
-            v = rng.random((hi - lo, per_cell))
-            b0, b1 = r0[lo:hi, None], r1[lo:hi, None]
-            t0, t1 = angles.t0[aid[lo:hi]], angles.t1[aid[lo:hi]]
-            rr = np.sqrt(b0**2 + u * (b1**2 - b0**2))
-            tt = t0[:, None] + v * (t1 - t0)[:, None]
-            pts = rr * np.exp(1j * tt)
-            sph = _sph_many(ev, pts.ravel()).reshape(pts.shape)
-            evals += pts.size
-            areas = _cell_area(r0[lo:hi], r1[lo:hi], t1 - t0)
-            value.add(np.array([np.sum(sph.mean(axis=1) * areas)]))
-            var_parts.append(float(np.sum(
-                sph.var(axis=1, ddof=1) / per_cell * areas**2)))
-        error.add(np.array([3.0 * math.sqrt(math.fsum(var_parts))]))
-
+    budget_hit = cells[0].size > 0  # over budget, or out of levels
+    if budget_hit:
+        value.add(cells[3])  # the open cells at their midpoint values
     return IntegralEstimate(
         value=fold * value.total(),
-        error_bound=fold * error.total(),
+        error_bound=math.inf if budget_hit else fold * error.total(),
         evaluations=evals,
         degree=int(ev.degree),
         budget_exceeded=budget_hit,

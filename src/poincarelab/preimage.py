@@ -55,7 +55,7 @@ from .siegel import (  # noqa: F401
 )
 
 NEWTON_ITERS = 60
-CACHE_RESIDUAL = 1e-10
+BASE_RESIDUAL = 1e-10  # largest |f(base) - center| / (1 + |center|) of a base preimage
 _GRID_MODULI = 24
 _GRID_ANGLES = 32
 _MAX_SEGMENT_STEPS = 512
@@ -127,7 +127,7 @@ def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
         if roots:
             roots.sort(key=lambda z: (abs(z), math.atan2(z.imag, z.real) % math.tau))
             base = roots[0]
-            if abs(poincare_eval(pm, base) - center) > CACHE_RESIDUAL * scale:
+            if abs(poincare_eval(pm, base) - center) > BASE_RESIDUAL * scale:
                 continue
             return InverseBranch(pm=pm, sm=sm, base_point=base)
     raise NotFound("no base preimage found on the search grid (after one enlargement)")

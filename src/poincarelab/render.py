@@ -182,12 +182,12 @@ def orbit_ppm(points: Iterable[complex], S: SetModel | None, r: float,
 
 def domain_coloring_svg(pm: PoincareMap, r: float) -> str:
     """Coarse vector version of the domain coloring (one rect per cell)."""
-    rgb = np.clip(_domain_rgb(pm, _grid(r, SVG_CELLS)) * 255.0, 0, 255)
+    rgb = _quantize(_domain_rgb(pm, _grid(r, SVG_CELLS)))
     step = 2.0 * r / SVG_CELLS
     parts = []
     for i in range(SVG_CELLS):
         for j in range(SVG_CELLS):
-            cc = rgb[i, j].astype(int)
+            cc = rgb[i, j].tolist()
             x = -r + j * step
             y = -r + i * step
             parts.append(

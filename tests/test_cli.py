@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from poincarelab import littlewood
 from poincarelab.cli import main
 
 
@@ -160,6 +161,21 @@ def test_littlewood_iterates_with_fit(tmp_path):
     fit = read_json(tmp_path / "littlewood_fit.json")
     assert "slope" in fit and "alpha_hat" in fit
     assert abs(fit["alpha_hat"] - (0.5 - fit["slope"])) < 1e-12
+
+
+def test_littlewood_over_budget_exits_4_with_files(tmp_path, capsys, monkeypatch):
+    # n = 1..3 need at most 224,632 evaluations at the default tol, n = 4
+    # and 5 far more: their rows are written with no error bound
+    monkeypatch.setattr(littlewood, "EVAL_BUDGET", 500_000)
+    assert run(tmp_path, "littlewood", "--nmax", "5") == 4
+    assert "evaluation budget of 500000 exceeded" in capsys.readouterr().err
+    rows = list(csv.DictReader((tmp_path / "littlewood.csv").open()))
+    assert [r["degree"] for r in rows] == ["2", "4", "8", "16", "32"]
+    assert [r["error_bound"] for r in rows[3:]] == ["inf", "inf"]
+    assert all(float(r["error_bound"]) <= 1e-4 for r in rows[:3])
+    assert all(int(r["evaluations"]) <= 500_000 for r in rows)
+    fit = read_json(tmp_path / "littlewood_fit.json")
+    assert len(fit["pairs"]) == 5
 
 
 def test_chebyshev_family_csv(tmp_path):

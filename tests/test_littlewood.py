@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincarelab import littlewood as lw
-from poincarelab.errors import BadParams, InsufficientData
+from poincarelab.errors import BadParams, InsufficientData, OverflowSentinel
 
 
 def test_spherical_derivative_identity_map():
@@ -246,16 +246,51 @@ def test_level_slices_do_not_change_estimates(ev, monkeypatch):
         assert lw.disk_integral(ev, 1e-2) == whole
 
 
-def test_level_slices_keep_monte_carlo_draws(monkeypatch):
-    # the fallback draws its samples cell by cell in level order, so any
-    # reordering of the open cells moves its value
-    monkeypatch.setattr(lw, "EVAL_BUDGET", 40_000)
-    ev = lw.iterate_evaluator(-1 + 0j, 4)
-    for size in (1, 3, lw._LEVEL_SLICE):
+def test_over_budget_estimate_is_capped_and_slice_free(monkeypatch):
+    # n = 5 needs 3,979,616 evaluations at tol 1e-4; under a cap of 300,000
+    # the open cells join the sum at their midpoint values, with no bound
+    monkeypatch.setattr(lw, "EVAL_BUDGET", 300_000)
+    ev = lw.iterate_evaluator(-1 + 0j, 5)
+    for size in (3, lw._LEVEL_SLICE):
         monkeypatch.setattr(lw, "_LEVEL_SLICE", size)
-        assert lw.disk_integral(ev, 1e-4) == lw.IntegralEstimate(
-            value=11.674335399046221, error_bound=0.051591442894806896,
-            evaluations=38130, degree=16, budget_exceeded=True)
+        est = lw.disk_integral(ev, 1e-4)
+        assert est == lw.IntegralEstimate(
+            value=12.708612034065217, error_bound=math.inf,
+            evaluations=269256, degree=32, budget_exceeded=True)
+        assert est.evaluations <= lw.EVAL_BUDGET
+
+
+def test_out_of_levels_is_over_budget(monkeypatch):
+    # two levels cannot meet tol 1e-4 on n = 3: the cells left open are
+    # summed at their midpoint values, as over the budget
+    monkeypatch.setattr(lw, "_MAX_LEVELS", 2)
+    est = lw.disk_integral(lw.iterate_evaluator(-1 + 0j, 3), 1e-4)
+    assert est.budget_exceeded and est.error_bound == math.inf
+    assert abs(est.value - _WORKLOAD_BITS["iterate n=3"][0]) < 0.05
+
+
+def test_non_finite_probes_fail_fast():
+    # 1e308 z^2 has a derivative past the float range on the outer disk
+    # (2e308 z): the first probes that see it raise, long before the
+    # budget.  The derivative's coefficients and the seed scan overflow on
+    # their way there.
+    probed = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = lw.coeff_evaluator([0, 0, 1e308])
+
+        def fn(z):
+            probed.append(z.size)
+            return ev.fn(z)
+
+        counted = lw.PolyEvaluator(degree=ev.degree, label=ev.label, fn=fn)
+        with pytest.raises(OverflowSentinel):
+            lw.disk_integral(counted, 1e-2)
+    assert sum(probed) < 100_000
+    # a single point raises too, and numpy warns of nothing first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowSentinel):
+            lw.spherical_derivative(ev, 0.95 + 0j)
 
 
 def test_disk_integral_memory_is_bounded():
@@ -437,9 +472,9 @@ def test_budget_trips_honestly(monkeypatch):
     monkeypatch.setattr(lw, "EVAL_BUDGET", 60_000)
     est = lw.disk_integral(lw.monomial_evaluator(64), tol=1e-10)
     assert est.budget_exceeded
-    assert est.error_bound > 0
-    # even the fallback answer should be in the right neighborhood
-    assert abs(est.value - lw.monomial_integral_oracle(64)) < 10 * est.error_bound + 0.05
+    assert est.error_bound == math.inf and est.evaluations <= 60_000
+    # the open cells at their midpoint values still land near the oracle
+    assert abs(est.value - lw.monomial_integral_oracle(64)) < 0.05
 
 
 def test_cauchy_schwarz_bound_holds():

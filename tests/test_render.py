@@ -1,4 +1,5 @@
 import hashlib
+import re
 import tracemalloc
 
 import numpy as np
@@ -55,3 +56,16 @@ def test_ppm_bytes_quantizes_and_checks_shape():
     assert render.ppm_bytes(rgb) == b"P6\n2 1\n255\n" + bytes([0, 128, 255, 0, 255, 1])
     with pytest.raises(render.BadParams):
         render.ppm_bytes(np.zeros((2, 3)))
+
+
+def test_domain_svg_colors_match_ppm(golden_poincare):
+    # both round to the nearest channel level; the PPM alone paints the
+    # corners outside D_r dark
+    r, size = 200.0, render.SVG_CELLS
+    svg = render.domain_coloring_svg(golden_poincare, r)
+    fills = re.findall(r'fill="#([0-9a-f]{6})"', svg)[-size * size:]  # after the backdrop
+    svg_rgb = np.array([list(bytes.fromhex(f)) for f in fills]).reshape(size, size, 3)
+    ppm = render.domain_coloring_ppm(golden_poincare, r, size)
+    ppm_rgb = np.frombuffer(ppm[-3 * size * size:], dtype=np.uint8).reshape(size, size, 3)
+    inside = np.abs(render._grid(r, size)) <= r
+    assert np.array_equal(svg_rgb[inside], ppm_rgb[inside])

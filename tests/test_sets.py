@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarelab.errors import BadParams, NoCertificate
 from poincarelab.sets import (
@@ -56,6 +58,17 @@ def test_powerlaw_monte_carlo_respects_certificate(r):
     cert = certified_bound(S, r)
     assert est.value <= cert + 3.0 * est.std_error
     assert cert <= 1.0 + 1e-12
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["powerlaw", "sectors"]), C=st.floats(0.01, 20.0),
+       delta=st.floats(0.05, 1.95), r=st.floats(0.5, 1000.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_density_respects_certificate_property(kind, C, delta, r, seed):
+    # the fixed cases above, at random (C, delta, r) for both certified sets
+    S = make_powerlaw_set(C, delta, seed=seed) if kind == "powerlaw" else make_sector_set(C, delta)
+    est = density_estimate(S, r, samples=20000, seed=seed)
+    assert est.value <= certified_bound(S, r) + 3.0 * est.std_error
 
 
 def test_annulus_budget_split():
