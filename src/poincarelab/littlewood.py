@@ -26,23 +26,27 @@ sector's error sum is at most tol / fold, so the disk's stays at most tol.
 `evaluations` counts the evaluations made.  An evaluator without a
 declaration has fold 1.
 
-Memory and cache: a level's open cells are refined _LEVEL_SLICE = 4096 at
-a time.  A slice probes 16,384 points, so each complex temporary of the
-evaluator and of _refine_slice is 256 KB and each float one 128 KB, and a
-slice's working set stays in a 2 MB L2 cache; at 2^14 cells each complex
-temporary was 1 MB and spilled out of L2 on every pass.  On a 2-vCPU Xeon
-(2 MB L2 per core) the 18 integrals of the benchmark's quadrature workload
-took a median of 421 ms with 2^11 cells a slice, 404 ms with 2^12, 429 ms
-with 2^13 and 567 ms with 2^14 (15 alternating runs in one process).  The
-sums are exact and a cell's children depend on that cell alone, so every
-value, error and evaluation count is independent of the slice size and of
-the order of the open cells.  An open cell is (r0, r1, angle id, coarse
-value), 32 bytes; the slices do not bound the open cells themselves.  The
-angle id indexes a table of the angular intervals met so far (edges, width
-and e^{i mid-angle}), which is small: every edge is the midpoint of its
-parent's, so each dyadic interval has one entry.  Accepted cells' values
-and errors are not kept: they go into exact sums (_ExactSum), binned
-_SUM_BLOCK floats at a time and rounded once at the end.
+Memory and cache: a level's open cells are held in chunks of _LEVEL_SLICE =
+4096 cells and refined a chunk (a slice) at a time.  A slice probes 16,384
+points, so each complex temporary of the evaluator and of _refine_slice is
+256 KB and each float one 128 KB, and a slice's working set stays in a 2 MB
+L2 cache; at 2^14 cells each complex temporary was 1 MB and spilled out of
+L2 on every pass.  On a 2-vCPU Xeon (2 MB L2 per core) the 18 integrals of
+the benchmark's quadrature workload took a median of 421 ms with 2^11 cells
+a slice, 404 ms with 2^12, 429 ms with 2^13 and 567 ms with 2^14 (15
+alternating runs in one process).  A refined slice writes its rejected
+cells' children into the next level's chunks and is dropped, so only the
+open cells (r0, r1, angle id, coarse value: 32 bytes) of the rest of one
+level and the start of the next are held: iterate_evaluator(-1, n) at tol
+1e-4 peaks at 50, 100 and 180 MB (ru_maxrss) for n = 6, 7 and 8, against
+71, 192 and 399 MB with whole levels concatenated.  The sums are exact and
+a cell's children depend on that cell alone, so every value, error and
+evaluation count is independent of the slice size and of the order of the
+open cells.  The angle id indexes a table of the angular intervals met so
+far (edges, width and e^{i mid-angle}), which is small: every edge is the
+midpoint of its parent's, so each dyadic interval has one entry.  Accepted
+cells' values and errors are not kept: they go into exact sums (_ExactSum),
+binned _SUM_BLOCK floats at a time and rounded once at the end.
 
 Iterates are never expanded into coefficients; P^n and its derivative are
 computed by forward iteration with the chain rule.  Lanes whose orbit passes
@@ -147,7 +151,8 @@ def coeff_evaluator(coeffs) -> PolyEvaluator:
     c = np.asarray(coeffs, dtype=complex)
     if len(c) < 2:
         raise BadParams("need at least a linear polynomial")
-    dc = c[1:] * np.arange(1, len(c))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails at the probes
+        dc = c[1:] * np.arange(1, len(c))
 
     def fn(z):
         v = np.full(z.shape, c[-1], dtype=complex)
@@ -341,9 +346,10 @@ def _seed_radial_edges(ev: PolyEvaluator):
     scan_r = np.linspace(1.0 / 512.0, 1.0, 512)
     scan_t = np.arange(32) * (math.tau / 32.0)
     grid = scan_r[:, None] * np.exp(1j * scan_t[None, :])
-    v, _ = ev(grid.ravel())
-    mag = np.abs(v).reshape(grid.shape) - 1.0
-    sign_flip = mag[:-1, :] * mag[1:, :] < 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf fails at the root mesh
+        v, _ = ev(grid.ravel())
+        mag = np.abs(v).reshape(grid.shape) - 1.0
+    sign_flip = (mag[:-1] < 0.0) & (mag[1:] > 0.0) | (mag[:-1] > 0.0) & (mag[1:] < 0.0)
     cross = 0.5 * (scan_r[:-1, None] + scan_r[1:, None])
     crossings = np.unique(cross[np.nonzero(sign_flip)[0], 0])
     if crossings.size > 256:
@@ -371,6 +377,7 @@ class _Angles:
         self.t0 = self.t1 = self.dt = self.e = np.empty(0)
         self.low = self.high = np.empty(0, dtype=np.intp)
         self._append(edges[:-1], edges[1:])
+        self.split(np.ones(self.t0.size, dtype=bool))
 
     def _append(self, t0, t1):
         self.t0 = np.concatenate([self.t0, t0])
@@ -381,10 +388,9 @@ class _Angles:
         self.low = np.concatenate([self.low, unsplit])
         self.high = np.concatenate([self.high, unsplit])
 
-    def split(self, ids: np.ndarray) -> None:
-        """Give the intervals ids their halves where they have none yet."""
-        needed = np.zeros(self.t0.size, dtype=bool)
-        needed[ids] = True
+    def split(self, needed: np.ndarray) -> None:
+        """Give the intervals marked in needed (a mask over the table)
+        their halves where they have none yet."""
         new = np.flatnonzero(needed & (self.low < 0))
         if new.size == 0:
             return
@@ -396,12 +402,35 @@ class _Angles:
         self._append(np.concatenate([t0, tm]), np.concatenate([tm, t1]))
 
 
-def _refine_slice(ev, tol, angles, r0, r1, aid, coarse):
+class _Chunks:
+    """Open cells written in order into chunks of _LEVEL_SLICE cells, each
+    a tuple of arrays (r0, r1, angle id, coarse value) cut to its cells."""
+
+    def __init__(self):
+        self.chunks, self._used = [], _LEVEL_SLICE
+
+    def write(self, fields, idx):
+        """Append the cells idx of the four slice arrays fields."""
+        while idx.size:
+            if self._used == _LEVEL_SLICE:  # the last chunk is full
+                block = np.empty((4, _LEVEL_SLICE))  # one allocation a chunk
+                self._rows = (block[0], block[1], block[2].view(np.int64), block[3])
+                self.chunks.append(self._rows)
+                self._used = 0
+            k = min(idx.size, _LEVEL_SLICE - self._used)
+            for src, dst in zip(fields, self._rows):
+                np.take(src, idx[:k], out=dst[self._used:self._used + k])
+            self._used += k
+            self.chunks[-1] = tuple(a[:self._used] for a in self._rows)
+            idx = idx[k:]
+
+
+def _refine_slice(ev, tol, angles, r0, r1, aid, coarse, out, needed):
     """Probe a slice of a level's open cells (radial edges, angle id and
     coarse value of each; angles holds the halves of their intervals) with
-    their 4 children.  Returns the accepted cells' estimates, their errors,
-    and the 4 child groups of the rejected cells, each in the form of the
-    input: (r0, r1, aid, coarse)."""
+    their 4 children.  Writes the rejected cells' children to out (a
+    _Chunks) in 4 groups, marks the angular children's intervals in needed
+    and returns the accepted cells' estimates and their errors."""
     n = r0.size
     rm = 0.5 * (r0 + r1)
     lo_id = angles.low[aid]
@@ -432,14 +461,13 @@ def _refine_slice(ev, tol, angles, r0, r1, aid, coarse):
     radial = (np.abs(fine_r - coarse) >= np.abs(fine_t - coarse))[keep]
     ri = keep[radial]
     ti = keep[~radial]
-    rm_r, aid_r = rm[ri], aid[ri]
-    r0_t, r1_t = r0[ti], r1[ti]
-    children = ((r0[ri], rm_r, aid_r, cvals[0, ri]),
-                (rm_r, r1[ri], aid_r, cvals[1, ri]),
-                (r0_t, r1_t, lo_id[ti], cvals[2, ti]),
-                (r0_t, r1_t, hi_id[ti], cvals[3, ti]))
+    out.write((r0, rm, aid, cvals[0]), ri)
+    out.write((rm, r1, aid, cvals[1]), ri)
+    out.write((r0, r1, lo_id, cvals[2]), ti)
+    out.write((r0, r1, hi_id, cvals[3]), ti)
+    needed[lo_id[ti]] = needed[hi_id[ti]] = True
     accepted = np.flatnonzero(ok)
-    return (fine + diff)[accepted], err[accepted], children
+    return (fine + diff)[accepted], err[accepted]
 
 
 def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
@@ -468,21 +496,21 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     evaluations counts only what was evaluated.  With fold 1 this is the
     whole disk.
 
-    Each level is refined in slices of _LEVEL_SLICE = 4096 open cells, whose
-    16,384 probes keep every temporary of the evaluator and of the cell
-    bookkeeping (256 KB per complex array) in a 2 MB L2 cache; 2^11 and
-    2^13 cells were slower, 2^14 cells 40% slower (timings in the module
-    docstring).  The budget is checked per level, before slicing, and the
-    sums are exact, so the result has the same bits for any slice size.
-    The angular edges, widths and e^{i mid-angle} of the cells are read
-    from one table of intervals (_Angles), computed once per interval."""
+    Each level streams through chunks of _LEVEL_SLICE = 4096 open cells,
+    refined one at a time (a chunk's 16,384 probes stay in a 2 MB L2
+    cache); a chunk's rejected cells write their 4 child groups, in order,
+    into the next level's chunks (timings and peaks in the module
+    docstring).  The budget is checked per level, from the chunk sizes, and
+    the sums are exact, so the result has the same bits for any slice size.
+    The cells' angles come from one table of intervals (_Angles), computed
+    once per interval and split once per level."""
     if not (0.0 < tol < math.inf):
         raise BadParams("tol must be positive and finite")
     fold = _fold(ev)
 
     r_edges, evals = _seed_radial_edges(ev)
-    angles = _Angles(np.linspace(0.0, math.tau, 17)[:16 // fold + 1])
-    nt = angles.t0.size
+    nt = 16 // fold
+    angles = _Angles(np.linspace(0.0, math.tau, 17)[:nt + 1])
     nr = r_edges.size - 1
     r0 = np.repeat(r_edges[:-1], nt)
     r1 = np.repeat(r_edges[1:], nt)
@@ -494,25 +522,25 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     value = _ExactSum()  # the accepted cells' estimates
     error = _ExactSum()  # and their error estimates
 
-    cells = (r0, r1, aid, coarse)  # the open cells of the level
+    level = [tuple(a[lo:lo + _LEVEL_SLICE] for a in (r0, r1, aid, coarse))
+             for lo in range(0, r0.size, _LEVEL_SLICE)]  # the open cells, in chunks
     for _level in range(_MAX_LEVELS):
-        n = cells[0].size
+        n = sum(chunk[0].size for chunk in level)
         if n == 0 or evals + 4 * n > EVAL_BUDGET:
             break
-        angles.split(cells[2])
-        children = []  # the rejected cells' child groups, slice by slice
-        for lo in range(0, n, _LEVEL_SLICE):
-            accepted, errs, groups = _refine_slice(
-                ev, tol, angles, *(a[lo:lo + _LEVEL_SLICE] for a in cells))
+        evals += 4 * n
+        children = _Chunks()
+        needed = np.zeros(angles.t0.size, dtype=bool)
+        while level:  # each chunk is dropped once refined
+            accepted, errs = _refine_slice(ev, tol, angles, *level.pop(0), children, needed)
             value.add(accepted)
             error.add(errs)
-            children.extend(groups)
-        evals += 4 * n
-        cells = tuple(np.concatenate(field) for field in zip(*children))
+        angles.split(needed)
+        level = children.chunks
 
-    budget_hit = cells[0].size > 0  # over budget, or out of levels
-    if budget_hit:
-        value.add(cells[3])  # the open cells at their midpoint values
+    budget_hit = bool(level)  # over budget, or out of levels
+    for chunk in level:
+        value.add(chunk[3])  # the open cells at their midpoint values
     return IntegralEstimate(
         value=fold * value.total(),
         error_bound=math.inf if budget_hit else fold * error.total(),

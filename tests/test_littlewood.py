@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincarelab import littlewood as lw
@@ -246,6 +246,34 @@ def test_level_slices_do_not_change_estimates(ev, monkeypatch):
         assert lw.disk_integral(ev, 1e-2) == whole
 
 
+_evaluator = st.one_of(
+    st.builds(lw.iterate_evaluator,
+              st.builds(complex, st.floats(-2.0, 0.25),
+                        st.one_of(st.just(0.0), st.floats(-1.0, 1.0))),
+              st.integers(1, 3)),
+    st.builds(lw.monomial_evaluator, st.integers(1, 64)),
+    st.builds(lw.coeff_evaluator,
+              st.lists(st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                       min_size=2, max_size=4)))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(ev=_evaluator, tol=st.floats(-3.0, -1.0).map(lambda e: 10.0**e),
+       budget=st.one_of(st.none(), st.integers(17_000, 60_000)))
+@example(ev=lw.iterate_evaluator(0.3 + 0.5j, 3), tol=1e-3, budget=40_000)
+def test_chunk_boundaries_do_not_change_estimates(ev, tol, budget):
+    # the open cells stream through chunks of _LEVEL_SLICE cells; any
+    # chunk size, and so any chunk boundary, gives the same estimate, over
+    # the budget too
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(lw, "EVAL_BUDGET", budget)
+        whole = lw.disk_integral(ev, tol)
+        for size in (1, 3, 7):
+            mp.setattr(lw, "_LEVEL_SLICE", size)
+            assert lw.disk_integral(ev, tol) == whole, size
+
+
 def test_over_budget_estimate_is_capped_and_slice_free(monkeypatch):
     # n = 5 needs 3,979,616 evaluations at tol 1e-4; under a cap of 300,000
     # the open cells join the sum at their midpoint values, with no bound
@@ -291,14 +319,20 @@ def test_non_finite_probes_fail_fast():
         warnings.simplefilter("error")
         with pytest.raises(OverflowSentinel):
             lw.spherical_derivative(ev, 0.95 + 0j)
+    # nor does building the evaluator, the seed scan or the root mesh warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowSentinel):
+            lw.disk_integral(lw.coeff_evaluator([0, 0, 1e308]), 1e-2)
 
 
 def test_disk_integral_memory_is_bounded():
     # refined one whole level at a time, n = 6 peaks near 290 MB; in slices,
     # with 56-byte open cells and every accepted value kept for math.fsum,
-    # near 130 MB; with 32-byte cells and a streaming sum near 80 MB.  The
-    # child reads its own VmHWM: ru_maxrss would carry over the peak of the
-    # test process that spawned it.
+    # near 130 MB; with 32-byte cells and a streaming sum near 71 MB; with
+    # the levels streamed in chunks of one slice near 50 MB.  The child
+    # reads its own VmHWM: ru_maxrss would carry over the peak of the test
+    # process that spawned it.
     code = ("from poincarelab import littlewood as lw\n"
             "lw.disk_integral(lw.iterate_evaluator(-1, 6), 1e-4)\n"
             "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
@@ -306,7 +340,7 @@ def test_disk_integral_memory_is_bounded():
         [str(Path(lw.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert int(out) / 1024 < 110  # VmHWM is in kB
+    assert int(out) / 1024 < 65  # VmHWM is in kB
 
 
 _summand = st.one_of(
