@@ -174,7 +174,9 @@ def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
     as many lanes as a masked update of the live lanes (the reference in
     tests/test_littlewood.py), which keeps its bits: numpy rounds an
     in-place complex multiply of one element (one live lane) differently
-    from a longer one.
+    from a longer one.  So the steps run in place, with one scratch array
+    per call, only while two or more lanes live; one lane takes the
+    reference's out-of-place step.
 
     bound starts at max |Re z| + max |Im z| and follows bound^2 + |c|, grown
     by 2^-40 per step to cover the step's rounding (a few ulp), so every
@@ -190,12 +192,18 @@ def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
     def fn(z):
         w = z.ravel()
         d = np.ones_like(w)
+        t = np.empty_like(w)
         bound = float(np.max(np.abs(w.real), initial=0.0)
                       + np.max(np.abs(w.imag), initial=0.0))
         out_w = pos = None
-        for _ in range(n):
-            d *= 2.0 * w
-            w = w**2 + c
+        for step in range(n):
+            if w.size <= 1:
+                d *= 2.0 * w
+                w = w**2 + c
+            else:  # in place, after the first step, which must leave z as it is
+                d *= np.multiply(2.0, w, out=t[:w.size])
+                w = np.square(w, out=w if step else None)
+                np.add(w, c, out=w)
             bound = (bound * bound + abs_c) * (1.0 + 2.0**-40)
             if bound <= limit:
                 continue  # no lane can have passed ESCAPE_BOUND
@@ -231,7 +239,12 @@ def _sph_many(ev: PolyEvaluator, z: np.ndarray) -> np.ndarray:
     float range is fine: its value is 0."""
     with np.errstate(over="ignore", invalid="ignore"):
         v, d = ev.fn(z)
-        sph = 2.0 * np.abs(d) / (1.0 + np.abs(v) ** 2)
+        sph = np.abs(d)
+        sph *= 2.0
+        den = np.abs(v)
+        np.square(den, out=den)
+        den += 1.0
+        sph /= den
     if not np.isfinite(sph).all():
         bad = np.count_nonzero(~np.isfinite(sph))
         raise OverflowSentinel(

@@ -4,12 +4,21 @@ Everything here is deterministic: pixel colors are pure functions of the
 inputs and SVG floats are printed with fixed precision, so equal inputs give
 byte-identical files.
 
-domain_coloring_ppm colors max(1, 2^15 // size) rows at a time, about one
-lane block (series._HORNER_BLOCK pixels), quantizing each block into one
-uint8 image, so its float arrays stay in L2 and a 512 x 512 image peaks
-near 7 MB of traced memory, not 40 MB.  Each pixel goes through the
-same numpy operations in any block, so the bytes do not depend on the
-blocks; see the lane-block sweep in the poincare module.
+domain_coloring_ppm fills the dark backdrop once and evaluates f only at
+the pixels with |z| <= r, max(1, 2^15 // size) rows (about one lane block,
+series._HORNER_BLOCK pixels) at a time, so its arrays stay in L2 and a
+512 x 512 image peaks near 7 MB of traced memory.  A lane's value does not
+depend on its batch (see the lane-block sweep in the poincare module), so
+neither the blocks nor the mask move a bit, and f may overflow in the
+corners outside D_r.  The SVG evaluates every cell it draws.
+
+Colors take one pass: _frac(x) = x - floor(x) is x % 1.0 bit for bit for
+finite x, at a fifteenth of its cost (both round the exact x - floor(x)
+once: numpy's remainder adds 1 to the exact fmod(x, 1) when that is
+negative); the HSV components are computed once, gathered per channel by
+hue sector and quantized once.  For the golden map at r = 200 and 512 x 512
+pixels (2-vCPU host) the call went from 70 to 47 ms: evaluation 31 -> 29
+ms, everything else 39 -> 18 ms.
 """
 
 from __future__ import annotations
@@ -27,24 +36,21 @@ from .siegel import SiegelMap, h_eval, sub_siegel_sample
 
 SVG_CELLS = 64  # cells per side of the vector domain coloring
 
+# the (r, g, b) of each hue sector, as rows of the components (v, q, p, t);
+# row 6 is row 0, for a hue that rounds up to 1.0
+_SECTORS = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1], [0, 3, 2]])
+_BACKDROP = 20  # round(0.08 * 255), each channel of a PPM pixel outside D_r
 
-def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Vectorized HSV -> RGB, all components in [0, 1]."""
-    h6 = (h % 1.0) * 6.0
-    i = np.floor(h6).astype(int) % 6
-    f = h6 - np.floor(h6)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+
+def _frac(x: np.ndarray) -> np.ndarray:
+    """x % 1.0, with its bits for every finite x (see the module docstring)."""
+    return x - np.floor(x)
 
 
 def _quantize(rgb: np.ndarray) -> np.ndarray:
     """uint8 channels of a float array in [0, 1]."""
-    return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
+    x = rgb * 255.0
+    return np.clip(np.rint(x, out=x), 0, 255, out=x).astype(np.uint8)
 
 
 def _p6(data: np.ndarray) -> bytes:
@@ -68,28 +74,41 @@ def _grid(r: float, size: int, rows: slice = slice(None)) -> np.ndarray:
     return xs[None, :] + 1j * ys[:, None]
 
 
-def _domain_rgb(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
-    """RGB in [0, 1] for f at each z: hue from the phase, brightness banded
-    by log2 |f|."""
-    f = poincare_eval_many(pm, z)
+def _hsv_bytes(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """uint8 RGB, shape h.shape + (3,), of the HSV colors of hue h in [0, 1],
+    saturation 0.85 and value v: the components (v, q, p, t) are computed
+    once, and each channel is gathered from them by the hue sector."""
+    h6 = h.reshape(-1) * 6.0
+    sector = np.floor(h6)
+    h6 -= sector
+    comp = np.stack([v.reshape(-1), 1.0 - 0.85 * h6, np.full(h6.size, 1.0 - 0.85),
+                     1.0 - 0.85 * (1.0 - h6)])
+    comp[1:] *= comp[0]
+    idx = np.take(_SECTORS * h6.size, sector.astype(np.intp), axis=0)
+    idx += np.arange(h6.size)[:, None]
+    return _quantize(np.take(comp, idx)).reshape(h.shape + (3,))
+
+
+def _domain_colors(f: np.ndarray) -> np.ndarray:
+    """uint8 RGB, shape f.shape + (3,), for the values f: hue from the
+    phase, brightness banded by log2 |f|."""
     with np.errstate(divide="ignore"):
         logm = np.log(np.abs(f))
     logm[~np.isfinite(logm)] = -30.0
-    hue = (np.angle(f) / math.tau) % 1.0
-    val = 0.35 + 0.55 * ((logm / math.log(2.0)) % 1.0)
-    return _hsv_to_rgb(hue, np.full_like(val, 0.85), val)
+    return _hsv_bytes(_frac(np.angle(f) / math.tau), 0.35 + 0.55 * _frac(logm / math.log(2.0)))
 
 
 def domain_coloring_ppm(pm: PoincareMap, r: float, size: int = 512) -> bytes:
     """Phase-and-modulus coloring of the Poincare function on the square
-    circumscribing D_r, about one lane block of rows at a time."""
-    data = np.empty((size, size, 3), dtype=np.uint8)
+    circumscribing D_r, dark outside D_r, where f is not evaluated."""
+    data = np.full((size, size, 3), _BACKDROP, dtype=np.uint8)
+    pixels = data.view("V3")[..., 0]  # one 3-byte item per pixel: a fast masked store
     rows = max(1, _series._HORNER_BLOCK // size)
     for lo in range(0, size, rows):
         z = _grid(r, size, slice(lo, lo + rows))
-        rgb = _domain_rgb(pm, z)
-        rgb[np.abs(z) > r] = 0.08
-        data[lo:lo + rows] = _quantize(rgb)
+        inside = np.abs(z) <= r
+        rgb = _domain_colors(poincare_eval_many(pm, z[inside]))
+        pixels[lo:lo + rows][inside] = rgb.view("V3")[:, 0]
     return _p6(data)
 
 
@@ -147,20 +166,13 @@ def orbit_svg(points: Iterable[complex], S: SetModel | None, r: float) -> str:
         j_hi = max(0, int(math.floor(math.log2(max(2.0, r)))))
         for j in range(j_hi + 1):
             centers, radii = disk_pack(S, j)
-            for c, rad in zip(centers, radii):
-                if abs(c) - rad > r:
-                    continue
-                parts.append(
-                    f'<circle cx="{c.real:.6e}" cy="{-c.imag:.6e}" r="{rad:.6e}" '
-                    f'fill="#808890" fill-opacity="0.45"/>\n'
-                )
+            parts += [f'<circle cx="{c.real:.6e}" cy="{-c.imag:.6e}" r="{rad:.6e}" '
+                      f'fill="#808890" fill-opacity="0.45"/>\n'
+                      for c, rad in zip(centers, radii) if not abs(c) - rad > r]
     marker_r = 0.012 * r
-    for p in pts:
-        parts.append(
-            f'<circle class="marker" cx="{p.real:.6e}" cy="{-p.imag:.6e}" '
-            f'r="{marker_r:.6e}" fill="#ffcc40" stroke="#805000" '
-            f'stroke-width="{0.25 * marker_r:.6e}"/>\n'
-        )
+    parts += [f'<circle class="marker" cx="{p.real:.6e}" cy="{-p.imag:.6e}" '
+              f'r="{marker_r:.6e}" fill="#ffcc40" stroke="#805000" '
+              f'stroke-width="{0.25 * marker_r:.6e}"/>\n' for p in pts]
     return _svg(r, parts)
 
 
@@ -182,31 +194,19 @@ def orbit_ppm(points: Iterable[complex], S: SetModel | None, r: float,
 
 def domain_coloring_svg(pm: PoincareMap, r: float) -> str:
     """Coarse vector version of the domain coloring (one rect per cell)."""
-    rgb = _quantize(_domain_rgb(pm, _grid(r, SVG_CELLS)))
+    rgb = _domain_colors(poincare_eval_many(pm, _grid(r, SVG_CELLS)))
     step = 2.0 * r / SVG_CELLS
-    parts = []
-    for i in range(SVG_CELLS):
-        for j in range(SVG_CELLS):
-            cc = rgb[i, j].tolist()
-            x = -r + j * step
-            y = -r + i * step
-            parts.append(
-                f'<rect x="{x:.6e}" y="{y:.6e}" width="{step:.6e}" '
-                f'height="{step:.6e}" fill="#{cc[0]:02x}{cc[1]:02x}{cc[2]:02x}"/>\n'
-            )
-    return _svg(r, parts)
+    return _svg(r, [
+        f'<rect x="{-r + j * step:.6e}" y="{-r + i * step:.6e}" width="{step:.6e}" '
+        f'height="{step:.6e}" fill="#{rgb[i, j].tobytes().hex()}"/>\n'
+        for i in range(SVG_CELLS) for j in range(SVG_CELLS)])
 
 
 def siegel_scatter_svg(sm: SiegelMap, samples: int = 1500, seed: int = 7) -> str:
     """Vector scatter of the sub-Siegel disk with its boundary image."""
     pts, boundary, span = _siegel_scatter(sm, samples, seed, 360)
-    parts = []
     dot = 0.006 * span
-    for group, fill in ((pts, "#8cc0f0"), (boundary, "#ffd84d")):
-        for p in group:
-            q = complex(p) - sm.center_value
-            parts.append(
-                f'<circle cx="{q.real:.6e}" cy="{-q.imag:.6e}" r="{dot:.6e}" '
-                f'fill="{fill}"/>\n'
-            )
-    return _svg(span, parts)
+    return _svg(span, [
+        f'<circle cx="{q.real:.6e}" cy="{-q.imag:.6e}" r="{dot:.6e}" fill="{fill}"/>\n'
+        for group, fill in ((pts, "#8cc0f0"), (boundary, "#ffd84d"))
+        for q in (complex(p) - sm.center_value for p in group)])

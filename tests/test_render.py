@@ -1,11 +1,16 @@
 import hashlib
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poincarelab import render, series
+from poincarelab.errors import OverflowSentinel
+from poincarelab.poincare import poincare_eval_many
 
 # sha256 of the 300 x 300 domain colorings (three row blocks, the last one
 # partial), as written before the rows were colored in blocks
@@ -69,3 +74,85 @@ def test_domain_svg_colors_match_ppm(golden_poincare):
     ppm_rgb = np.frombuffer(ppm[-3 * size * size:], dtype=np.uint8).reshape(size, size, 3)
     inside = np.abs(render._grid(r, size)) <= r
     assert np.array_equal(svg_rgb[inside], ppm_rgb[inside])
+
+
+def test_domain_ppm_evaluates_only_the_disk(golden_poincare, monkeypatch):
+    # f overflows in the corners of the square around D_17000, outside the
+    # disk; the image is still drawn, with those pixels dark
+    r, size = 17000.0, 64
+    z = render._grid(r, size)
+    inside = np.abs(z) <= r
+    with pytest.raises(OverflowSentinel):
+        poincare_eval_many(golden_poincare, z[~inside])
+    seen = []
+
+    def spy(pm, pts):
+        seen.append(pts.copy())
+        return poincare_eval_many(pm, pts)
+
+    monkeypatch.setattr(render, "poincare_eval_many", spy)
+    data = render.domain_coloring_ppm(golden_poincare, r, size)
+    rgb = np.frombuffer(data[-3 * size * size:], dtype=np.uint8).reshape(size, size, 3)
+    assert np.all(rgb[~inside] == round(0.08 * 255))
+    assert np.array_equal(np.concatenate(seen), z[inside])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(-1e-20)  # % 1.0 rounds it up to 1.0
+@example(1.0 - 2.0**-53)
+@example(-(1.0 - 2.0**-53))
+def test_frac_is_the_float_remainder(x):
+    a = np.array([x, -x])
+    assert render._frac(a).tobytes() == (a % 1.0).tobytes()
+
+
+def _reference_hsv(h, v):
+    """uint8 RGB of HSV with saturation 0.85, as the domain coloring was
+    computed before its one-pass color path: float channels picked by
+    np.choose, stacked, then rounded."""
+    s = np.full_like(v, 0.85)
+    h6 = (h % 1.0) * 6.0
+    i = np.floor(h6).astype(int) % 6
+    f = h6 - np.floor(h6)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    rgb = np.stack([np.choose(i, [v, q, p, p, t, v]), np.choose(i, [t, v, v, q, p, p]),
+                    np.choose(i, [p, p, t, v, v, q])], axis=-1)
+    return np.clip(np.round(rgb * 255.0), 0, 255).astype(np.uint8)
+
+
+def _reference_colors(f):
+    with np.errstate(divide="ignore"):
+        logm = np.log(np.abs(f))
+    logm[~np.isfinite(logm)] = -30.0
+    hue = (np.angle(f) / math.tau) % 1.0
+    return _reference_hsv(hue, 0.35 + 0.55 * ((logm / math.log(2.0)) % 1.0))
+
+
+def test_hsv_bytes_match_the_reference():
+    rng = np.random.default_rng(21)
+    edges = np.arange(7) / 6.0
+    h = np.concatenate([rng.random(20000), edges, np.nextafter(edges, 2.0),
+                        np.nextafter(edges, -1.0)[1:], [1.0 - 2.0**-53]])
+    for v in (rng.uniform(0.35, 0.9, h.size), rng.random(h.size)):
+        assert np.array_equal(render._hsv_bytes(h, v), _reference_hsv(h, v))
+    one = (np.array([[0.3]]), np.array([[0.6]]))  # a 1-pixel image
+    assert render._hsv_bytes(*one).shape == (1, 1, 3)
+    assert np.array_equal(render._hsv_bytes(*one), _reference_hsv(*one))
+
+
+def test_domain_colors_match_the_reference():
+    rng = np.random.default_rng(22)
+    n = 20000
+    f = np.exp(rng.uniform(-40.0, 40.0, n)) * np.exp(1j * math.tau * rng.random(n))
+    sectors = np.exp(1j * math.tau * np.arange(7) / 6.0)
+    f = np.concatenate([f, sectors, 3.7 * sectors, [0.0, -2.0, 1e-300, complex(1.0, -1e-300),
+                                                    complex(-1.0, -1e-300), 1j, -1j]])
+    assert np.array_equal(render._domain_colors(f), _reference_colors(f))
+    for one in (f[-4:-3], f[:1].reshape(1, 1)):
+        assert np.array_equal(render._domain_colors(one), _reference_colors(one))

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 44 invocations that cover every subcommand, each
+`src`).  RUNS lists 45 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -72,6 +72,11 @@ for what in ("domain", "siegel", "orbit"):
 # a partial one; the 128-pixel runs fit in one block
 RUNS.append(("render_domain_ppm_600",
              ["render", "--what", "domain", "--size", "600", "--out", "domain.ppm"]))
+# f overflows in the corners of the square around D_17000, outside the disk
+# that the image shows
+RUNS.append(("render_domain_corners",
+             ["render", "--what", "domain", "--r", "17000", "--size", "64",
+              "--out", "domain.ppm"]))
 RUNS.append(("render_orbit_sectors_ppm",
              ["render", "--what", "orbit", "--size", "128", "--out", "orbit.ppm",
               "--set", "sectors"]))
