@@ -46,7 +46,6 @@ from .poincare import (
     PoincareMap,
     build_poincare_map,
     check_functional_equation,
-    log_modulus_eval,
     order_estimate,
     poincare_coefficients,
     poincare_eval,
@@ -56,7 +55,6 @@ from .sets import (
     SetModel,
     certified_bound,
     density_estimate,
-    make_custom_set,
     make_empty_set,
     make_powerlaw_set,
     make_sector_set,
@@ -67,13 +65,11 @@ from .preimage import (
     argument_principle_count,
     build_preimage_report,
     find_base_preimage,
-    koebe_density_transfer,
     orbit_preimages,
     verify_orbit_point,
 )
 from .exceptional import (
     ExceptionalReport,
-    exceptional_count,
     exceptional_survey,
     log_growth_table,
 )
@@ -86,7 +82,6 @@ from .littlewood import (
     iterate_family_integrals,
     monomial_evaluator,
     monomial_integral_oracle,
-    spherical_derivative,
 )
 from .chebfamily import (
     FamilyReport,
@@ -101,25 +96,24 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadParams", "ContinuationLost", "Cycle", "CycleCollision",
-    "ExceptionalReport", "FamilyReport", "InsufficientData", "IntegralEstimate",
-    "InverseBranch", "NoCertificate", "NoConvergence", "NoSignChange",
-    "NotFound", "NotRepelling", "OutOfDomain", "OutOfSafeRadius",
-    "OverflowSentinel", "PoincareLabError", "PoincareMap", "PreimageReport",
-    "QuadMap", "ResonantAngle", "RotationAngle", "SetModel", "SiegelMap",
-    "TruncatedSeries", "argument_principle_count", "build_cycle_siegel_map",
-    "build_poincare_map", "build_preimage_report", "build_siegel_map",
-    "certified_bound", "check_functional_equation", "cs_bound",
-    "density_estimate", "disk_integral", "exceptional_count",
-    "exceptional_survey", "exponent_fit", "family_angle", "family_report",
-    "find_base_preimage", "find_cycle", "find_multiplier_param",
-    "find_superattracting", "h_eval", "h_inverse", "iterate_evaluator",
-    "iterate_family_integrals", "koebe_density_transfer", "log_growth_table",
-    "log_modulus_eval", "make_custom_set", "make_empty_set",
-    "make_powerlaw_set", "make_sector_set", "make_series", "monomial_evaluator",
+    "ExceptionalReport", "FamilyReport", "InsufficientData",
+    "IntegralEstimate", "InverseBranch", "NoCertificate", "NoConvergence",
+    "NoSignChange", "NotFound", "NotRepelling", "OutOfDomain",
+    "OutOfSafeRadius", "OverflowSentinel", "PoincareLabError", "PoincareMap",
+    "PreimageReport", "QuadMap", "ResonantAngle", "RotationAngle", "SetModel",
+    "SiegelMap", "TruncatedSeries", "argument_principle_count",
+    "build_cycle_siegel_map", "build_poincare_map", "build_preimage_report",
+    "build_siegel_map", "certified_bound", "check_functional_equation",
+    "cs_bound", "density_estimate", "disk_integral", "exceptional_survey",
+    "exponent_fit", "family_angle", "family_report", "find_base_preimage",
+    "find_cycle", "find_multiplier_param", "find_superattracting", "h_eval",
+    "h_inverse", "iterate_evaluator", "iterate_family_integrals",
+    "log_growth_table", "make_empty_set", "make_powerlaw_set",
+    "make_sector_set", "make_series", "monomial_evaluator",
     "monomial_integral_oracle", "orbit_preimages", "order_estimate",
     "order_from_multiplier", "p_inverse_on_disk", "poincare_coefficients",
     "poincare_eval", "poincare_eval_many", "repelling_fixed_data",
     "repelling_fixed_point", "series_derivative", "series_eval",
-    "series_to_json", "siegel_radius_estimate", "spherical_derivative",
-    "sub_siegel_sample", "verify_orbit_point",
+    "series_to_json", "siegel_radius_estimate", "sub_siegel_sample",
+    "verify_orbit_point",
 ]

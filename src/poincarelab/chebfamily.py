@@ -15,6 +15,8 @@ The pipeline per period q mirrors a three-stage construction:
 
 The seed cycle and the cycle found are checked for merged points (a period
 halving), which raises CycleCollision rather than returning the wrong cycle.
+A search returns a ParamSearchResult: c, the cycle (with its period and
+multiplier) and the residual; which search made it is the caller's to know.
 """
 
 from __future__ import annotations
@@ -53,11 +55,8 @@ _STEP_TOL = 1e-15
 @dataclass(frozen=True)
 class ParamSearchResult:
     c: complex
-    q: int
-    cycle: Cycle
-    multiplier: complex
+    cycle: Cycle  # period q, and the multiplier the search reached
     residual: float
-    kind: str  # Superattracting | Parabolic | SiegelTarget | MultiplierTarget
 
 
 @dataclass(frozen=True)
@@ -140,9 +139,7 @@ def find_superattracting(q: int, bracket) -> ParamSearchResult:
     qm = QuadMap(kind="c", param=complex(root))
     cyc = Cycle(points=cycle_through(qm, 0.0 + 0.0j, q).points, period=q,
                 multiplier=0.0 + 0.0j)
-    return ParamSearchResult(c=complex(root), q=q, cycle=cyc,
-                             multiplier=0.0 + 0.0j, residual=resid,
-                             kind="Superattracting")
+    return ParamSearchResult(c=complex(root), cycle=cyc, residual=resid)
 
 
 def _cycle(c: complex, z1: complex, q: int) -> Cycle:
@@ -199,17 +196,7 @@ def find_multiplier_param(q: int, target: complex, seed_c: complex) -> ParamSear
     res = abs(cyc.multiplier - target)
     if not res < 1e-8:  # NaN fails too
         raise NoConvergence(f"multiplier Newton ended at residual {res:.3e}")
-    if target == 0:
-        kind = "Superattracting"
-    elif target == -1:
-        kind = "Parabolic"
-    elif abs(abs(target) - 1.0) < 1e-12:
-        kind = "SiegelTarget"
-    else:
-        kind = "MultiplierTarget"
-    return ParamSearchResult(
-        c=c, q=q, cycle=cyc, multiplier=cyc.multiplier, residual=res, kind=kind,
-    )
+    return ParamSearchResult(c=c, cycle=cyc, residual=res)
 
 
 def repelling_fixed_data(c: complex):

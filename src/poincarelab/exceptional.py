@@ -103,15 +103,6 @@ def _records(ib: InverseBranch, S: SetModel, ws: list, k_max: int):
     return records, median_rows, c1
 
 
-def exceptional_count(ib: InverseBranch, S: SetModel, w: complex,
-                      k_max: int) -> WRecord:
-    """Per-w record: orbit points with S membership, the counts at
-    r_k = |mu|^k * C1 (C1 from this w's own orbit), the liminf proxy, and
-    the escape flag."""
-    records, _, _ = _records(ib, S, [complex(w)], k_max)
-    return records[0]
-
-
 def _descriptor(ib: InverseBranch) -> str:
     qm = ib.pm.map
     return f"{qm.kind}-form map, param {qm.param}, mu {ib.pm.mu}"

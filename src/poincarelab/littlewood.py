@@ -58,7 +58,6 @@ one may have passed 1e50.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -223,14 +222,6 @@ def iterate_evaluator(c: complex, n: int) -> PolyEvaluator:
 
     fn.symmetry = (2, c.imag == 0.0)
     return PolyEvaluator(degree=2**n, label=f"iterate(c={c}, n={n})", fn=fn)
-
-
-def spherical_derivative(ev: PolyEvaluator, z: complex) -> float:
-    """2 |P'(z)| / (1 + |P(z)|^2) at one point; BadParams unless z is finite,
-    OverflowSentinel unless the value is."""
-    if not cmath.isfinite(z):
-        raise BadParams(f"spherical derivative at a non-finite point {z}")
-    return float(_sph_many(ev, np.array([z], dtype=complex))[0])
 
 
 def _sph_many(ev: PolyEvaluator, z: np.ndarray) -> np.ndarray:

@@ -234,8 +234,7 @@ def _lanes(pm: PoincareMap, z, derivative: bool):
 def _one_lane(values, ok, z) -> complex:
     if not ok[0]:
         raise OverflowSentinel(
-            f"pullback at z = {complex(z)} passed 1e290 (or z is not finite); "
-            "use log_modulus_eval for growth queries"
+            f"pullback at z = {complex(z)} passed 1e290 (or z is not finite)"
         )
     return complex(values[0])
 
@@ -257,9 +256,7 @@ def poincare_eval_many(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
     if any point overflows."""
     f, _, ok = _lanes(pm, z, derivative=False)
     if not np.all(ok):
-        raise OverflowSentinel(
-            "iterate exceeded 1e290; use log_modulus_eval for growth queries"
-        )
+        raise OverflowSentinel("iterate exceeded 1e290")
     return f.reshape(np.shape(z))
 
 
@@ -321,12 +318,6 @@ def _log_modulus(pm: PoincareMap, z: np.ndarray, k: int) -> np.ndarray:
 def log_modulus_circle(pm: PoincareMap, r: float, n: int = CIRCLE_SAMPLES) -> np.ndarray:
     """log|f| on |z|=r with the overflow-safe doubling path."""
     return _log_modulus(pm, _circle(r, n), pullback_depth(pm, r))
-
-
-def log_modulus_eval(pm: PoincareMap, z: complex) -> float:
-    """log|f(z)|, accurate to 1e-6 whenever |f(z)| > 1; never overflows.
-    One lane of the doubling path that log_modulus_circle runs."""
-    return float(_log_modulus(pm, np.array([complex(z)]), pullback_depth(pm, abs(z)))[0])
 
 
 def functional_equation_residual(pm: PoincareMap, z: complex) -> float:

@@ -27,7 +27,7 @@ each lane by the same operations at any position in any array, a lane's
 result does not depend on its batch.
 
 Also here: brute-force counting of all preimages in a disk by the argument
-principle, and an empirical density-transfer probe for thin target sets.
+principle.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyncore import newton_lanes
-from .errors import BadParams, ContinuationLost, NoCertificate, NoConvergence, NotFound
+from .errors import BadParams, ContinuationLost, NoConvergence, NotFound
 from .poincare import PoincareMap, eval_on_circle, poincare_derivative_eval, poincare_eval
 from .serialize import csv_text, json_text
-from .sets import SetModel, certified_bound
+from .sets import SetModel
 # h_inverse and p_inverse_on_disk are not called here, but stay importable
 # from this module: perfbench/tracer.py wraps them under these names.
 from .siegel import (  # noqa: F401
@@ -51,7 +51,6 @@ from .siegel import (  # noqa: F401
     h_inverse_many,
     p_inverse_many,
     p_inverse_on_disk,
-    sub_siegel_sample,
 )
 
 NEWTON_ITERS = 60
@@ -241,24 +240,6 @@ def argument_principle_count(pm: PoincareMap, w: complex, r: float) -> int:
                 f"argument principle did not settle by 2^18 nodes (last {prev:.6f})"
             )
         z, f_vals, df_vals = eval_on_circle(pm, r_eff, n)
-
-
-def koebe_density_transfer(ib: InverseBranch, S: SetModel, k: int,
-                           samples: int, seed: int):
-    """(hit fraction of k-th orbit preimages landing in S, certified ambient
-    bound at the enclosing radius |mu|^k * C1), where C1 is the largest of
-    |base_point| and the |g0| values this call continued."""
-    if S.certificate is None:
-        raise NoCertificate("density transfer needs a certified set")
-    if k < 0:
-        raise BadParams("k must be >= 0")
-    ws = sub_siegel_sample(ib.sm, samples, seed)
-    g = branch_continue(ib, p_inverse_many(ib.sm, ws, [k])[:, 0])
-    pts = ib.pm.mu**k * g
-    hits = int(np.count_nonzero(S.contains_many(pts)))
-    c1 = max([abs(ib.base_point)] + [abs(v) for v in g.tolist()])
-    radius = abs(ib.pm.mu) ** k * c1
-    return hits / len(pts), certified_bound(S, radius)
 
 
 def build_preimage_report(ib: InverseBranch, S: SetModel, w: complex, r: float,

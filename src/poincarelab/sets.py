@@ -15,6 +15,8 @@ and the annuli start at |z| = 1, so the bound is trivial below that.  Disk
 placement inside an annulus is pseudo-random but fully determined by
 (seed, j); overlap between disks only removes area, so the certificate is
 one-sided safe no matter how the rejection sampling goes.
+Both built-in constructors check (C, delta) in one place: the bound holds
+only for 0 < C < inf and 0 < delta < 2, and any other pair raises BadParams.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class SetModel:
     a point gets the same answer whichever of the two asks.
     """
 
-    kind: str  # Empty | PowerLawDisks | AnnularSectors | Custom
+    kind: str  # Empty | PowerLawDisks | AnnularSectors
     indicator: Callable[[np.ndarray], np.ndarray]
     certificate: Optional[tuple] = None  # (C, delta)
     seed: Optional[int] = None
@@ -135,12 +137,6 @@ def disk_pack(S: SetModel, j: int):
     return S._packs[j]
 
 
-def annulus_budget(S: SetModel, j: int) -> float:
-    if S.certificate is None:
-        raise NoCertificate("set carries no density certificate")
-    return _budget(S.certificate[0], S.certificate[1], j)
-
-
 def make_empty_set() -> SetModel:
     return SetModel(
         kind="Empty",
@@ -149,11 +145,18 @@ def make_empty_set() -> SetModel:
     )
 
 
-def make_powerlaw_set(C: float, delta: float, seed: int) -> SetModel:
-    if not (C > 0.0):
-        raise BadParams("C must be positive")
-    if not (0.0 < delta < 2.0):
+def _certificate(C: float, delta: float) -> tuple:
+    """The (C, delta) of a built-in set, as floats; BadParams unless
+    0 < C < inf and 0 < delta < 2, where the certificate holds."""
+    if not 0.0 < C < math.inf:
+        raise BadParams(f"C must be positive and finite, got {C}")
+    if not 0.0 < delta < 2.0:
         raise BadParams("delta must lie in (0, 2)")
+    return float(C), float(delta)
+
+
+def make_powerlaw_set(C: float, delta: float, seed: int) -> SetModel:
+    certificate = _certificate(C, delta)
 
     def indicator(z: np.ndarray) -> np.ndarray:
         flat = z.ravel()
@@ -178,7 +181,7 @@ def make_powerlaw_set(C: float, delta: float, seed: int) -> SetModel:
     S = SetModel(
         kind="PowerLawDisks",
         indicator=indicator,
-        certificate=(float(C), float(delta)),
+        certificate=certificate,
         seed=int(seed),
     )
     return S
@@ -187,10 +190,7 @@ def make_powerlaw_set(C: float, delta: float, seed: int) -> SetModel:
 def make_sector_set(C: float, delta: float) -> SetModel:
     """Deterministic wedge variant: in annulus j, the sector 0 <= arg z < phi_j
     with phi_j = 2*pi*F(delta)*min(1, C*2^{-j*delta}). Same certificate."""
-    if not (C > 0.0):
-        raise BadParams("C must be positive")
-    if not (0.0 < delta < 2.0):
-        raise BadParams("delta must lie in (0, 2)")
+    C, delta = _certificate(C, delta)
     F = safety_factor(delta)
 
     def indicator(z: np.ndarray) -> np.ndarray:
@@ -208,23 +208,8 @@ def make_sector_set(C: float, delta: float) -> SetModel:
     return SetModel(
         kind="AnnularSectors",
         indicator=indicator,
-        certificate=(float(C), float(delta)),
+        certificate=(C, delta),
     )
-
-
-def make_custom_set(predicate: Callable[[complex], bool],
-                    certificate: Optional[tuple] = None) -> SetModel:
-    """A set given by a scalar predicate complex -> bool, applied point by
-    point, with an optional (C, delta) density certificate."""
-    cert = None
-    if certificate is not None:
-        cert = (float(certificate[0]), float(certificate[1]))
-
-    def indicator(z: np.ndarray) -> np.ndarray:
-        hits = (predicate(complex(w)) for w in z.ravel())
-        return np.fromiter(hits, dtype=bool, count=z.size).reshape(z.shape)
-
-    return SetModel(kind="Custom", indicator=indicator, certificate=cert)
 
 
 def certified_bound(S: SetModel, r: float) -> float:

@@ -8,9 +8,11 @@ experiment consumes.  On W the map acts as a rigid rotation in linearizing
 coordinates, which is what makes the inverse iterates P^{-k} computable:
 P^{-k}(w) = h(lambda^{-k} h^{-1}(w)).
 
-For the parameter-family work the same recursion, run along the chain of
-the q quadratic steps of a Siegel cycle, linearizes the q-fold composition
-at one cycle point: a periodic Siegel disk's linearizer.
+One builder, build_cycle_siegel_map, makes every linearizer: the same
+recursion, run along the chain of the q quadratic steps of a Siegel cycle,
+linearizes the q-fold composition at one cycle point.  A fixed point is the
+period-1 cycle: build_siegel_map runs that builder on the cycle {0} of
+w -> lam*w + w^2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from ._linearize import conjugacy_coeffs
-from .dyncore import QuadMap, newton_lanes
+from .dyncore import QuadMap, cycle_through, newton_lanes
 from .errors import BadParams, NoConvergence, OutOfDomain
 from .series import (
     TruncatedSeries,
@@ -40,11 +42,10 @@ SUB_FRACTION = 0.5  # W = h(D_{SUB_FRACTION * R_hat})
 
 @dataclass(frozen=True)
 class RotationAngle:
-    """An irrational rotation number gamma in (0,1), optionally with its
+    """An irrational rotation number gamma in (0,1); from_cf takes the
     continued-fraction expansion [0; t1, t2, ...]."""
 
     gamma: float
-    cf_terms: tuple | None = None
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -56,7 +57,7 @@ class RotationAngle:
 
     @classmethod
     def golden(cls) -> "RotationAngle":
-        return cls(gamma=(math.sqrt(5.0) - 1.0) / 2.0, cf_terms=(1,) * 40)
+        return cls(gamma=(math.sqrt(5.0) - 1.0) / 2.0)
 
     @classmethod
     def from_cf(cls, terms) -> "RotationAngle":
@@ -66,7 +67,7 @@ class RotationAngle:
         x = 0.0
         for t in reversed(terms):
             x = 1.0 / (t + x)
-        return cls(gamma=x, cf_terms=terms)
+        return cls(gamma=x)
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,19 @@ class SiegelRadiusEstimate:
 @dataclass(frozen=True)
 class SiegelMap:
     """A solved linearization: series_h conjugates the (period-fold) map to
-    the rotation by lam, its multiplier at center_value."""
+    the rotation by lam, its multiplier at center_value.  Built only by
+    build_cycle_siegel_map, which sets every field."""
 
     angle: RotationAngle
     map: QuadMap
     series_h: TruncatedSeries  # coeffs[0]=0, coeffs[1]=1, recentred
     radius_hat: float
     lam: complex
-    center_value: complex = 0j
-    period: int = 1
-    radius_info: SiegelRadiusEstimate | None = None
-    conj_residual: float = 0.0
-    series_dh: TruncatedSeries = field(default=None, repr=False)
+    center_value: complex
+    period: int
+    radius_info: SiegelRadiusEstimate
+    conj_residual: float  # on the sub-disk's boundary, 256 angles
+    series_dh: TruncatedSeries = field(repr=False)
     sub_fraction: ClassVar[float] = SUB_FRACTION
 
 
@@ -102,22 +104,6 @@ def _power(qmap: QuadMap, q: int):
             z = qmap(z)
         return z
     return forward
-
-
-def siegel_coefficients(qmap: QuadMap, N: int) -> TruncatedSeries:
-    """Linearizer coefficients for a lambda-form map at the origin.
-
-    b1 = 1 and b_n = (sum_{i+j=n} b_i b_j)/(lambda^n - lambda); raises
-    ResonantAngle at the first divisor below 1e-14 (rational-like angles).
-    """
-    if qmap.kind != "lambda":
-        raise BadParams("siegel_coefficients expects a lambda-form map")
-    lam = qmap.param
-    if abs(abs(lam) - 1.0) > 1e-12:
-        raise BadParams("lambda must lie on the unit circle")
-    if N < 1:
-        raise BadParams("N must be >= 1")
-    return make_series(conjugacy_coeffs([lam], N))
 
 
 # lanes on circles past the first failure may overflow; their rows read inf
@@ -138,16 +124,17 @@ def _circle_residuals(series, center, lam, forward, radii, n_angles=128) -> np.n
 
 def siegel_radius_estimate(
     h: TruncatedSeries,
-    forward=None,
-    lam: complex | None = None,
-    center: complex = 0j,
+    forward,
+    lam: complex,
+    center: complex,
 ) -> SiegelRadiusEstimate:
-    """Convergence-radius estimate for a linearizer series.
+    """Convergence-radius estimate for a linearizer series centred at center,
+    which conjugates the map given by the forward callable to the rotation
+    by lam.
 
     Root-test estimate 1/limsup|b_n|^{1/n} over the last quarter of the
-    coefficients; when the conjugated map is supplied (forward callable plus
-    its rotation number lam), cross-checked against the largest circle where
-    the conjugacy residual stays below 1e-8: 48 geometric radii from 0.05 to
+    coefficients, cross-checked against the largest circle where the
+    conjugacy residual stays below 1e-8: 48 geometric radii from 0.05 to
     1.5 times the root-test radius are evaluated together (128 angles each),
     and the scan keeps the circles before the first one that fails or has a
     non-finite residual. Disagreement beyond a factor 2 is flagged
@@ -161,10 +148,6 @@ def siegel_radius_estimate(
     if len(nz) == 0 or nz[-1] < 2:
         return SiegelRadiusEstimate(math.inf, math.inf, math.inf, False)
     root_est = 1.0 / root_test_rate(a, nz)
-
-    if forward is None or lam is None:
-        return SiegelRadiusEstimate(root_est, root_est, math.nan, False)
-
     radii = root_est * np.geomspace(0.05, 1.5, 48)
     # the scan ends at the first circle that fails (inf fails too)
     fails = np.flatnonzero(~(_circle_residuals(h, center, lam, forward, radii)
@@ -178,47 +161,6 @@ def siegel_radius_estimate(
     return SiegelRadiusEstimate(value, root_est, resid_est, ratio > 2.0)
 
 
-def _radius_and_residual(series, center, lam, forward):
-    """(radius estimate, conjugacy residual on the sub-disk's boundary)."""
-    est = siegel_radius_estimate(series, forward=forward, lam=lam, center=center)
-    resid = _circle_residuals(
-        series, center, lam, forward, [SUB_FRACTION * est.value], n_angles=256
-    )
-    return est, float(resid[0])
-
-
-def _assemble(angle, qmap, series, lam, center, period, est, resid):
-    if not est.value > 0.0 or not math.isfinite(est.value):
-        raise NoConvergence("could not certify a positive linearization radius")
-    return SiegelMap(
-        angle=angle,
-        map=qmap,
-        series_h=series,
-        radius_hat=est.value,
-        lam=lam,
-        center_value=center,
-        period=period,
-        radius_info=est,
-        conj_residual=resid,
-        series_dh=series_derivative(series),
-    )
-
-
-def build_siegel_map(angle: RotationAngle, N: int = 64) -> SiegelMap:
-    """Solve the linearization of w -> lam*w + w^2 at the origin."""
-    qmap = QuadMap.lambda_form(angle.lam)
-    n = N
-    while True:
-        series = siegel_coefficients(qmap, n)
-        est, resid = _radius_and_residual(series, 0j, angle.lam, _power(qmap, 1))
-        # double on demand until the conjugacy holds to 1e-10 on the sub-disk
-        if resid > 1e-10 and n < 512:
-            n *= 2
-            continue
-        break
-    return _assemble(angle, qmap, series, angle.lam, 0j, 1, est, resid)
-
-
 def build_cycle_siegel_map(
     qmap: QuadMap,
     cycle,
@@ -227,14 +169,35 @@ def build_cycle_siegel_map(
 ) -> SiegelMap:
     """Linearize the q-fold composition at the first point of a Siegel
     cycle, as the chain of the q quadratic steps along the cycle.  lam is
-    the cycle's multiplier, the product of the steps' slopes in cycle order."""
+    the cycle's multiplier, the product of the steps' slopes in cycle order.
+    ResonantAngle at a divisor below 1e-14, else BadParams for N < 64."""
     lam = complex(cycle.multiplier)
     if abs(abs(lam) - 1.0) > 1e-6:
         raise BadParams(f"cycle multiplier |{lam}| = {abs(lam)} is not on the unit circle")
     series = make_series(conjugacy_coeffs([qmap.deriv(p) for p in cycle.points], N))
     zeta = complex(cycle.points[0])
-    est, resid = _radius_and_residual(series, zeta, lam, _power(qmap, cycle.period))
-    return _assemble(angle, qmap, series, lam, zeta, cycle.period, est, resid)
+    forward = _power(qmap, cycle.period)
+    est = siegel_radius_estimate(series, forward, lam, zeta)
+    if not est.value > 0.0 or not math.isfinite(est.value):
+        raise NoConvergence("could not certify a positive linearization radius")
+    resid = _circle_residuals(series, zeta, lam, forward, [SUB_FRACTION * est.value],
+                              n_angles=256)
+    return SiegelMap(angle=angle, map=qmap, series_h=series, radius_hat=est.value,
+                     lam=lam, center_value=zeta, period=cycle.period, radius_info=est,
+                     conj_residual=float(resid[0]), series_dh=series_derivative(series))
+
+
+def build_siegel_map(angle: RotationAngle, N: int = 64) -> SiegelMap:
+    """Solve the linearization of w -> lam*w + w^2 at the origin, the
+    period-1 cycle of build_cycle_siegel_map, doubling N on demand (up to
+    512) until the conjugacy holds to 1e-10 on the sub-disk."""
+    qmap = QuadMap.lambda_form(angle.lam)
+    cycle = cycle_through(qmap, 0j, 1)
+    while True:
+        sm = build_cycle_siegel_map(qmap, cycle, angle, N)
+        if not (sm.conj_residual > 1e-10 and N < 512):
+            return sm
+        N *= 2
 
 
 def h_eval(sm: SiegelMap, z):

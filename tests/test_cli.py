@@ -218,6 +218,16 @@ def test_density_powerlaw_under_certificate(tmp_path):
     assert blob["value"] <= blob["certified_bound"] + 3 * blob["std_error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("density", "--set", "powerlaw", "--C", "inf", "--r", "5", "--samples", "2000"),
+    ("density", "--set", "sectors", "--C", "nan", "--r", "5"),
+    ("exceptional", "--set", "sectors", "--C", "1e400", "--samples", "10", "--kmax", "5"),
+], ids=["density_inf", "density_nan", "exceptional_1e400"])
+def test_unbounded_density_constant_exits_2_and_writes_nothing(tmp_path, argv):
+    assert run(tmp_path, *argv) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exceptional_survey_outputs(tmp_path, capsys):
     code = run(tmp_path, "exceptional", "--set", "empty", "--samples", "10",
                "--kmax", "8", "--seed", "4")

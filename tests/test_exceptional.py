@@ -11,8 +11,8 @@ from poincarelab.exceptional import (
     LIMINF_WINDOW,
     RatioRow,
     _count_table,
+    _records,
     escape_fraction,
-    exceptional_count,
     exceptional_survey,
     liminf_proxies,
     log_growth_table,
@@ -20,11 +20,16 @@ from poincarelab.exceptional import (
     report_to_json,
 )
 from poincarelab.preimage import InverseBranch
-from poincarelab.sets import make_custom_set, make_empty_set, make_powerlaw_set
+from poincarelab.sets import SetModel, make_empty_set, make_powerlaw_set
+
+
+def one_record(ib, S, w, k_max):
+    """The survey's record of the one point w (C1 from w's own orbit)."""
+    return _records(ib, S, [w], k_max)[0][0]
 
 
 def test_empty_set_counts_every_level(golden_branch, golden_poincare):
-    rec = exceptional_count(golden_branch, make_empty_set(), w=0.02 + 0.01j, k_max=15)
+    rec = one_record(golden_branch, make_empty_set(), 0.02 + 0.01j, 15)
     # nothing is excluded; the count at r_k = |mu|^k C1 is k+1 up to the
     # bounded wobble of |g0| around the calibration constant C1
     counts = rec.counts
@@ -37,15 +42,15 @@ def test_empty_set_counts_every_level(golden_branch, golden_poincare):
 
 
 def test_ratio_approaches_target_from_counts(golden_branch, golden_poincare):
-    rec = exceptional_count(golden_branch, make_empty_set(), w=0.015 - 0.01j, k_max=25)
+    rec = one_record(golden_branch, make_empty_set(), 0.015 - 0.01j, 25)
     target = 1.0 / math.log(abs(golden_poincare.mu))
     assert rec.liminf_proxy > 0.9 * target
     assert rec.liminf_proxy < 1.2 * target
 
 
 def test_custom_set_marks_conditional(golden_branch):
-    S = make_custom_set(lambda z: False)
-    rec = exceptional_count(golden_branch, S, w=0.02j, k_max=8)
+    S = SetModel(kind="Custom", indicator=lambda z: np.zeros(z.shape, dtype=bool))
+    rec = one_record(golden_branch, S, 0.02j, 8)
     assert rec.conditional
 
 

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 
 def _loaded_scipy(statements: str) -> str:
@@ -40,3 +43,53 @@ def test_all_lists_every_public_name():
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(poincarelab.__all__) == len(set(poincarelab.__all__))
     assert set(poincarelab.__all__) == bound
+
+
+# The acceptance tests check the paper against these two reference checks;
+# nothing in the library calls them.
+_NO_CALLER_NEEDED = ("check_functional_equation", "order_estimate")
+
+
+def _references(tree: ast.AST, skip=None) -> set:
+    """Every identifier, attribute and string constant in tree, outside the
+    node skip: a name is reached as a variable, as a module attribute, or
+    by the name strings that perfbench patches."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    """Every __all__ name is used somewhere in the package, perfbench or
+    tools, outside its own definition and __init__: a public name that only
+    tests reach fails."""
+    import poincarelab
+
+    repo = Path(__file__).resolve().parents[1]
+    pkg = repo / "src" / "poincarelab"
+    trees = {path: ast.parse(path.read_text())
+             for path in [*pkg.glob("*.py"), *(repo / "perfbench").glob("*.py"),
+                          *(repo / "tools").glob("*.py")]
+             if path.name != "__init__.py"}
+    missing = []
+    for name in poincarelab.__all__:
+        if name in _NO_CALLER_NEEDED:
+            continue
+        home = Path(inspect.getfile(getattr(poincarelab, name)))
+        definition = next((node for node in trees[home].body
+                           if getattr(node, "name", None) == name), None)
+        assert definition is not None, f"{name} is not defined in {home.name}"
+        if not any(name in _references(tree, definition if path == home else None)
+                   for path, tree in trees.items()):
+            missing.append(name)
+    assert missing == []

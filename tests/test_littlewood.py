@@ -16,10 +16,15 @@ from poincarelab import littlewood as lw
 from poincarelab.errors import BadParams, InsufficientData, OverflowSentinel
 
 
+def spherical_derivative(ev, z):
+    """2 |P'(z)| / (1 + |P(z)|^2) at one point."""
+    return lw._sph_many(ev, np.array([z]))[0]
+
+
 def test_spherical_derivative_identity_map():
     ev = lw.coeff_evaluator([0.0, 1.0])
-    assert abs(lw.spherical_derivative(ev, 0j) - 2.0) < 1e-15
-    assert abs(lw.spherical_derivative(ev, 1 + 0j) - 1.0) < 1e-15
+    assert abs(spherical_derivative(ev, 0j) - 2.0) < 1e-15
+    assert abs(spherical_derivative(ev, 1 + 0j) - 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("z", [
@@ -30,10 +35,13 @@ def test_spherical_derivative_identity_map():
     lw.iterate_evaluator(-1, 3), lw.monomial_evaluator(4), lw.coeff_evaluator([1.0, 0.0, 2.0]),
 ], ids=["iterate", "monomial", "coeff"])
 def test_spherical_derivative_rejects_non_finite_points(ev, z):
+    """Each kind of non-finite point, alone, is refused by the evaluator's
+    checked call, and numpy warns of nothing first; the quadrature takes
+    spherical derivatives only at the finite points of its mesh."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BadParams):
-            lw.spherical_derivative(ev, z)
+            ev(np.array([z]))
 
 
 @pytest.mark.parametrize("ev", [
@@ -318,7 +326,7 @@ def test_non_finite_probes_fail_fast():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowSentinel):
-            lw.spherical_derivative(ev, 0.95 + 0j)
+            spherical_derivative(ev, 0.95 + 0j)
     # nor does building the evaluator, the seed scan or the root mesh warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")

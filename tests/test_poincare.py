@@ -17,7 +17,6 @@ from poincarelab.poincare import (
     eval_on_circle,
     functional_equation_residual,
     log_modulus_circle,
-    log_modulus_eval,
     order_estimate,
     poincare_coefficients,
     poincare_derivative_eval,
@@ -315,6 +314,11 @@ def test_array_eval_fails_only_overflowing_lanes(cheb_poincare):
     for i in (0, 2):
         assert f[i] == poincare_eval(cheb_poincare, complex(z[i]))
         assert df[i] == poincare_derivative_eval(cheb_poincare, complex(z[i]))
+
+
+def log_modulus_eval(pm, z):
+    """log|f(z)| at one point: one lane of log_modulus_circle's path."""
+    return pc._log_modulus(pm, np.array([z]), pullback_depth(pm, abs(z)))[0]
 
 
 def test_log_modulus_beyond_overflow(cheb_poincare):

@@ -16,14 +16,13 @@ from poincarelab.preimage import (
     branch_continue,
     build_preimage_report,
     find_base_preimage,
-    koebe_density_transfer,
     newton_solve,
     orbit_preimages,
     report_to_csv,
     report_to_json,
     verify_orbit_point,
 )
-from poincarelab.sets import make_empty_set, make_powerlaw_set
+from poincarelab.sets import make_empty_set
 from poincarelab.siegel import sub_siegel_sample
 
 
@@ -174,22 +173,6 @@ def test_report_counts_are_consistent(golden_branch, golden_poincare):
     inside = [p for p in rep.orbit_points if abs(p.z) <= r]
     assert rep.argument_count >= len(inside)
     assert len(rep.orbit_points) == 6
-
-
-def test_koebe_transfer_empty_set(golden_branch):
-    hit, cert = koebe_density_transfer(golden_branch, make_empty_set(), k=3,
-                                       samples=400, seed=17)
-    assert hit == 0.0
-    assert cert == 0.0
-
-
-def test_koebe_transfer_powerlaw_bounded(golden_branch):
-    S = make_powerlaw_set(10.0, 0.5, seed=2)
-    hit, cert = koebe_density_transfer(golden_branch, S, k=6, samples=600, seed=23)
-    assert 0.0 <= hit <= 1.0
-    assert cert > 0.0
-    # ambient density at |mu|^k scale is already small; hits should be rare
-    assert hit <= 20.0 * cert + 0.05
 
 
 def test_report_csv_and_json_shape(golden_branch):

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poincarelab import sets
 from poincarelab.errors import BadParams, NoCertificate
 from poincarelab.sets import (
-    annulus_budget,
+    SetModel,
     certified_bound,
     density_estimate,
     disk_pack,
-    make_custom_set,
     make_empty_set,
     make_powerlaw_set,
     make_sector_set,
@@ -78,7 +78,7 @@ def test_annulus_budget_split():
     for j in range(1, 8):
         centers, radii = disk_pack(S, j)
         used = float(np.sum(np.pi * np.asarray(radii) ** 2))
-        assert used <= annulus_budget(S, j) * (1 + 1e-9)
+        assert used <= sets._budget(*S.certificate, j) * (1 + 1e-9)
         inner, outer = 2.0 ** (j - 1), 2.0 ** (j + 1)
         mags = np.abs(np.asarray(centers))
         if mags.size:
@@ -101,7 +101,7 @@ def test_sector_set_certificate_and_membership():
 
 
 def test_custom_set_without_certificate():
-    S = make_custom_set(lambda z: z.real > 0)
+    S = SetModel(kind="Custom", indicator=lambda z: z.real > 0)
     assert S.contains(1 + 0j) and not S.contains(-1 + 0j)
     with pytest.raises(NoCertificate):
         certified_bound(S, 3.0)
@@ -124,6 +124,17 @@ def test_powerlaw_parameter_validation():
         make_powerlaw_set(10.0, 0.0, seed=0)
     with pytest.raises(BadParams):
         make_powerlaw_set(10.0, 2.0, seed=0)
+
+
+@pytest.mark.parametrize("C", [math.inf, math.nan, -math.inf, 0.0])
+@pytest.mark.parametrize("make", [
+    lambda C: make_powerlaw_set(C, 0.5, seed=0),
+    lambda C: make_sector_set(C, 0.5),
+], ids=["powerlaw", "sectors"])
+def test_certificate_constant_must_be_positive_and_finite(make, C):
+    # an infinite C certifies nothing, and JSON has no token for it
+    with pytest.raises(BadParams):
+        make(C)
 
 
 def _rebuild(text):
@@ -175,7 +186,7 @@ def _agreement_points():
     make_empty_set,
     lambda: make_powerlaw_set(10.0, 0.5, seed=7),
     lambda: make_sector_set(10.0, 0.5),
-    lambda: make_custom_set(lambda z: abs(z) < 1e6 and z.imag > 0),
+    lambda: SetModel(kind="Custom", indicator=lambda z: (np.abs(z) < 1e6) & (z.imag > 0)),
 ], ids=["empty", "powerlaw", "sectors", "custom"])
 def test_scalar_and_array_membership_agree(make):
     S = make()

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from poincarelab import siegel
 from poincarelab._linearize import conjugacy_coeffs, resubstitution_residuals
 from poincarelab.chebfamily import family_angle, find_multiplier_param, find_superattracting
 from poincarelab.errors import BadParams, OutOfDomain, ResonantAngle
-from poincarelab.series import horner_unchecked, make_series
+from poincarelab.series import horner_unchecked, make_series, root_test_rate
 from poincarelab.siegel import (
     RotationAngle,
     build_cycle_siegel_map,
@@ -20,7 +21,6 @@ from poincarelab.siegel import (
     h_inverse,
     h_inverse_many,
     p_inverse_on_disk,
-    siegel_coefficients,
     siegel_radius_estimate,
     sub_siegel_sample,
 )
@@ -91,10 +91,14 @@ def test_second_coefficient_closed_form(golden_angle, golden_siegel):
     assert abs(b2 - 1.0 / (lam * lam - lam)) < 1e-15
 
 
+def siegel_coefficients(qm, N):
+    """The linearizer series of a lambda-form map at the origin."""
+    return make_series(conjugacy_coeffs([qm.param], N))
+
+
 def test_resonant_angle_rejected():
-    qm = QuadMap(kind="lambda", param=cmath.exp(2j * math.pi / 3))
     with pytest.raises(ResonantAngle):
-        siegel_coefficients(qm, 32)
+        build_siegel_map(RotationAngle(1 / 3), 32)
 
 
 def test_recurrence_residual_small(golden_map, golden_siegel):
@@ -249,9 +253,7 @@ def test_liouville_angle_shrinks_radius(golden_angle):
     qm_gold = QuadMap(kind="lambda", param=golden_angle.lam)
     h_bad = siegel_coefficients(qm_bad, 128)
     h_gold = siegel_coefficients(qm_gold, 128)
-    est_bad = siegel_radius_estimate(h_bad, lam=bad.lam)
-    est_gold = siegel_radius_estimate(h_gold, lam=golden_angle.lam)
-    assert est_bad.value < est_gold.value
+    assert root_radius(h_bad) < root_radius(h_gold)
 
 
 def test_cycle_local_poly_fixed_point():
@@ -325,8 +327,14 @@ def circle_residual(series, center, lam, forward, r, n_angles=128):
     return float(np.max(rel)) if np.all(np.isfinite(rel)) else math.inf
 
 
+def root_radius(series):
+    """The root-test radius that siegel_radius_estimate starts from."""
+    a = np.abs(series.coeffs)
+    return 1.0 / root_test_rate(a, np.flatnonzero(a > 0.0))
+
+
 def scan_radii(series):
-    return siegel_radius_estimate(series).root_estimate * np.geomspace(0.05, 1.5, 48)
+    return root_radius(series) * np.geomspace(0.05, 1.5, 48)
 
 
 def check_batched_scan(series, center, lam, forward):
@@ -402,3 +410,52 @@ def test_angle_requires_irrational_in_unit_interval():
         RotationAngle(gamma=1.5)
     with pytest.raises(BadParams):
         RotationAngle(gamma=0.0)
+
+
+def _chebyshev_q3_map():
+    """The q = 3 Siegel-cycle map of `chebyshev --q 3` (default angle and
+    terms), built as family_report builds it."""
+    angle = family_angle()
+    sup = find_superattracting(3, (-2.0 + 8.0 / 4**3, -2.0 + 24.0 / 4**3))
+    sie = find_multiplier_param(3, angle.lam, sup.c)
+    return build_cycle_siegel_map(QuadMap(kind="c", param=sie.c), sie.cycle, angle, N=64)
+
+
+_SIEGEL_PINS = {
+    "golden_256": (
+        lambda: build_siegel_map(RotationAngle.golden(), 256),
+        "392191b6843959c00f798afae913a7bb131ffa872e53e1ff7e6933141854011a",
+        "ee4cc26b02e850932bc3bd6b01c2658660e49c959a0f29ee3b2ede3d53bad570",
+        (0.3042460422165764, 0.3366126717992553, 0.3042460422165764, False),
+        5.055585542069994e-17,
+    ),
+    "gamma_0.38297_128": (
+        lambda: build_siegel_map(RotationAngle(0.38297), 128),
+        "36c48769ef55896640a2506969957b0c7525495f2cfebcdc8ed48dbd2330b26b",
+        "b44839648dc018eebcb9c5c43a3969307ccca4e4a8b4ab789ecde2d48233c6d6",
+        (0.28159088648296027, 0.3349285971296083, 0.28159088648296027, False),
+        4.846727805258576e-17,
+    ),
+    "chebyshev_q3_64": (
+        _chebyshev_q3_map,
+        "e63efece68c748b0ab5d439374d32eafc3e397b99d307b0be6a6b19f0703941e",
+        "76eb7bffac5aa4b5b817058ddfa78e3c9a614fe9890d6650af000f6dfc7942f2",
+        (0.020949748960301336, 0.028798421389103518, 0.020949748960301336, False),
+        2.108893506139934e-15,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIEGEL_PINS))
+def test_siegel_maps_keep_their_bits(name):
+    """The survey's and the CLI's golden map, a plain angle and a Siegel
+    cycle keep every bit of their series, radius estimate and residual."""
+    build, h_sha, dh_sha, (value, root, resid, inconclusive), conj = _SIEGEL_PINS[name]
+    sm = build()
+    assert hashlib.sha256(sm.series_h.coeffs.tobytes()).hexdigest() == h_sha
+    assert hashlib.sha256(sm.series_dh.coeffs.tobytes()).hexdigest() == dh_sha
+    assert sm.radius_hat == value
+    info = sm.radius_info
+    assert (info.value, info.root_estimate, info.residual_estimate,
+            info.inconclusive) == (value, root, resid, inconclusive)
+    assert sm.conj_residual == conj

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 45 invocations that cover every subcommand, each
+`src`).  RUNS lists 48 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -33,6 +33,7 @@ RUNS = [
     ("siegel_gamma", ["siegel", "--lambda-gamma", "0.38297", "--terms", "128"]),
     ("siegel_terms_1024", ["siegel", "--lambda-gamma", "golden", "--terms", "1024"]),
     ("siegel_both_maps", ["siegel", "--lambda-gamma", "golden", "--c", "1,1"]),
+    ("siegel_terms_0", ["siegel", "--lambda-gamma", "golden", "--terms", "0"]),
     ("preimages_golden", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
                           "--r", "200", "--kmax", "10", "--set", "powerlaw"]),
     ("preimages_outside", ["preimages", "--lambda-gamma", "golden", "--w", "2.5,0",
@@ -57,10 +58,14 @@ RUNS = [
     ("chebyshev_q8", ["chebyshev", "--q", "1,2,3,4,5,6,7,8"]),
     ("chebyshev_q10", ["chebyshev", "--q", "1,2,3,4,5,6,7,8,9,10"]),
     ("chebyshev_all_fail", ["chebyshev", "--q", "1", "--gamma-cf", "1,1000000"]),
+    # 33 coefficients are too few for the radius estimate: every row fails
+    ("chebyshev_terms_32", ["chebyshev", "--q", "2,3", "--terms", "32"]),
     ("density_powerlaw", ["density", "--set", "powerlaw", "--r", "5",
                           "--samples", "20000"]),
     ("density_sectors", ["density", "--set", "sectors", "--r", "20"]),
     ("density_empty", ["density", "--set", "empty", "--r", "3"]),
+    ("density_C_inf", ["density", "--set", "powerlaw", "--C", "inf", "--r", "5",
+                       "--samples", "2000"]),
 ]
 for what in ("domain", "siegel", "orbit"):
     for ext in ("ppm", "svg"):
