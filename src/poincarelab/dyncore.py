@@ -17,7 +17,12 @@ Also here: find_cycle, the scalar Newton for periodic points, and
 newton_lanes, the damped lane-wise Newton that inverts both the Poincare
 function (preimage.newton_solve) and the Siegel linearizer (h_inverse_many).
 It takes one callable giving the function and its derivative together, and
-makes at most two batched calls of it per round.
+makes at most two batched calls of it per round: the full step on the 1-D
+array of live lanes, then all the halved steps of the lanes it did not help.
+It returns the function and its derivative at each lane's last iterate, and
+takes them at the seeds when the caller has them (at_seed), so a
+continuation that seeds each solve with the previous solution evaluates no
+point twice.
 """
 
 from __future__ import annotations
@@ -136,29 +141,36 @@ def find_cycle(qmap: QuadMap, q: int, seed: complex) -> Cycle:
     raise NoConvergence(f"cycle Newton did not converge from seed {seed}")
 
 
-def newton_lanes(FdF, target, seed, iters: int):
-    """Damped Newton on F(z) = target, lane by lane: (z, ok) arrays.
+def newton_lanes(FdF, target, seed, iters: int, at_seed=None):
+    """Damped Newton on F(z) = target, lane by lane: the arrays (z, ok, F, F')
+    of each lane's last iterate z, its outcome, and F and F' at z.
 
     FdF maps a 1-D array of lanes to the pair (F, F') of arrays of the
     function's values and derivatives; target and seed broadcast to one
-    array of lanes.  Per lane: stop once |F(z) - target| <= NEWTON_TOL
-    (1 + |target|), within iters iterations; each step
-    z - t (F(z) - target)/F'(z) takes the first t in 1, 1/2, ..., 2^-39 that
-    lowers the residual.  A lane fails (ok False) when F' drops below 1e-14,
-    when no t lowers the residual (a stall), when the iterations run out, or
-    when an evaluation at or before the t it would take gives NaN (an
-    overflow); its z is then the last iterate.
+    array of lanes.  at_seed, when given, is the pair (F, F') of arrays at
+    those lanes' seeds, and takes the place of the first FdF call.  Per
+    lane: stop once |F(z) - target| <= NEWTON_TOL (1 + |target|), within
+    iters iterations; each step z - t (F(z) - target)/F'(z) takes the first
+    t in 1, 1/2, ..., 2^-39 that lowers the residual.  A lane fails (ok
+    False) when F' drops below 1e-14, when no t lowers the residual (a
+    stall), when the iterations run out, or when an evaluation at or before
+    the t it would take gives NaN (an overflow); its z is then the last
+    iterate.
 
-    A round makes at most two FdF calls: one at t = 1 over the live lanes,
-    then one over all the halved t of the lanes that t = 1 did not help, as
-    a (lanes, 39) array whose candidates past a lane's first lowering t are
-    not used.  F' at the point a step lands on is kept for the next round.
-    The outcome is the same as trying one t after the other."""
+    A round makes at most two FdF calls: one at t = 1 on the 1-D array of
+    the live lanes, then one over all the halved t of the lanes that t = 1
+    did not help, as a (lanes, 39) array whose candidates past a lane's
+    first lowering t are not used.  F and F' at the point a step lands on
+    are kept for the next round and returned.  The outcome is the same as
+    trying one t after the other."""
     target, z = np.broadcast_arrays(np.asarray(target, dtype=complex),
                                     np.asarray(seed, dtype=complex))
     target, z = target.reshape(-1).copy(), z.reshape(-1).copy()
     tol = NEWTON_TOL * (1.0 + np.abs(target))
-    f, d = FdF(z)
+    if at_seed is None:
+        f, d = FdF(z)
+    else:
+        f, d = (np.array(v, dtype=complex).reshape(z.shape) for v in at_seed)
     res = np.abs(f - target)
     failed = np.isnan(res)
     for _ in range(iters):
@@ -168,28 +180,41 @@ def newton_lanes(FdF, target, seed, iters: int):
         usable = np.abs(d[live]) >= 1e-14  # False for an overflowed (NaN) lane too
         failed[live[~usable]] = True
         live = live[usable]
+        if live.size == 0:
+            break
         step = (f[live] - target[live]) / d[live]
-        for lengths in (_STEP_LENGTHS[:1], _STEP_LENGTHS[1:]):
-            if live.size == 0:
-                break
-            cand = z[live, None] - lengths * step[:, None]
-            f_cand, d_cand = (v.reshape(cand.shape) for v in FdF(cand.reshape(-1)))
-            res_cand = np.abs(f_cand - target[live, None])
-            better = res_cand < res[live, None]
-            nan = np.isnan(res_cand)
-            first = np.argmax(better, axis=1)
-            first_nan = np.where(nan.any(axis=1), np.argmax(nan, axis=1), lengths.size)
-            # a lane takes its first lowering t unless a NaN came first,
-            # and fails on a NaN that came first
-            took = better.any(axis=1) & (first < first_nan)
-            lanes, rows, cols = live[took], np.flatnonzero(took), first[took]
-            z[lanes], f[lanes], d[lanes], res[lanes] = (
-                cand[rows, cols], f_cand[rows, cols], d_cand[rows, cols], res_cand[rows, cols])
-            failed[live[~took & (first_nan < lengths.size)]] = True
-            keep = ~took & (first_nan == lengths.size)
-            live, step = live[keep], step[keep]
-        failed[live] = True  # stalled: no step length lowered the residual
-    return z, ~failed & (res <= tol)
+        # t = 1 on 1-D lanes: a lane takes the step when it lowers the
+        # residual and fails when it gives NaN.  1.0 * step is not step for
+        # a -0 or infinite component; it is the product every t makes.
+        cand = z[live] - 1.0 * step
+        f_cand, d_cand = FdF(cand)
+        res_cand = np.abs(f_cand - target[live])
+        took = res_cand < res[live]
+        lanes = live[took]
+        z[lanes], f[lanes], d[lanes], res[lanes] = (
+            cand[took], f_cand[took], d_cand[took], res_cand[took])
+        nan = np.isnan(res_cand)
+        failed[live[nan]] = True
+        keep = ~took & ~nan
+        live, step = live[keep], step[keep]
+        if live.size == 0:
+            continue
+        lengths = _STEP_LENGTHS[1:]
+        cand = z[live, None] - lengths * step[:, None]
+        f_cand, d_cand = (v.reshape(cand.shape) for v in FdF(cand.reshape(-1)))
+        res_cand = np.abs(f_cand - target[live, None])
+        better = res_cand < res[live, None]
+        nan = np.isnan(res_cand)
+        first = np.argmax(better, axis=1)
+        first_nan = np.where(nan.any(axis=1), np.argmax(nan, axis=1), lengths.size)
+        # a lane takes its first lowering t unless a NaN came first; every
+        # other lane fails, on that NaN or as a stall
+        took = better.any(axis=1) & (first < first_nan)
+        lanes, rows, cols = live[took], np.flatnonzero(took), first[took]
+        z[lanes], f[lanes], d[lanes], res[lanes] = (
+            cand[rows, cols], f_cand[rows, cols], d_cand[rows, cols], res_cand[rows, cols])
+        failed[live[~took]] = True
+    return z, ~failed & (res <= tol), f, d
 
 
 def order_from_multiplier(mu: complex) -> float:

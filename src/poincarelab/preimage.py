@@ -16,13 +16,17 @@ The solvers work on arrays of independent lanes, one (seed, target) pair
 each: newton_solve runs dyncore.newton_lanes, damped Newton on every lane at
 once with the step rules of a scalar solver applied per lane, and a lane
 that fails (overflow included) fails only itself.  Each of its evaluations
-is one pullback that gives f and f' together, and a round tries all the
-halved steps of its lanes in one such call.  find_base_preimage solves
+is one pullback that gives f and f' together; a round takes the full step
+of its live lanes in one such call and all the halved steps of the lanes
+that the full step did not help in another.  find_base_preimage solves
 its whole seed grid in one call, and branch_continue continues every point
 it is given along its own segment, with the segment parameter t as the
-outer loop.  The segments end at h^{-1}(w), from siegel.h_inverse_many,
-which runs the same newton_lanes on h and raises OutOfDomain for a w whose
-lane fails or settles outside the sub-Siegel disk.  Because numpy computes
+outer loop: each step is seeded with the previous step's solution and
+handed the f and f' that Newton last computed there, so only the base
+point is evaluated before the first step, once, as a one-lane array.  The
+segments end at h^{-1}(w), from siegel.h_inverse_many, which runs the same
+newton_lanes on h and raises OutOfDomain for a w whose lane fails or
+settles outside the sub-Siegel disk.  Because numpy computes
 each lane by the same operations at any position in any array, a lane's
 result does not depend on its batch.
 
@@ -86,12 +90,15 @@ class PreimageReport:
     notes: str = ""
 
 
-def newton_solve(pm: PoincareMap, target, seed):
-    """dyncore.newton_lanes on f(z) = target: (z, ok) arrays, one lane per
-    broadcast (target, seed) pair; a lane whose evaluation overflows fails
-    alone.  Each evaluation is one pullback giving f and f' together."""
+def newton_solve(pm: PoincareMap, target, seed, at_seed=None):
+    """dyncore.newton_lanes on f(z) = target: (z, ok, f(z), f'(z)) arrays,
+    one lane per broadcast (target, seed) pair; a lane whose evaluation
+    overflows fails alone.  Each evaluation is one pullback giving f and f'
+    together.  at_seed is (f, f') at the seeds, when the caller has them
+    from an earlier solve: a lane's values do not depend on its batch, so
+    they are the bits a fresh evaluation would give."""
     return newton_lanes(lambda z: poincare_derivative_eval(pm, z, with_value=True),
-                        target, seed, NEWTON_ITERS)
+                        target, seed, NEWTON_ITERS, at_seed)
 
 
 def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
@@ -115,7 +122,7 @@ def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
     for grid_radius in (20.0 * pm.r0, 40.0 * pm.r0):
         moduli = np.geomspace(0.05 * grid_radius, grid_radius, _GRID_MODULI)
         seeds = (moduli[:, None] * unit).reshape(-1)  # modulus-major order
-        zs, ok = newton_solve(pm, center, seeds)
+        zs, ok, _, _ = newton_solve(pm, center, seeds)
         zs = zs[ok]
         zs = zs[np.abs(zs) >= 1e-12]  # f(0) = z0 is off-center by construction
         roots = []
@@ -137,23 +144,30 @@ def _continue_segments(ib: InverseBranch, u_w: np.ndarray) -> np.ndarray:
     along the segment from 0 to u in the linearizing coordinate.
 
     All lanes start with 8 steps, t as the outer loop and one h_eval per
+    step.  Each step's Newton starts from the lane's previous solution with
+    the f and f' that the previous step's Newton computed there; the base
+    point's pair comes from one evaluation of a one-lane array before any
     step.  A lane whose Newton fails or whose step jumps by more than
     1 + |z| drops out; the lanes that dropped out start over with twice the
     steps, up to _MAX_SEGMENT_STEPS."""
     out = np.empty(u_w.shape, dtype=complex)
+    at_base = poincare_derivative_eval(ib.pm, np.array([ib.base_point]), with_value=True)
     pending = np.arange(u_w.size)
     steps = 8
     while pending.size and steps <= _MAX_SEGMENT_STEPS:
         z = np.full(pending.size, ib.base_point, dtype=complex)
+        f, df = (np.repeat(v, pending.size) for v in at_base)
         alive = np.ones(pending.size, dtype=bool)
         for t in np.linspace(0.0, 1.0, steps + 1)[1:]:
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 break
             target = h_eval(ib.sm, t * u_w[pending[idx]])
-            z_next, ok = newton_solve(ib.pm, target, z[idx])
+            z_next, ok, f_next, df_next = newton_solve(ib.pm, target, z[idx],
+                                                       (f[idx], df[idx]))
             ok &= np.abs(z_next - z[idx]) <= 1.0 * (1.0 + np.abs(z[idx]))
-            z[idx[ok]] = z_next[ok]
+            moved = idx[ok]
+            z[moved], f[moved], df[moved] = z_next[ok], f_next[ok], df_next[ok]
             alive[idx[~ok]] = False
         out[pending[alive]] = z[alive]
         pending = pending[~alive]

@@ -170,7 +170,10 @@ def build_cycle_siegel_map(
     """Linearize the q-fold composition at the first point of a Siegel
     cycle, as the chain of the q quadratic steps along the cycle.  lam is
     the cycle's multiplier, the product of the steps' slopes in cycle order.
-    ResonantAngle at a divisor below 1e-14, else BadParams for N < 64."""
+    BadParams for N < 64 terms, which the radius estimate cannot use, before
+    any coefficient is computed; ResonantAngle at a divisor below 1e-14."""
+    if N < 64:
+        raise BadParams(f"the Siegel linearizer needs at least 64 terms (got {N})")
     lam = complex(cycle.multiplier)
     if abs(abs(lam) - 1.0) > 1e-6:
         raise BadParams(f"cycle multiplier |{lam}| = {abs(lam)} is not on the unit circle")
@@ -228,9 +231,10 @@ def h_inverse_many(sm: SiegelMap, w) -> np.ndarray:
     cap = 0.95 * sm.radius_hat
     big = np.abs(seed) > cap
     seed[big] *= cap / np.abs(seed[big])
-    u, ok = newton_lanes(lambda u: (sm.center_value + horner_unchecked(sm.series_h.coeffs, u),
-                                    horner_unchecked(sm.series_dh.coeffs, u)),
-                         w, seed, H_INV_NEWTON_ITERS)
+    u, ok, _, _ = newton_lanes(
+        lambda u: (sm.center_value + horner_unchecked(sm.series_h.coeffs, u),
+                   horner_unchecked(sm.series_dh.coeffs, u)),
+        w, seed, H_INV_NEWTON_ITERS)
     if not np.all(ok):
         raise OutOfDomain(f"Newton for h^-1 did not settle for {np.count_nonzero(~ok)} points")
     bound = sm.sub_fraction * sm.radius_hat

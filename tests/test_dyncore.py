@@ -132,22 +132,23 @@ def test_newton_lanes_rules():
     target = np.array([4.0, 4.0, 4.0, 1e40])
     seed = np.array([1.0, 0.0, complex(math.nan, 0.0), 1.0])
     with np.errstate(invalid="ignore"):
-        z, ok = newton_lanes(square, target, seed, 20)
+        z, ok, _, _ = newton_lanes(square, target, seed, 20)
     assert ok.tolist() == [True, False, False, False]
     assert abs(z[0] - 2.0) <= 1e-12 * 5.0
     assert z[1] == 0.0
     for i in (0, 1, 3):
-        zi, oki = newton_lanes(square, target[i], seed[i], 20)
+        zi, oki, _, _ = newton_lanes(square, target[i], seed[i], 20)
         assert zi.tobytes() == z[i:i + 1].tobytes() and oki[0] == ok[i]
     # a step that does not lower the residual is halved until it does
-    z, ok = newton_lanes(square, 4.0, 100.0, 60)
+    z, ok, _, _ = newton_lanes(square, 4.0, 100.0, 60)
     assert ok[0] and abs(z[0] - 2.0) <= 1e-12 * 5.0
 
 
 def sequential_newton_lanes(F, dF, target, seed, iters: int):
     """The rule newton_lanes keeps, written step length by step length: one
     F call per t in 1, 1/2, ..., 2^-39 over the lanes still looking, and
-    one dF call per round.  The reference for the batched solver."""
+    one dF call per round.  The reference for the batched solver: (z, ok)
+    and F at z."""
     target, z = np.broadcast_arrays(np.asarray(target, dtype=complex),
                                     np.asarray(seed, dtype=complex))
     target, z = target.reshape(-1).copy(), z.reshape(-1).copy()
@@ -179,7 +180,7 @@ def sequential_newton_lanes(F, dF, target, seed, iters: int):
             live, step = live[keep], step[keep]
             t *= 0.5
         failed[live] = True
-    return z, ~failed & (res <= tol)
+    return z, ~failed & (res <= tol), f
 
 
 def damped_square(scale, ring):
@@ -197,8 +198,10 @@ def damped_square(scale, ring):
 
 
 def assert_batched_matches_sequential(F, dF, target, seed, iters):
-    """(z, ok, number of FdF calls) of newton_lanes, after checking z and ok
-    bitwise against the sequential reference."""
+    """(z, ok, number of FdF calls) of newton_lanes, after checking z, ok,
+    F(z) and F'(z) bitwise against the sequential reference, and checking
+    that the solve handed (F, F') at the seeds gives the same bits with one
+    FdF call fewer."""
     calls = []
 
     def FdF(v):
@@ -206,11 +209,20 @@ def assert_batched_matches_sequential(F, dF, target, seed, iters):
         return F(v), dF(v)
 
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        z, ok = newton_lanes(FdF, target, seed, iters)
-        z_ref, ok_ref = sequential_newton_lanes(F, dF, target, seed, iters)
-    assert z.tobytes() == z_ref.tobytes()
-    assert ok.tolist() == ok_ref.tolist()
-    return z, ok, len(calls)
+        z, ok, f, d = newton_lanes(FdF, target, seed, iters)
+        fresh_calls = len(calls)
+        seeds = np.broadcast_arrays(np.asarray(target, dtype=complex),
+                                    np.asarray(seed, dtype=complex))[1].reshape(-1)
+        reused = newton_lanes(FdF, target, seed, iters, at_seed=(F(seeds), dF(seeds)))
+        z_ref, ok_ref, f_ref = sequential_newton_lanes(F, dF, target, seed, iters)
+        d_ref = dF(z_ref)
+    for got in ((z, ok, f, d), reused):
+        assert got[0].tobytes() == z_ref.tobytes()
+        assert got[1].tolist() == ok_ref.tolist()
+        assert got[2].tobytes() == f_ref.tobytes()
+        assert got[3].tobytes() == d_ref.tobytes()
+    assert len(calls) - fresh_calls == fresh_calls - 1
+    return z, ok, fresh_calls
 
 
 # From seed 3 towards z^2 = 4 with F' scaled by 2^-6, the first round's

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -202,3 +203,13 @@ def test_count_table_counts_ties_and_skips_small_radii():
     assert math.isnan(median_rows[0].ratio) and math.isnan(median_rows[1].ratio)
     _, proxies, _, _ = _count_table(moduli[:1], hits[:1], [0.5, 1.0])
     assert math.isnan(proxies[0])
+
+
+def test_survey_bytes_are_pinned(golden_branch):
+    """A 200 x 40 powerlaw survey on the golden map (64/256 terms), byte
+    for byte: the CLI snapshot runs no survey past 50 x 30, and a change to
+    the continuation that moves one bit of one orbit point shows here."""
+    rep = exceptional_survey(golden_branch, make_powerlaw_set(10, 0.5, 7),
+                             w_count=200, k_max=40, seed=1)
+    assert hashlib.sha256(report_to_json(rep).encode()).hexdigest() == (
+        "0fd526a0c6819d5de2b145bf99b938f55060ed808efc1f68f88152f7670a2e74")

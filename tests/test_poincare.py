@@ -306,6 +306,20 @@ def test_scalar_eval_is_the_one_lane_array_eval(golden_poincare, cheb_poincare):
         assert f.tobytes() == poincare_eval_many(pm, z).tobytes()
 
 
+@pytest.mark.parametrize("n", [2, 3, 310, 2**15 + 1])
+def test_one_lane_pair_is_every_lane_of_a_full_array(n, golden_branch, cheb_poincare):
+    """(f, f') of one point as a one-lane array has the bits of every lane
+    of the n-lane array of that point, past one lane block too: the
+    continuation evaluates its base point once and hands the pair to every
+    lane."""
+    for pm, b in ((golden_branch.pm, golden_branch.base_point),
+                  (cheb_poincare, -150.0 + 20.0j)):
+        one = poincare_derivative_eval(pm, np.array([b]), with_value=True)
+        full = poincare_derivative_eval(pm, np.full(n, b), with_value=True)
+        for v, v_full in zip(one, full):
+            assert np.repeat(v, n).tobytes() == v_full.tobytes()
+
+
 def test_array_eval_fails_only_overflowing_lanes(cheb_poincare):
     z = np.array([5.0, 1e6, -30.0 + 4.0j, np.nan], dtype=complex)
     f = poincare_eval(cheb_poincare, z)

@@ -71,11 +71,11 @@ def test_newton_lane_alone_matches_full_batch(golden_poincare, golden_siegel):
     angles = 2.0 * np.pi * np.arange(32) / 32
     seeds = (np.geomspace(0.05 * R, R, 24)[:, None] * np.exp(1j * angles)).reshape(-1)
     target = golden_siegel.center_value
-    z, ok = newton_solve(golden_poincare, target, seeds)
+    z, ok, _, _ = newton_solve(golden_poincare, target, seeds)
     assert z.shape == ok.shape == (768,) and ok.any() and not ok.all()
     lanes = set(range(0, 768, 16)) | set(np.flatnonzero(~ok)[:8].tolist())
     for i in sorted(lanes):
-        zi, oki = newton_solve(golden_poincare, target, seeds[i])
+        zi, oki, _, _ = newton_solve(golden_poincare, target, seeds[i])
         assert zi.tobytes() == z[i:i + 1].tobytes()
         assert oki[0] == ok[i]
 
@@ -84,11 +84,11 @@ def test_newton_overflow_fails_only_its_lane(cheb_poincare):
     # f(z) = 2 cosh(sqrt z) = 3 has simple roots (acosh(1.5) + 2 pi i m)^2;
     # f overflows at the seed 1e6
     seeds = np.array([1.0, -36.0 + 10.0j, -150.0 + 20.0j, 1e6, -350.0 + 30.0j])
-    z, ok = newton_solve(cheb_poincare, 3.0, seeds)
+    z, ok, _, _ = newton_solve(cheb_poincare, 3.0, seeds)
     assert ok.tolist() == [True, True, True, False, True]
     for i in (0, 1, 2, 4):
         assert abs(poincare_eval(cheb_poincare, complex(z[i])) - 3.0) <= 4e-12
-        zi, _ = newton_solve(cheb_poincare, 3.0, seeds[i])
+        zi, _, _, _ = newton_solve(cheb_poincare, 3.0, seeds[i])
         assert zi[0] == z[i]
 
 
@@ -110,8 +110,21 @@ def test_newton_solve_evaluates_f_with_f_prime(monkeypatch, golden_poincare, gol
 
     monkeypatch.setattr(pre, "poincare_eval", refuse)
     seeds = golden_poincare.r0 * np.array([2.0, 9.0j, -15.0])
-    z, ok = newton_solve(golden_poincare, golden_siegel.center_value, seeds)
+    z, ok, _, _ = newton_solve(golden_poincare, golden_siegel.center_value, seeds)
     assert ok.any()
+
+
+def test_continuation_carries_f_between_steps(monkeypatch, golden_branch, golden_siegel):
+    # the base point is evaluated once, as one lane; after that each of the
+    # 8 t-steps takes 3 full steps per lane and hands the last (f, f') to
+    # the next step as its seed's values, so no step re-evaluates its seed
+    calls, deriv = [], pre.poincare_derivative_eval
+    monkeypatch.setattr(pre, "poincare_derivative_eval",
+                        lambda pm, z, **kw: calls.append(np.array(z)) or deriv(pm, z, **kw))
+    u = pre.h_inverse_many(golden_siegel, sub_siegel_sample(golden_siegel, 3, seed=21))
+    pre._continue_segments(golden_branch, u)
+    assert calls[0].tolist() == [golden_branch.base_point]
+    assert [z.size for z in calls[1:]] == [3] * (3 * 8)
 
 
 def test_branch_continue_array_matches_elementwise(golden_branch, golden_siegel):

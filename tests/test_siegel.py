@@ -98,7 +98,17 @@ def siegel_coefficients(qm, N):
 
 def test_resonant_angle_rejected():
     with pytest.raises(ResonantAngle):
-        build_siegel_map(RotationAngle(1 / 3), 32)
+        build_siegel_map(RotationAngle(1 / 3), 64)
+
+
+@pytest.mark.parametrize("N", [-5, 0, 63])
+def test_too_few_terms_fail_before_the_recursion(N, monkeypatch, golden_angle):
+    def refuse(*args):
+        raise AssertionError("conjugacy_coeffs ran for a term count it cannot serve")
+
+    monkeypatch.setattr(siegel, "conjugacy_coeffs", refuse)
+    with pytest.raises(BadParams, match=rf"at least 64 terms \(got {N}\)$"):
+        build_siegel_map(golden_angle, N)
 
 
 def test_recurrence_residual_small(golden_map, golden_siegel):

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 48 invocations that cover every subcommand, each
+`src`).  RUNS lists 50 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -34,6 +34,7 @@ RUNS = [
     ("siegel_terms_1024", ["siegel", "--lambda-gamma", "golden", "--terms", "1024"]),
     ("siegel_both_maps", ["siegel", "--lambda-gamma", "golden", "--c", "1,1"]),
     ("siegel_terms_0", ["siegel", "--lambda-gamma", "golden", "--terms", "0"]),
+    ("siegel_terms_neg", ["siegel", "--lambda-gamma", "golden", "--terms", "-5"]),
     ("preimages_golden", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
                           "--r", "200", "--kmax", "10", "--set", "powerlaw"]),
     ("preimages_outside", ["preimages", "--lambda-gamma", "golden", "--w", "2.5,0",
@@ -48,6 +49,9 @@ RUNS = [
                            "--kmax", "8", "--seed", "4"]),
     ("exceptional_c_flag", ["exceptional", "--c", "0.3,0.1", "--samples", "10",
                             "--kmax", "5"]),
+    # 200 x 40, the survey size of the ROADMAP's baseline timings
+    ("exceptional_powerlaw_200x40", ["exceptional", "--set", "powerlaw", "--samples", "200",
+                                     "--kmax", "40"]),
     ("exceptional_deep", ["exceptional", "--set", "sectors", "--samples", "20",
                           "--kmax", "120", "--seed", "5"]),
     ("littlewood_iterates", ["littlewood", "--nmax", "4"]),
@@ -58,7 +62,7 @@ RUNS = [
     ("chebyshev_q8", ["chebyshev", "--q", "1,2,3,4,5,6,7,8"]),
     ("chebyshev_q10", ["chebyshev", "--q", "1,2,3,4,5,6,7,8,9,10"]),
     ("chebyshev_all_fail", ["chebyshev", "--q", "1", "--gamma-cf", "1,1000000"]),
-    # 33 coefficients are too few for the radius estimate: every row fails
+    # 32 terms are too few for the linearizer: every row fails
     ("chebyshev_terms_32", ["chebyshev", "--q", "2,3", "--terms", "32"]),
     ("density_powerlaw", ["density", "--set", "powerlaw", "--r", "5",
                           "--samples", "20000"]),
