@@ -41,7 +41,7 @@ from .sets import (
 )
 from .serialize import csv_text, json_text
 from .series import series_to_json
-from .siegel import RotationAngle, build_siegel_map, sub_siegel_sample
+from .siegel import RotationAngle, build_siegel_map, check_linearizer_terms, sub_siegel_sample
 
 
 def _parse_complex(text: str) -> complex:
@@ -247,6 +247,7 @@ def cmd_chebyshev(args):
     q_list = _int_list(args.q, "--q")
     if not q_list or min(q_list) < 1:
         raise BadParams(f"--q takes comma-separated periods >= 1, got {args.q!r}")
+    check_linearizer_terms(args.terms)
     if args.gamma_cf:
         cf = _int_list(args.gamma_cf, "--gamma-cf")
         angle = RotationAngle.from_cf(cf)
@@ -343,7 +344,7 @@ def cmd_render(args):
         sm = build_siegel_map(angle, N=args.siegel_terms)
         ib = preimage.find_base_preimage(pm, sm)
         w = complex(sub_siegel_sample(sm, 1, args.seed)[0])
-        pts = [z for _, z in preimage.orbit_preimages(ib, w, args.kmax)]
+        pts = preimage.orbit_preimages(ib, [w], args.kmax)[1][0].tolist()
         S = _build_set(args) if getattr(args, "set", None) else None
         r = args.r if args.r is not None else 1.05 * max(abs(z) for z in pts)
         payload = (render.orbit_svg(pts, S, r) if fmt == ".svg"

@@ -19,17 +19,14 @@ the tail certificate (truncation) and the majorant sum |a_n| r^n
 (cancellation, which eats eps * majorant in absolute error).  r0 takes the
 smaller of the two bounds; see conditioning_radius.
 
-poincare_eval and poincare_derivative_eval take a complex number or an array
-of independent lanes; a complex number is evaluated as a 1-element array.
-poincare_derivative_eval(..., with_value=True) gives f and f' from one
-pullback, for Newton solvers that need both at each point.
-Lanes are grouped by pullback depth, the series of f (and of f') is
-evaluated once over the scaled lanes of every depth, and each group then
-runs its own map steps.  Every lane is computed by the same numpy operations
-whatever the array around it, so a lane's value does not depend on the batch
-it was evaluated in.  An array call marks a lane whose pullback overflows
-with NaN and leaves the other lanes alone; a scalar call evaluates one lane
-and raises OverflowSentinel instead.
+poincare_eval evaluates one point and raises OverflowSentinel where its
+pullback overflows.  The array calls group their lanes by pullback depth,
+evaluate the series of f (and of f') once over the scaled lanes of every
+depth, and run each group's map steps; every lane is computed by the same
+numpy operations whatever the array around it, so its value does not depend
+on its batch.  poincare_eval_many raises OverflowSentinel if any lane
+overflows; poincare_derivative_eval gives the pair (f, f') from one
+pullback, NaN in the lanes that overflow, for Newton solvers.
 
 An array call of more than series._HORNER_BLOCK (2^15) lanes runs them in
 blocks of that many, each through its own depths and pullback, into
@@ -231,24 +228,14 @@ def _lanes(pm: PoincareMap, z, derivative: bool):
     return f, df, ok
 
 
-def _one_lane(values, ok, z) -> complex:
+def poincare_eval(pm: PoincareMap, z: complex) -> complex:
+    """f(z) at one point anywhere in the plane, pulled back through its own
+    depth as a one-lane array; OverflowSentinel where the pullback
+    overflows."""
+    f, _, ok = _lanes(pm, np.array([complex(z)]), derivative=False)
     if not ok[0]:
-        raise OverflowSentinel(
-            f"pullback at z = {complex(z)} passed 1e290 (or z is not finite)"
-        )
-    return complex(values[0])
-
-
-def poincare_eval(pm: PoincareMap, z):
-    """f(z) anywhere in the plane, for a complex z or an array of lanes.
-
-    Each lane is pulled back through its own depth.  An array call returns
-    one value per lane, NaN where the pullback overflowed; a scalar call
-    raises OverflowSentinel there."""
-    f, _, ok = _lanes(pm, z, derivative=False)
-    if np.ndim(z) == 0:
-        return _one_lane(f, ok, z)
-    return f.reshape(np.shape(z))
+        raise OverflowSentinel(f"pullback at z = {complex(z)} passed 1e290 (or z is not finite)")
+    return complex(f[0])
 
 
 def poincare_eval_many(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
@@ -260,21 +247,14 @@ def poincare_eval_many(pm: PoincareMap, z: np.ndarray) -> np.ndarray:
     return f.reshape(np.shape(z))
 
 
-def poincare_derivative_eval(pm: PoincareMap, z, *, with_value: bool = False):
-    """f'(z) by the chain rule through the pullback, for a complex z or an
-    array of lanes, with the lane rules of poincare_eval.
-
-    With with_value the result is the pair (f(z), f'(z)) from the same
-    pullback, each with the bits of its own call.  A lane whose iterate or
+def poincare_derivative_eval(pm: PoincareMap, z: np.ndarray):
+    """The pair (f(z), f'(z)) on an array of lanes from one pullback, f' by
+    the chain rule, each array of z's shape.  A lane whose iterate or
     derivative overflows gets NaN for both.  Empirically f alone decides:
     along rays of the golden and z^2 - 2 maps, |f'| is 40 to 1000 times
     below |f| where |f| reaches OVERFLOW_BOUND."""
-    f, df, ok = _lanes(pm, z, derivative=True)
-    if np.ndim(z) == 0:
-        d = _one_lane(df, ok, z)
-        return (complex(f[0]), d) if with_value else d
-    df = df.reshape(np.shape(z))
-    return (f.reshape(np.shape(z)), df) if with_value else df
+    f, df, _ = _lanes(pm, z, derivative=True)
+    return f.reshape(np.shape(z)), df.reshape(np.shape(z))
 
 
 def _circle(r: float, n: int):
@@ -299,7 +279,7 @@ def _log_modulus(pm: PoincareMap, z: np.ndarray, k: int) -> np.ndarray:
     Past |u| = 1e100 a lane tracks L = log|u| and doubles it, which drops a
     correction smaller than |param|/|u| <= 1e-98 per step.
     """
-    u = np.asarray(series_eval(pm.series_f, z / pm.mu**k), dtype=complex)
+    u = series_eval(pm.series_f, z / pm.mu**k)
     with np.errstate(divide="ignore"):
         logmod = np.log(np.abs(u))
     live = np.abs(u) <= LOG_SWITCH

@@ -12,23 +12,16 @@ whose k-th member is a genuine solution of f(z) = w of modulus about
 levels, so every intermediate value lies in the bounded sub-Siegel disk and
 the check never overflows.
 
-The solvers work on arrays of independent lanes, one (seed, target) pair
-each: newton_solve runs dyncore.newton_lanes, damped Newton on every lane at
-once with the step rules of a scalar solver applied per lane, and a lane
-that fails (overflow included) fails only itself.  Each of its evaluations
-is one pullback that gives f and f' together; a round takes the full step
-of its live lanes in one such call and all the halved steps of the lanes
-that the full step did not help in another.  find_base_preimage solves
-its whole seed grid in one call, and branch_continue continues every point
-it is given along its own segment, with the segment parameter t as the
-outer loop: each step is seeded with the previous step's solution and
-handed the f and f' that Newton last computed there, so only the base
-point is evaluated before the first step, once, as a one-lane array.  The
-segments end at h^{-1}(w), from siegel.h_inverse_many, which runs the same
-newton_lanes on h and raises OutOfDomain for a w whose lane fails or
-settles outside the sub-Siegel disk.  Because numpy computes
-each lane by the same operations at any position in any array, a lane's
-result does not depend on its batch.
+Every solver takes and returns arrays of independent lanes, and a lane's
+result does not depend on its batch.  newton_solve runs
+dyncore.newton_lanes on f, each evaluation one pullback giving f and f'
+together, and a lane that fails (overflow included) fails alone.
+find_base_preimage solves its whole seed grid in one call.  branch_continue
+continues every point along its own segment, t as the outer loop, each
+step seeded with the previous solution and the f and f' that Newton last
+computed there; the segments end at h^{-1}(w), from
+siegel.h_inverse_many, which raises OutOfDomain for a w outside the
+sub-Siegel disk.
 
 Also here: brute-force counting of all preimages in a disk by the argument
 principle.
@@ -97,8 +90,8 @@ def newton_solve(pm: PoincareMap, target, seed, at_seed=None):
     together.  at_seed is (f, f') at the seeds, when the caller has them
     from an earlier solve: a lane's values do not depend on its batch, so
     they are the bits a fresh evaluation would give."""
-    return newton_lanes(lambda z: poincare_derivative_eval(pm, z, with_value=True),
-                        target, seed, NEWTON_ITERS, at_seed)
+    return newton_lanes(lambda z: poincare_derivative_eval(pm, z), target, seed,
+                        NEWTON_ITERS, at_seed)
 
 
 def find_base_preimage(pm: PoincareMap, sm: SiegelMap) -> InverseBranch:
@@ -151,7 +144,7 @@ def _continue_segments(ib: InverseBranch, u_w: np.ndarray) -> np.ndarray:
     1 + |z| drops out; the lanes that dropped out start over with twice the
     steps, up to _MAX_SEGMENT_STEPS."""
     out = np.empty(u_w.shape, dtype=complex)
-    at_base = poincare_derivative_eval(ib.pm, np.array([ib.base_point]), with_value=True)
+    at_base = poincare_derivative_eval(ib.pm, np.array([ib.base_point]))
     pending = np.arange(u_w.size)
     steps = 8
     while pending.size and steps <= _MAX_SEGMENT_STEPS:
@@ -180,36 +173,24 @@ def _continue_segments(ib: InverseBranch, u_w: np.ndarray) -> np.ndarray:
     return out
 
 
-def branch_continue(ib: InverseBranch, w):
-    """g0(w) for w in the sub-Siegel disk, by segment continuation in the
-    linearizing coordinate from the center to w.
-
-    w may be a complex number (the result is a complex) or an array (the
-    result is an array of its shape).  One h_inverse_many call checks the
-    membership of every point, and one batched continuation follows."""
-    arr = np.asarray(w, dtype=complex)
-    out = _continue_segments(ib, h_inverse_many(ib.sm, arr.reshape(-1)))
-    if arr.ndim == 0:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+def branch_continue(ib: InverseBranch, w: np.ndarray) -> np.ndarray:
+    """g0 at every point of the array w in the sub-Siegel disk, an array of
+    w's shape, by segment continuation in the linearizing coordinate from
+    the center.  One h_inverse_many call checks the membership of every
+    point, and one batched continuation follows."""
+    w = np.asarray(w, dtype=complex)
+    return _continue_segments(ib, h_inverse_many(ib.sm, w.reshape(-1))).reshape(w.shape)
 
 
-def orbit_preimages(ib: InverseBranch, w, k_max: int):
-    """[(k, mu^k * g0(P^{-k} w))] for 0 <= k <= k_max.
-
-    For an array of w the result is the pair of arrays (g, z), both of
-    shape (len(w), k_max + 1), with g[i, k] = g0(P^{-k} w_i) and
-    z[i, k] = mu^k g[i, k].  Either way h^{-1} is solved once per w and every
-    (w, k) is continued in a single branch_continue call."""
+def orbit_preimages(ib: InverseBranch, w: np.ndarray, k_max: int):
+    """The arrays (g, z) for the array w, both of shape (len(w), k_max + 1):
+    g[i, k] = g0(P^{-k} w_i) and z[i, k] = mu^k g[i, k], the orbit
+    preimages.  h^{-1} is solved once per w and every (w, k) is continued
+    in a single branch_continue call."""
     if k_max < 0:
         raise BadParams("k_max must be >= 0")
-    ws = np.asarray(w, dtype=complex).reshape(-1)
-    wk = p_inverse_many(ib.sm, ws, range(k_max + 1))
-    g = branch_continue(ib, wk)
-    z = g * np.array([ib.pm.mu**k for k in range(k_max + 1)])
-    if np.ndim(w) == 0:
-        return list(enumerate(z[0].tolist()))
-    return g, z
+    g = branch_continue(ib, p_inverse_many(ib.sm, w, range(k_max + 1)))
+    return g, g * np.array([ib.pm.mu**k for k in range(k_max + 1)])
 
 
 def verify_orbit_point(ib: InverseBranch, w: complex, k: int, z: complex) -> float:
@@ -258,10 +239,9 @@ def argument_principle_count(pm: PoincareMap, w: complex, r: float) -> int:
 
 def build_preimage_report(ib: InverseBranch, S: SetModel, w: complex, r: float,
                           k_max: int) -> PreimageReport:
-    orbit = orbit_preimages(ib, w, k_max)
-    hits = S.contains_many([z for _, z in orbit]).tolist()
-    pts = [OrbitPoint(k=k, z=z, in_S=bool(hit), residual=verify_orbit_point(ib, w, k, z))
-           for (k, z), hit in zip(orbit, hits)]
+    z = orbit_preimages(ib, [w], k_max)[1][0]
+    pts = [OrbitPoint(k=k, z=zk, in_S=hit, residual=verify_orbit_point(ib, w, k, zk))
+           for k, (zk, hit) in enumerate(zip(z.tolist(), S.contains_many(z).tolist()))]
     return PreimageReport(w=complex(w), r=float(r), orbit_points=pts,
                           argument_count=argument_principle_count(ib.pm, w, r),
                           notes="orbit preimages via linearizing-coordinate continuation"

@@ -124,23 +124,18 @@ def make_series(coeffs) -> TruncatedSeries:
     return TruncatedSeries(arr, _safe_radius(arr, TAIL_EPS))
 
 
-def series_eval(s: TruncatedSeries, z):
-    """Horner evaluation; z may be scalar or ndarray. Refuses points outside
-    the safe disk, whose radius is the empirical tail estimate (not a proof
-    that the truncation error stays below TAIL_EPS).  A 0-d z is passed to
-    Horner as a numpy scalar, so it takes numpy's scalar arithmetic."""
-    x = np.asarray(z, dtype=complex)[()]
-    if s.safe_radius != math.inf:
-        bad = np.abs(x) > s.safe_radius * _RADIUS_SLACK
-        if np.any(bad):
-            worst = float(np.max(np.abs(x)))
-            raise OutOfSafeRadius(
-                f"|z| = {worst:.6g} exceeds safe radius {s.safe_radius:.6g}"
-            )
-    val = horner_unchecked(s.coeffs, x)
-    if np.ndim(z) == 0:
-        return complex(val)
-    return val
+def series_eval(s: TruncatedSeries, z: np.ndarray) -> np.ndarray:
+    """Horner evaluation of an array of lanes, an array of z's shape.
+    Refuses points outside the safe disk, whose radius is the empirical
+    tail estimate (not a proof that the truncation error stays below
+    TAIL_EPS)."""
+    x = np.asarray(z, dtype=complex)
+    bad = np.abs(x) > s.safe_radius * _RADIUS_SLACK
+    if np.any(bad):
+        raise OutOfSafeRadius(
+            f"|z| = {float(np.max(np.abs(x[bad]))):.6g} exceeds safe radius {s.safe_radius:.6g}"
+        )
+    return horner_unchecked(s.coeffs, x)
 
 
 def horner_unchecked(coeffs: np.ndarray, dz):

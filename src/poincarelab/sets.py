@@ -72,8 +72,7 @@ class SetModel:
 
     `indicator` is the one membership function: it maps an array of complex
     points to a bool array of the same shape, True where the point lies in S.
-    `contains_many` calls it directly and `contains` is its one-lane call, so
-    a point gets the same answer whichever of the two asks.
+    `contains_many` applies it to an array of points.
     """
 
     kind: str  # Empty | PowerLawDisks | AnnularSectors
@@ -82,9 +81,6 @@ class SetModel:
     seed: Optional[int] = None
     # annulus index -> (centers, radii); filled lazily, by disk_pack only
     _packs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def contains(self, z) -> bool:
-        return bool(self.contains_many(np.array([z]))[0])
 
     def contains_many(self, z: np.ndarray) -> np.ndarray:
         return self.indicator(np.asarray(z, dtype=complex))

@@ -161,6 +161,12 @@ def siegel_radius_estimate(
     return SiegelRadiusEstimate(value, root_est, resid_est, ratio > 2.0)
 
 
+def check_linearizer_terms(N: int) -> None:
+    """BadParams for N < 64 terms, which the radius estimate cannot use."""
+    if N < 64:
+        raise BadParams(f"the Siegel linearizer needs at least 64 terms (got {N})")
+
+
 def build_cycle_siegel_map(
     qmap: QuadMap,
     cycle,
@@ -172,8 +178,7 @@ def build_cycle_siegel_map(
     the cycle's multiplier, the product of the steps' slopes in cycle order.
     BadParams for N < 64 terms, which the radius estimate cannot use, before
     any coefficient is computed; ResonantAngle at a divisor below 1e-14."""
-    if N < 64:
-        raise BadParams(f"the Siegel linearizer needs at least 64 terms (got {N})")
+    check_linearizer_terms(N)
     lam = complex(cycle.multiplier)
     if abs(abs(lam) - 1.0) > 1e-6:
         raise BadParams(f"cycle multiplier |{lam}| = {abs(lam)} is not on the unit circle")

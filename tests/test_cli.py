@@ -61,7 +61,9 @@ def test_usage_errors_exit_2(tmp_path):
     ["render", "--what", "domain", "--size", "0", "--out", "x.ppm"],
     ["chebyshev", "--q", ","],
     ["chebyshev", "--q", "0"],
-], ids=["q", "gamma-cf", "monomials-nmax", "size-negative", "size-zero", "q-empty", "q-zero"])
+    ["chebyshev", "--q", "2,3", "--terms", "32"],
+], ids=["q", "gamma-cf", "monomials-nmax", "size-negative", "size-zero", "q-empty", "q-zero",
+        "terms-32"])
 def test_malformed_flags_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("BadParams: ")

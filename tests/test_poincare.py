@@ -59,7 +59,7 @@ def test_cheb_matches_cosh_reference(cheb_poincare):
 def test_normalization_at_origin(golden_poincare, cheb_poincare):
     for pm in (golden_poincare, cheb_poincare):
         assert abs(poincare_eval(pm, 0j) - pm.z0) < 1e-14
-        assert abs(poincare_derivative_eval(pm, 0j) - 1.0) < 1e-12
+        assert abs(poincare_derivative_eval(pm, np.array([0j]))[1][0] - 1.0) < 1e-12
 
 
 def test_functional_equation_on_circles(golden_poincare, cheb_poincare):
@@ -136,7 +136,7 @@ def test_fused_pullback_lanes_match_one_lane_calls(golden, seed, n, extra,
     assert np.unique(depths[np.isfinite(z)]).size >= 4
     if extra is None:
         def pair(lanes):
-            return poincare_eval(pm, lanes), poincare_derivative_eval(pm, lanes)
+            return poincare_derivative_eval(pm, lanes)
     else:
         depth = int(depths.max()) + extra
 
@@ -149,20 +149,16 @@ def test_fused_pullback_lanes_match_one_lane_calls(golden, seed, n, extra,
     assert f.tobytes() == one_f.tobytes() and df.tobytes() == one_df.tobytes()
     if extra is not None:
         return
-    # with_value: the pair of the two calls from one pullback, for the array
-    # and for every lane as a scalar, where either call raises exactly when
-    # the fused call does
-    fv, dfv = poincare_derivative_eval(pm, z, with_value=True)
-    assert fv.tobytes() == f.tobytes() and dfv.tobytes() == df.tobytes()
-    for zi in z.tolist():
+    # poincare_eval of each lane as one point: it raises where f overflows
+    # (the pair then has NaN), and elsewhere has the pair's f bits unless the
+    # pair's derivative overflowed
+    for zi, fi in zip(z.tolist(), f.tolist()):
         try:
-            want = (poincare_eval(pm, zi), poincare_derivative_eval(pm, zi))
+            got = poincare_eval(pm, zi)
         except OverflowSentinel:
-            with pytest.raises(OverflowSentinel):
-                poincare_derivative_eval(pm, zi, with_value=True)
+            assert cmath.isnan(fi)
             continue
-        got = poincare_derivative_eval(pm, zi, with_value=True)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert cmath.isnan(fi) or np.complex128(got).tobytes() == np.complex128(fi).tobytes()
 
 
 def _block_lanes(pm, n, seed):
@@ -183,13 +179,13 @@ def test_lane_blocks_do_not_change_results(block, monkeypatch, golden_poincare, 
         for n in (block - 1, block + 1, 2 * block + 1, 5 * block):
             z = _block_lanes(pm, n, seed=n)
             monkeypatch.undo()
-            whole = (poincare_eval(pm, z), poincare_derivative_eval(pm, z),
-                     *poincare_derivative_eval(pm, z, with_value=True))
+            whole = (*poincare_derivative_eval(pm, z), pc._lanes(pm, z, derivative=False)[0])
             monkeypatch.setattr(series, "_HORNER_BLOCK", block)
-            got = (poincare_eval(pm, z), poincare_derivative_eval(pm, z),
-                   *poincare_derivative_eval(pm, z, with_value=True))
+            got = (*poincare_derivative_eval(pm, z), pc._lanes(pm, z, derivative=False)[0])
             assert [a.tobytes() for a in got] == [a.tobytes() for a in whole]
-            assert poincare_eval(pm, z.reshape(1, -1)).tobytes() == whole[0].tobytes()
+            row = poincare_derivative_eval(pm, z.reshape(1, -1))
+            assert [a.shape for a in row] == [(1, n)] * 2
+            assert [a.tobytes() for a in row] == [a.tobytes() for a in whole[:2]]
             if n >= 2:
                 assert np.isnan(whole[0]).any()
 
@@ -199,7 +195,7 @@ def test_eval_many_raises_on_a_bad_lane_in_the_last_block(block, monkeypatch, ch
     pm = cheb_poincare
     z = np.linspace(1.0, 50.0, 2 * block + 1).astype(complex)
     monkeypatch.setattr(series, "_HORNER_BLOCK", block)
-    assert poincare_eval_many(pm, z).tobytes() == poincare_eval(pm, z).tobytes()
+    assert poincare_eval_many(pm, z).tobytes() == poincare_derivative_eval(pm, z)[0].tobytes()
     for bad in (1e6 + 0j, complex(math.nan, 0.0)):
         z[-1] = bad
         with pytest.raises(OverflowSentinel):
@@ -231,13 +227,16 @@ def test_pullback_evaluates_each_series_once(monkeypatch, golden_poincare):
     monkeypatch.setattr(pc, "series_eval", counting)
     z = pm.r0 * abs(pm.mu) ** (np.arange(7) - 0.5) * np.exp(1j * np.arange(7))
     assert pullback_depths(pm, np.abs(z)).tolist() == list(range(7))
-    for lanes in (z, z[3]):
+    for lanes in (z, z[3:4]):
         calls.clear()
-        poincare_eval(pm, lanes)
+        poincare_eval_many(pm, lanes)
         assert len(calls) == 1 and calls[0] is pm.series_f
         calls.clear()
         poincare_derivative_eval(pm, lanes)
         assert len(calls) == 2 and calls[0] is pm.series_f and calls[1] is pm.series_df
+    calls.clear()
+    poincare_eval(pm, z[3])
+    assert calls == [pm.series_f]
     # every lane at one larger depth
     for derivative, want in ((False, [pm.series_f]), (True, [pm.series_f, pm.series_df])):
         calls.clear()
@@ -274,10 +273,13 @@ def test_explicit_depth_must_reach_disk(cheb_poincare):
 def test_overflow_sentinel(cheb_poincare):
     with pytest.raises(OverflowSentinel):
         poincare_eval(cheb_poincare, 1e6 + 0j)
-    with pytest.raises(OverflowSentinel):
-        poincare_derivative_eval(cheb_poincare, 1e6 + 0j)
+    f, df = poincare_derivative_eval(cheb_poincare, np.array([1e6 + 0j]))
+    assert np.isnan(f[0]) and np.isnan(df[0])
     with pytest.raises(OverflowSentinel):
         poincare_eval_many(cheb_poincare, np.array([1.0, 1e6], dtype=complex))
+    # one point only: an array is refused, not read at its first lane
+    with pytest.raises(TypeError):
+        poincare_eval(cheb_poincare, np.array([1.0, 2.0], dtype=complex))
 
 
 def test_depth_helper_matches_scalar_depth(golden_poincare, cheb_poincare):
@@ -298,11 +300,10 @@ def test_scalar_eval_is_the_one_lane_array_eval(golden_poincare, cheb_poincare):
     for pm in (golden_poincare, cheb_poincare):
         # moduli spread over pullback depths 0 to 4 or 5
         z = pm.r0 * np.exp(rng.uniform(-2.0, 5.0, 40)) * np.exp(2j * np.pi * rng.random(40))
-        f = poincare_eval(pm, z)
-        df = poincare_derivative_eval(pm, z)
+        f, df = poincare_derivative_eval(pm, z)
         for i, zi in enumerate(z.tolist()):
             assert complex(f[i]) == poincare_eval(pm, zi)
-            assert complex(df[i]) == poincare_derivative_eval(pm, zi)
+            assert df[i:i + 1].tobytes() == poincare_derivative_eval(pm, z[i:i + 1])[1].tobytes()
         assert f.tobytes() == poincare_eval_many(pm, z).tobytes()
 
 
@@ -314,20 +315,19 @@ def test_one_lane_pair_is_every_lane_of_a_full_array(n, golden_branch, cheb_poin
     lane."""
     for pm, b in ((golden_branch.pm, golden_branch.base_point),
                   (cheb_poincare, -150.0 + 20.0j)):
-        one = poincare_derivative_eval(pm, np.array([b]), with_value=True)
-        full = poincare_derivative_eval(pm, np.full(n, b), with_value=True)
+        one = poincare_derivative_eval(pm, np.array([b]))
+        full = poincare_derivative_eval(pm, np.full(n, b))
         for v, v_full in zip(one, full):
             assert np.repeat(v, n).tobytes() == v_full.tobytes()
 
 
 def test_array_eval_fails_only_overflowing_lanes(cheb_poincare):
     z = np.array([5.0, 1e6, -30.0 + 4.0j, np.nan], dtype=complex)
-    f = poincare_eval(cheb_poincare, z)
-    df = poincare_derivative_eval(cheb_poincare, z)
+    f, df = poincare_derivative_eval(cheb_poincare, z)
     assert np.isnan(f[1]) and np.isnan(df[1]) and np.isnan(f[3]) and np.isnan(df[3])
     for i in (0, 2):
         assert f[i] == poincare_eval(cheb_poincare, complex(z[i]))
-        assert df[i] == poincare_derivative_eval(cheb_poincare, complex(z[i]))
+        assert df[i] == poincare_derivative_eval(cheb_poincare, z[i:i + 1])[1][0]
 
 
 def log_modulus_eval(pm, z):
@@ -360,7 +360,7 @@ def test_eval_on_circle_consistency(cheb_poincare):
     z, u, d = eval_on_circle(cheb_poincare, 50.0, n=64)
     for i in range(0, 64, 7):
         assert abs(u[i] - poincare_eval(cheb_poincare, complex(z[i]))) < 1e-10 * (1 + abs(u[i]))
-        fd = poincare_derivative_eval(cheb_poincare, complex(z[i]))
+        fd = poincare_derivative_eval(cheb_poincare, z[i:i + 1])[1][0]
         assert abs(d[i] - fd) < 1e-9 * (1 + abs(fd))
 
 
@@ -368,7 +368,7 @@ def test_derivative_matches_finite_difference(golden_poincare):
     h = 1e-6
     for z in [2 + 1j, -7 + 3j, 40 - 11j]:
         fd = (poincare_eval(golden_poincare, z + h) - poincare_eval(golden_poincare, z - h)) / (2 * h)
-        an = poincare_derivative_eval(golden_poincare, z)
+        an = poincare_derivative_eval(golden_poincare, np.array([z]))[1][0]
         assert abs(an - fd) < 1e-4 * (1 + abs(an))
 
 

@@ -24,16 +24,16 @@ def test_geometric_series_eval_matches_closed_form():
     coeffs = np.array([2.0 ** (-n) for n in range(64)], dtype=complex)
     s = make_series(coeffs)
     assert 0 < s.safe_radius < 2.0
-    for z in [0.1, 0.4j, -0.3 + 0.2j, 0.9 * s.safe_radius]:
-        want = 1.0 / (1.0 - z / 2.0)
-        assert abs(series_eval(s, z) - want) < 1e-12 * (1 + abs(want))
+    z = np.array([0.1, 0.4j, -0.3 + 0.2j, 0.9 * s.safe_radius])
+    want = 1.0 / (1.0 - z / 2.0)
+    assert np.all(np.abs(series_eval(s, z) - want) < 1e-12 * (1 + np.abs(want)))
 
 
 def test_eval_outside_safe_radius_raises():
     coeffs = np.ones(64, dtype=complex)  # radius of convergence 1
     s = make_series(coeffs)
     with pytest.raises(OutOfSafeRadius):
-        series_eval(s, 1.0001 * s.safe_radius)
+        series_eval(s, np.array([0.5, 1.0001 * s.safe_radius]))
 
 
 def test_eval_vectorized_agrees_with_scalar():
@@ -42,8 +42,9 @@ def test_eval_vectorized_agrees_with_scalar():
     s = make_series(coeffs)
     zs = 0.5 * s.safe_radius * np.exp(2j * np.pi * np.linspace(0, 1, 17))
     vals = series_eval(s, zs)
-    for z, v in zip(zs, vals):
-        assert abs(v - series_eval(s, complex(z))) < 1e-14
+    assert vals.shape == zs.shape
+    for i in range(zs.size):
+        assert series_eval(s, zs[i:i + 1]).tobytes() == vals[i:i + 1].tobytes()
 
 
 def horner_out_of_place(coeffs, dz):
@@ -121,7 +122,7 @@ def test_exact_polynomial_has_unbounded_domain():
     # a polynomial padded to 32 coefficients: the top half is zero
     s = make_series(np.array([1.0, 0.0, 3.0] + [0.0] * 29, dtype=complex))
     assert s.safe_radius == np.inf
-    assert abs(series_eval(s, 100.0) - (1 + 3 * 100.0**2)) < 1e-9
+    assert abs(series_eval(s, np.array([100.0]))[0] - (1 + 3 * 100.0**2)) < 1e-9
 
 
 def test_trailing_zero_padding_detected_as_polynomial():
@@ -145,9 +146,9 @@ def test_series_derivative_coefficients():
     ds = series_derivative(s)
     assert np.allclose(ds.coeffs[:3], [1.0, 4.0, 9.0]) and not ds.coeffs[3:].any()
     assert ds.safe_radius == np.inf
-    z = 0.7 - 0.2j
+    z = np.array([0.7 - 0.2j])
     fd = (series_eval(s, z + 1e-7) - series_eval(s, z - 1e-7)) / 2e-7
-    assert abs(series_eval(ds, z) - fd) < 1e-6
+    assert abs(series_eval(ds, z) - fd)[0] < 1e-6
 
 
 def test_derivative_of_short_padded_polynomial_keeps_unbounded_domain():
@@ -158,7 +159,7 @@ def test_derivative_of_short_padded_polynomial_keeps_unbounded_domain():
     assert series._safe_radius(s.coeffs[1:] * np.arange(1, 16), series.TAIL_EPS) < 1e-5
     ds = series_derivative(s)
     assert ds.safe_radius == math.inf
-    assert series_eval(ds, 2.0) == 1 + 4 * 2.0 + 9 * 2.0**2
+    assert series_eval(ds, np.array([2.0])).tolist() == [1 + 4 * 2.0 + 9 * 2.0**2]
     assert series_derivative(ds).safe_radius == math.inf
     # a series of finite radius still gets the majorant's radius
     g = make_series([2.0**-n for n in range(40)])
@@ -183,15 +184,14 @@ def test_json_roundtrip_is_exact_and_stable():
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_scalar_eval_takes_numpy_scalar_arithmetic(seed):
-    """A complex z is evaluated as the numpy scalar np.complex128(z), bit
-    for bit, not as a 0-d array, whose Horner path rounds differently."""
+def test_series_eval_lanes_are_the_batched_lanes(seed):
+    """series_eval gives an array of lanes the bits of horner_unchecked, and
+    each lane alone, as a one-lane array, the bits it has in the batch."""
     rng = np.random.default_rng(seed)
     s = make_series(_lanes(rng, 64) / 2.0 ** np.arange(64))
     z = 0.9 * s.safe_radius * _lanes(rng, 200) / 3.0
     z = z[np.abs(z) <= s.safe_radius]
-    for zi in z.tolist():
-        got = series_eval(s, complex(zi))
-        want = series._horner_out_of_place(s.coeffs, np.complex128(zi))
-        assert isinstance(got, complex)
-        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+    got = series_eval(s, z)
+    assert got.tobytes() == horner_unchecked(s.coeffs, z).tobytes()
+    for i in range(z.size):
+        assert series_eval(s, z[i:i + 1]).tobytes() == got[i:i + 1].tobytes()

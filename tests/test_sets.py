@@ -24,7 +24,7 @@ from poincarelab.serialize import json_text
 
 def test_empty_set_everything_zero():
     S = make_empty_set()
-    assert not S.contains(1 + 1j)
+    assert S.contains_many(np.array([1 + 1j])).tolist() == [False]
     assert certified_bound(S, 10.0) == 0.0
     est = density_estimate(S, 5.0, samples=2000, seed=1)
     assert est.value == 0.0
@@ -35,8 +35,8 @@ def test_powerlaw_membership_deterministic():
     b = make_powerlaw_set(10.0, 0.5, seed=2)
     rng = np.random.default_rng(0)
     pts = 50.0 * (rng.uniform(-1, 1, 400) + 1j * rng.uniform(-1, 1, 400))
-    hits_a = [a.contains(complex(p)) for p in pts]
-    hits_b = [b.contains(complex(p)) for p in pts]
+    hits_a = a.contains_many(pts).tolist()
+    hits_b = b.contains_many(pts).tolist()
     assert hits_a == hits_b
     assert any(hits_a)  # the set is not empty at this C
 
@@ -46,8 +46,8 @@ def test_powerlaw_seed_changes_layout():
     c = make_powerlaw_set(10.0, 0.5, seed=3)
     rng = np.random.default_rng(1)
     pts = 30.0 * (rng.uniform(-1, 1, 600) + 1j * rng.uniform(-1, 1, 600))
-    ha = [a.contains(complex(p)) for p in pts]
-    hc = [c.contains(complex(p)) for p in pts]
+    ha = a.contains_many(pts).tolist()
+    hc = c.contains_many(pts).tolist()
     assert ha != hc
 
 
@@ -102,7 +102,7 @@ def test_sector_set_certificate_and_membership():
 
 def test_custom_set_without_certificate():
     S = SetModel(kind="Custom", indicator=lambda z: z.real > 0)
-    assert S.contains(1 + 0j) and not S.contains(-1 + 0j)
+    assert S.contains_many(np.array([1 + 0j, -1 + 0j])).tolist() == [True, False]
     with pytest.raises(NoCertificate):
         certified_bound(S, 3.0)
     est = density_estimate(S, 3.0, samples=5000, seed=9)
@@ -154,8 +154,7 @@ def test_json_roundtrip_powerlaw_exact():
     S2 = _rebuild(json_text(set_payload(S)))
     rng = np.random.default_rng(6)
     pts = 40.0 * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
-    for p in pts:
-        assert S.contains(complex(p)) == S2.contains(complex(p))
+    assert S.contains_many(pts).tolist() == S2.contains_many(pts).tolist()
     assert certified_bound(S, 17.0) == certified_bound(S2, 17.0)
 
 
@@ -163,8 +162,8 @@ def test_json_roundtrip_empty_and_sector():
     for S in [make_empty_set(), make_sector_set(3.0, 0.6)]:
         S2 = _rebuild(json_text(set_payload(S)))
         assert S2.kind == S.kind
-        for p in [1 + 1j, -2 + 0.5j, 10j]:
-            assert S.contains(p) == S2.contains(p)
+        pts = np.array([1 + 1j, -2 + 0.5j, 10j])
+        assert S.contains_many(pts).tolist() == S2.contains_many(pts).tolist()
 
 
 def _agreement_points():
@@ -193,5 +192,7 @@ def test_scalar_and_array_membership_agree(make):
     pts = _agreement_points()
     many = S.contains_many(pts)
     assert many.dtype == bool and many.shape == pts.shape
-    disagree = [z for z, hit in zip(pts.tolist(), many.tolist()) if S.contains(z) != hit]
+    # each point alone, as a one-lane array
+    disagree = [z for z, hit in zip(pts.tolist(), many.tolist())
+                if S.contains_many(np.array([z]))[0] != hit]
     assert disagree == []

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 50 invocations that cover every subcommand, each
+`src`).  RUNS lists 51 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -56,13 +56,15 @@ RUNS = [
                           "--kmax", "120", "--seed", "5"]),
     ("littlewood_iterates", ["littlewood", "--nmax", "4"]),
     ("littlewood_monomials", ["littlewood", "--family", "monomials", "--nmax", "3"]),
+    # degrees up to 4096, whose rows depend on the root mesh's ladder toward r = 1
+    ("littlewood_monomials_deep", ["littlewood", "--family", "monomials", "--nmax", "12"]),
     ("littlewood_complex_c", ["littlewood", "--c", "0.3,0.2", "--nmax", "3"]),
     ("littlewood_no_fit", ["littlewood", "--nmax", "2"]),
     ("chebyshev", ["chebyshev", "--q", "1,2,3"]),
     ("chebyshev_q8", ["chebyshev", "--q", "1,2,3,4,5,6,7,8"]),
     ("chebyshev_q10", ["chebyshev", "--q", "1,2,3,4,5,6,7,8,9,10"]),
     ("chebyshev_all_fail", ["chebyshev", "--q", "1", "--gamma-cf", "1,1000000"]),
-    # 32 terms are too few for the linearizer: every row fails
+    # 32 terms are too few for the linearizer: refused before any search
     ("chebyshev_terms_32", ["chebyshev", "--q", "2,3", "--terms", "32"]),
     ("density_powerlaw", ["density", "--set", "powerlaw", "--r", "5",
                           "--samples", "20000"]),
