@@ -10,8 +10,8 @@ and render), and reruns with equal flags produce byte-identical
 CSV/JSON/PPM/SVG files (no timestamps anywhere).
 Exit codes: 0 ok, 2 usage or precondition violation, 3 numeric failure
 (stderr carries the module error name verbatim), 4 evaluation budget
-exceeded (`littlewood`: the rows over budget hold their open cells at
-their midpoint values, with error_bound inf).  A run that exits 2 or 3
+exceeded (`littlewood`: the rows over budget hold the value their cells
+reached, with error_estimate inf).  A run that exits 2 or 3
 writes no file; one that exits 4 still writes its files.  Every CSV/JSON
 format rule lives in `serialize`.
 """
@@ -226,8 +226,8 @@ def cmd_littlewood(args):
           f"max degree {estimates[-1].degree}")
     code = 0
     if any(e.budget_exceeded for e in estimates):
-        print(f"evaluation budget of {littlewood.EVAL_BUDGET} exceeded; open cells at "
-              "their midpoint, no error bound", file=sys.stderr)
+        print(f"evaluation budget of {littlewood.EVAL_BUDGET} exceeded; the rows over it "
+              "hold the value reached, no error estimate", file=sys.stderr)
         code = 4
     try:
         fit = littlewood.exponent_fit(estimates)

@@ -4,15 +4,13 @@ For P of degree n the quantity of interest is
 
     I(P) = Int_D  2 |P'(z)| / (1 + |P(z)|^2)  dx dy,
 
-which Cauchy-Schwarz bounds by 2 pi sqrt(n) and which is conjectured (and
-here measured) to grow like n^{1/2 - alpha} on iterate families z -> z^2 + c.
-The integrand has sharp ridges along the preimages of the unit circle, so the
-quadrature is adaptive: polar cells, area-weighted midpoint values, one
-Richardson level per cell, and subdivision wherever the two disagree by more
-than the cell's share of the tolerance.  EVAL_BUDGET caps the refinement:
-cells still open when the next level would pass it (or after _MAX_LEVELS
-levels) are added at their midpoint values, and the estimate then claims
-no error bound (error_bound = inf, budget_exceeded).
+which Cauchy-Schwarz bounds by 2 pi sqrt(n) and which Littlewood conjectured
+(Lewis and Wu proved) to grow like n^{1/2 - alpha}; here it is measured on
+iterate families z -> z^2 + c.  The integrand has sharp ridges along the
+preimages of the unit circle, so the quadrature (disk_integral) is adaptive
+and global: polar cells under the degree-7 Genz-Malik rule, and rounds that
+split the cells with the largest error estimates until their sum fits the
+tolerance.  The estimate is empirical: nothing here proves a bound.
 
 Symmetry: an evaluator may declare that the integrand is invariant under the
 rotation z -> e^{2 pi i / m} z and, for real coefficients, under z -> conj(z)
@@ -20,33 +18,9 @@ rotation z -> e^{2 pi i / m} z and, for real coefficients, under z -> conj(z)
 then `fold` copies of one sector [0, 2 pi / fold), where fold = k (times 2
 with conjugation) and k = gcd(m, 8) with conjugation, gcd(m, 16) without, so
 fold divides 16 and the sector is the first 16 / fold cells of the 16-cell
-angular mesh.  Only the sector is integrated, under the same per-cell
-acceptance rule; its value and error sums are multiplied by fold.  The
-sector's error sum is at most tol / fold, so the disk's stays at most tol.
-`evaluations` counts the evaluations made.  An evaluator without a
-declaration has fold 1.
-
-Memory and cache: a level's open cells are held in chunks of _LEVEL_SLICE =
-4096 cells and refined a chunk (a slice) at a time.  A slice probes 16,384
-points, so each complex temporary of the evaluator and of _refine_slice is
-256 KB and each float one 128 KB, and a slice's working set stays in a 2 MB
-L2 cache; at 2^14 cells each complex temporary was 1 MB and spilled out of
-L2 on every pass.  On a 2-vCPU Xeon (2 MB L2 per core) the 18 integrals of
-the benchmark's quadrature workload took a median of 421 ms with 2^11 cells
-a slice, 404 ms with 2^12, 429 ms with 2^13 and 567 ms with 2^14 (15
-alternating runs in one process).  A refined slice writes its rejected
-cells' children into the next level's chunks and is dropped, so only the
-open cells (r0, r1, angle id, coarse value: 32 bytes) of the rest of one
-level and the start of the next are held: iterate_evaluator(-1, n) at tol
-1e-4 peaks at 50, 100 and 180 MB (ru_maxrss) for n = 6, 7 and 8, against
-71, 192 and 399 MB with whole levels concatenated.  The sums are exact and
-a cell's children depend on that cell alone, so every value, error and
-evaluation count is independent of the slice size and of the order of the
-open cells.  The angle id indexes a table of the angular intervals met so
-far (edges, width and e^{i mid-angle}), which is small: every edge is the
-midpoint of its parent's, so each dyadic interval has one entry.  Accepted
-cells' values and errors are not kept: they go into exact sums (_ExactSum),
-binned _SUM_BLOCK floats at a time and rounded once at the end.
+angular mesh.  Only the sector is integrated; its sums, correctly rounded by
+_ExactSum, are multiplied by fold, a power of 2, so every stopping test on
+the disk's error is exact.  An evaluator without a declaration has fold 1.
 
 Iterates are never expanded into coefficients; P^n and its derivative are
 computed by forward iteration with the chain rule.  Lanes whose orbit passes
@@ -70,9 +44,22 @@ from .serialize import csv_text
 
 EVAL_BUDGET = 100_000_000
 ESCAPE_BOUND = 1e50
-_MAX_LEVELS = 48
 _SUM_BLOCK = 1 << 14  # floats binned at a time by _ExactSum (keeps its bin sums exact)
-_LEVEL_SLICE = 1 << 12  # open cells refined at a time (a slice's temporaries stay in L2)
+_CELL_SLICE = 1 << 12  # cells the rule evaluates at a time (bounds a round's temporaries)
+
+# The degree-7 Genz-Malik rule on [-1, 1]^2 and its embedded degree-5 rule
+# (Genz & Malik, J. Comput. Appl. Math. 6, 1980), weights scaled to sum to 1.
+# Node j is (_NODE_R[j], _NODE_T[j]): the centre, (+-l2, 0), (0, +-l2),
+# (+-l3, 0), (0, +-l3), (+-l3, +-l3) and (+-l5, +-l5); _W7 and _W5 weigh the
+# centre and the sums of the four groups of four after it.
+_L2, _L3, _L5 = math.sqrt(9 / 70), math.sqrt(9 / 10), math.sqrt(9 / 19)
+_NODE_R = np.array([0, _L2, -_L2, 0, 0, _L3, -_L3, 0, 0, _L3, _L3, -_L3, -_L3,
+                    _L5, _L5, -_L5, -_L5])
+_NODE_T = np.array([0, 0, 0, _L2, -_L2, 0, 0, _L3, -_L3, _L3, -_L3, _L3, -_L3,
+                    _L5, -_L5, _L5, -_L5])
+_NODES = _NODE_R.size
+_W7 = (-3816 / 19683, 980 / 6561, 1020 / 19683, 200 / 19683, 6859 / 78732)
+_W5 = (-971 / 729, 245 / 486, 65 / 1458, 25 / 729)
 
 
 @dataclass(frozen=True)
@@ -103,10 +90,11 @@ class PolyEvaluator:
 
 @dataclass(frozen=True)
 class IntegralEstimate:
-    """A disk integral.  Within the budget, error_bound is the sum of the
-    accepted cells' Richardson errors (at most tol).  Over it
-    (budget_exceeded), value holds the cells left open at their midpoint
-    values and error_bound is inf: no bound is claimed."""
+    """A disk integral.  Within the budget, error_bound is an error
+    estimate, at most tol: the last integration's summed |I7 - I5| plus its
+    distance from the one before (see disk_integral).  It is empirical, not
+    proven.  Over the budget (budget_exceeded), value holds the cells as far
+    as they were refined and error_bound is inf: no estimate is claimed."""
 
     value: float
     error_bound: float
@@ -256,302 +244,159 @@ class _ExactSum:
     math.fsum's value, without keeping the floats.
 
     A float of biased exponent k is a multiple of u_k = 2^(max(k, 1) - 1075),
-    below 2^53 u_k in modulus.  add() copies the floats into a buffer, and
-    each full buffer of _SUM_BLOCK = 2^14 floats is binned by k with
-    np.bincount: each float splits exactly into hi, its significand with the
-    low 27 bits cleared (a multiple of 2^27 u_k), and lo = x - hi (below
-    2^27 u_k).  Every partial sum in bin k is then a multiple of its unit
-    below 2^40 (hi) or 2^41 (lo) units, so float64 holds it exactly, and
-    the bin sums move into int64 accumulators, exact below 2^36 floats
-    added.  The sum is exact, so how the floats are grouped into add()
-    calls and blocks cannot change it; the buffer only makes each bincount
-    pay off.  total() bins what the buffer holds and rounds the exact sum
-    once.
+    below 2^53 u_k in modulus.  add() bins the floats by k with np.bincount,
+    _SUM_BLOCK = 2^14 at a time, each split exactly into hi, its significand
+    with the low 27 bits cleared, and lo = x - hi (below 2^27 u_k).  Every
+    partial sum in bin k is then below 2^40 (hi) or 2^41 (lo) of its units,
+    so float64 holds it exactly, and it moves into int64 accumulators, exact
+    below 2^36 floats added.  So the grouping of the floats into add() calls
+    cannot change the sum; total() rounds it once.
 
     Floats of k >= _BINS (|x| >= 2^1009, where a hi sum of 2^14 floats
-    could overflow) and non-finite floats are kept apart, in order.  The
-    former are integers and join the exact sum as such; the latter go
-    through math.fsum with the finite total, so NaN, infinities, its
-    ValueError for inf - inf and the OverflowError of a sum past the
-    largest float are those of math.fsum."""
+    could overflow) are integers and join the exact sum as such; non-finite
+    floats go through math.fsum with the finite total, so NaN, infinities
+    and the errors of inf - inf and of a sum past the largest float are
+    those of math.fsum."""
 
     _BINS = 2032  # k = 0 .. 2031; larger k are kept apart
     _UNIT = np.maximum(np.arange(_BINS), 1) - 1075  # log2 u_k
 
-    def __init__(self):
+    def __init__(self, x=()):
         self._low = np.zeros(self._BINS, dtype=np.int64)  # units u_k
         self._high = np.zeros(self._BINS, dtype=np.int64)  # units 2^27 u_k
         self._rare: list[float] = []
-        self._buf = np.empty(_SUM_BLOCK, dtype=np.int64)  # float bits
-        self._used = 0
+        self.add(x)
 
-    def add(self, x: np.ndarray) -> None:
+    def add(self, x) -> None:
         bits = np.asarray(x, dtype=np.float64).ravel().view(np.int64)
-        while bits.size:
-            take = min(bits.size, _SUM_BLOCK - self._used)
-            self._buf[self._used:self._used + take] = bits[:take]
-            self._used += take
-            bits = bits[take:]
-            if self._used == _SUM_BLOCK:
-                self._bin()
-
-    def _bin(self) -> None:
-        """Add the buffered floats to the bins and empty the buffer."""
-        b = self._buf[:self._used]
-        self._used = 0
-        k = b >> 52
-        k &= 0x7FF
-        if k.max(initial=0) >= self._BINS:
-            rare = k >= self._BINS
-            self._rare.extend(b[rare].view(np.float64).tolist())
-            b, k = b[~rare], k[~rare]
-        hi = (b & ~((1 << 27) - 1)).view(np.float64)
-        lo = b.view(np.float64) - hi
-        high = np.bincount(k, weights=hi, minlength=self._BINS)
-        low = np.bincount(k, weights=lo, minlength=self._BINS)
-        self._high += np.ldexp(high, -27 - self._UNIT).astype(np.int64)
-        self._low += np.ldexp(low, -self._UNIT).astype(np.int64)
+        for lo in range(0, bits.size, _SUM_BLOCK):
+            b = bits[lo:lo + _SUM_BLOCK]
+            k = b >> 52
+            k &= 0x7FF
+            if k.max(initial=0) >= self._BINS:
+                rare = k >= self._BINS
+                self._rare.extend(b[rare].view(np.float64).tolist())
+                b, k = b[~rare], k[~rare]
+            hi = (b & ~((1 << 27) - 1)).view(np.float64)
+            lo_part = b.view(np.float64) - hi
+            high = np.bincount(k, weights=hi, minlength=self._BINS)
+            low = np.bincount(k, weights=lo_part, minlength=self._BINS)
+            self._high += np.ldexp(high, -27 - self._UNIT).astype(np.int64)
+            self._low += np.ldexp(low, -self._UNIT).astype(np.int64)
 
     def total(self) -> float:
-        self._bin()
         exact = 0  # the sum in units of 2^-1074
         for k in np.flatnonzero(self._low | self._high).tolist():
             exact += ((int(self._high[k]) << 27) + int(self._low[k])) << max(k - 1, 0)
-        special = []
-        for x in self._rare:
-            if math.isfinite(x):
-                exact += int(x) << 1074
-            else:
-                special.append(x)
+        exact += sum(int(x) << 1074 for x in self._rare if math.isfinite(x))
+        special = [x for x in self._rare if not math.isfinite(x)]
         # int / int is correctly rounded and raises OverflowError past the
         # largest float, as math.fsum does
         finite = exact / (1 << 1074)
         return math.fsum([finite, *special]) if special else finite
 
 
-def _seed_radial_edges(ev: PolyEvaluator):
-    """Root-mesh radial edges graded toward the |P| = 1 ridge.
-
-    P^# concentrates where |P| is near 1, in bands of radial width ~1/degree
-    that midpoint probes on a uniform 8-band mesh can miss entirely once the
-    degree is large.  Scan |P| on 32 rays x 512 radii, collect the radii where
-    |P| crosses 1, and lay a geometric ladder of edges (spacing doubling away
-    from the crossing, innermost gap ~1/(4 degree)) around each crossing and,
-    unconditionally, inward from r = 1 where the equator of the target sphere
-    meets the closed disk for any polynomial normalized on it.
-
-    Returns (edges, evaluations spent on the scan).
-    """
-    base = np.linspace(0.0, 1.0, 9)
+def _radial_edges(ev: PolyEvaluator) -> np.ndarray:
+    """The root mesh's radial edges: 8 uniform bands and a ladder inward from
+    r = 1, gaps doubling from ~1/(4 degree): P^# peaks where |P| = 1, which
+    every node of an outer cell can miss without it (z^4096 would give 0)."""
     w = max(1.0 / (4.0 * max(int(ev.degree), 1)), 1e-6)
     ladder = w * 2.0 ** np.arange(0, 12)
-    ladder = ladder[ladder <= 0.26]
-
-    scan_r = np.linspace(1.0 / 512.0, 1.0, 512)
-    scan_t = np.arange(32) * (math.tau / 32.0)
-    grid = scan_r[:, None] * np.exp(1j * scan_t[None, :])
-    with np.errstate(over="ignore", invalid="ignore"):  # inf fails at the root mesh
-        v, _ = ev(grid.ravel())
-        mag = np.abs(v).reshape(grid.shape) - 1.0
-    sign_flip = (mag[:-1] < 0.0) & (mag[1:] > 0.0) | (mag[:-1] > 0.0) & (mag[1:] < 0.0)
-    cross = 0.5 * (scan_r[:-1, None] + scan_r[1:, None])
-    crossings = np.unique(cross[np.nonzero(sign_flip)[0], 0])
-    if crossings.size > 256:
-        crossings = crossings[:: crossings.size // 256 + 1]
-
-    edges = [base, 1.0 - ladder]
-    for c in crossings:
-        edges.append(c - ladder)
-        edges.append(np.array([c]))
-        edges.append(c + ladder)
-    merged = np.concatenate(edges)
-    merged = np.unique(np.clip(merged, 0.0, 1.0))
-    keep = np.concatenate([[True], np.diff(merged) > 1e-9])
-    return merged[keep], grid.size
+    merged = np.unique(np.concatenate([np.linspace(0.0, 1.0, 9), 1.0 - ladder[ladder <= 0.26]]))
+    return merged[np.concatenate([[True], np.diff(merged) > 1e-9])]
 
 
-class _Angles:
-    """The angular intervals of one quadrature, by id: edges t0 and t1,
-    width dt = t1 - t0, e = exp(i * mid-angle) and the ids of the low and
-    high halves (-1 until a level first needs them).  A half's new edge is
-    0.5 * (t0 + t1) of its parent's, so an interval's floats depend only on
-    its dyadic position and every cell on it shares its one entry."""
-
-    def __init__(self, edges: np.ndarray):
-        self.t0 = self.t1 = self.dt = self.e = np.empty(0)
-        self.low = self.high = np.empty(0, dtype=np.intp)
-        self._append(edges[:-1], edges[1:])
-        self.split(np.ones(self.t0.size, dtype=bool))
-
-    def _append(self, t0, t1):
-        self.t0 = np.concatenate([self.t0, t0])
-        self.t1 = np.concatenate([self.t1, t1])
-        self.dt = np.concatenate([self.dt, t1 - t0])
-        self.e = np.concatenate([self.e, np.exp(1j * (0.5 * (t0 + t1)))])
-        unsplit = np.full(t0.size, -1, dtype=np.intp)
-        self.low = np.concatenate([self.low, unsplit])
-        self.high = np.concatenate([self.high, unsplit])
-
-    def split(self, needed: np.ndarray) -> None:
-        """Give the intervals marked in needed (a mask over the table)
-        their halves where they have none yet."""
-        new = np.flatnonzero(needed & (self.low < 0))
-        if new.size == 0:
-            return
-        first = self.t0.size
-        self.low[new] = first + np.arange(new.size)
-        self.high[new] = first + new.size + np.arange(new.size)
-        t0, t1 = self.t0[new], self.t1[new]
-        tm = 0.5 * (t0 + t1)
-        self._append(np.concatenate([t0, tm]), np.concatenate([tm, t1]))
+def _rule(ev: PolyEvaluator, cells: np.ndarray) -> np.ndarray:
+    """Rows (I7, |I7 - I5|, radial) for the polar cells whose rows are
+    (r centre, theta centre, r half-width, theta half-width): the cells'
+    integrals of P^# r, their error estimates, and 1.0 where a cell splits
+    along r (its fourth difference across r is at least that across theta).
+    The rule runs _CELL_SLICE cells at a time; a cell's rows depend on that
+    cell alone, so the slice size changes no bit."""
+    out = np.empty((3, cells.shape[1]))
+    for lo in range(0, cells.shape[1], _CELL_SLICE):
+        rc, tc, hr, ht = cells[:, lo:lo + _CELL_SLICE]
+        r = rc + hr * _NODE_R[:, None]
+        z = r * np.exp(1j * (tc + ht * _NODE_T[:, None]))
+        f = _sph_many(ev, z.ravel()).reshape(z.shape) * r
+        groups = (f[0], f[1] + f[2] + f[3] + f[4], f[5] + f[6] + f[7] + f[8],
+                  f[9] + f[10] + f[11] + f[12], f[13] + f[14] + f[15] + f[16])
+        area = 4.0 * hr * ht
+        i7 = area * sum(w * g for w, g in zip(_W7, groups))
+        i5 = area * sum(w * g for w, g in zip(_W5, groups))
+        two = 2.0 * f[0]
+        across_r = np.abs(f[1] + f[2] - two - (f[5] + f[6] - two) / 7.0)
+        across_t = np.abs(f[3] + f[4] - two - (f[7] + f[8] - two) / 7.0)
+        out[:, lo:lo + _CELL_SLICE] = i7, np.abs(i7 - i5), across_r >= across_t
+    return out
 
 
-class _Chunks:
-    """Open cells written in order into chunks of _LEVEL_SLICE cells, each
-    a tuple of arrays (r0, r1, angle id, coarse value) cut to its cells."""
-
-    def __init__(self):
-        self.chunks, self._used = [], _LEVEL_SLICE
-
-    def write(self, fields, idx):
-        """Append the cells idx of the four slice arrays fields."""
-        while idx.size:
-            if self._used == _LEVEL_SLICE:  # the last chunk is full
-                block = np.empty((4, _LEVEL_SLICE))  # one allocation a chunk
-                self._rows = (block[0], block[1], block[2].view(np.int64), block[3])
-                self.chunks.append(self._rows)
-                self._used = 0
-            k = min(idx.size, _LEVEL_SLICE - self._used)
-            for src, dst in zip(fields, self._rows):
-                np.take(src, idx[:k], out=dst[self._used:self._used + k])
-            self._used += k
-            self.chunks[-1] = tuple(a[:self._used] for a in self._rows)
-            idx = idx[k:]
-
-
-def _refine_slice(ev, tol, angles, r0, r1, aid, coarse, out, needed):
-    """Probe a slice of a level's open cells (radial edges, angle id and
-    coarse value of each; angles holds the halves of their intervals) with
-    their 4 children.  Writes the rejected cells' children to out (a
-    _Chunks) in 4 groups, marks the angular children's intervals in needed
-    and returns the accepted cells' estimates and their errors."""
-    n = r0.size
-    rm = 0.5 * (r0 + r1)
-    lo_id = angles.low[aid]
-    hi_id = angles.high[aid]
-    e = angles.e[aid]
-    # children: radial split (low r, high r), then angular (low t, high t)
-    cm = np.empty(4 * n, dtype=complex)
-    np.multiply(0.5 * (r0 + rm), e, out=cm[:n])
-    np.multiply(0.5 * (rm + r1), e, out=cm[n:2 * n])
-    np.multiply(rm, angles.e[lo_id], out=cm[2 * n:3 * n])
-    np.multiply(rm, angles.e[hi_id], out=cm[3 * n:])
-    cvals = _sph_many(ev, cm).reshape(4, n)
-    r0sq, rmsq, r1sq = r0**2, rm**2, r1**2
-    half = 0.5 * (r1sq - r0sq)
-    dt = angles.dt[aid]
-    cvals[0] *= 0.5 * (rmsq - r0sq) * dt
-    cvals[1] *= 0.5 * (r1sq - rmsq) * dt
-    cvals[2] *= half * angles.dt[lo_id]
-    cvals[3] *= half * angles.dt[hi_id]
-    fine_r = cvals[0] + cvals[1]
-    fine_t = cvals[2] + cvals[3]
-    # half-step-in-both-dimensions estimate up to cross terms
-    fine = fine_r + fine_t - coarse
-    diff = (fine - coarse) / 3.0
-    err = np.abs(diff)
-    ok = err <= tol * (half * dt) / math.pi
-    keep = np.flatnonzero(~ok)
-    radial = (np.abs(fine_r - coarse) >= np.abs(fine_t - coarse))[keep]
-    ri = keep[radial]
-    ti = keep[~radial]
-    out.write((r0, rm, aid, cvals[0]), ri)
-    out.write((rm, r1, aid, cvals[1]), ri)
-    out.write((r0, r1, lo_id, cvals[2]), ti)
-    out.write((r0, r1, hi_id, cvals[3]), ti)
-    needed[lo_id[ti]] = needed[hi_id[ti]] = True
-    accepted = np.flatnonzero(ok)
-    return (fine + diff)[accepted], err[accepted]
+def _integrate(ev: PolyEvaluator, cells: np.ndarray, target: float, evals: int):
+    """Refine the cells (rows as in _rule) until their error estimates sum
+    to at most target.  Each round splits the worst cells in two, along the
+    axis _rule chose, until the cells left whole sum to at most target / 2;
+    a round past EVAL_BUDGET splits the worst cells that fit and is the last.
+    Returns (sum of I7, sum of estimates, evaluations, over budget)."""
+    cells = np.concatenate([cells, _rule(ev, cells)])
+    evals += _NODES * cells.shape[1]
+    over = False
+    while not over:
+        error = _ExactSum(cells[5]).total()
+        if error <= target:
+            break
+        order = np.argsort(cells[5], kind="stable")
+        whole = np.searchsorted(np.cumsum(cells[5, order]), 0.5 * target, side="right")
+        split = order[min(whole, order.size - 1):]
+        room = max(EVAL_BUDGET - evals, 0) // (2 * _NODES)
+        if split.size > room:
+            split, over = split[split.size - room:], True
+        rc, tc, hr, ht, _, _, radial = cells[:, split]
+        hr, ht = hr / (1.0 + radial), ht / (2.0 - radial)  # the split axis halves
+        dr, dt = hr * radial, ht * (1.0 - radial)
+        kids = np.concatenate([[rc - dr, tc - dt, hr, ht], [rc + dr, tc + dt, hr, ht]], axis=1)
+        evals += _NODES * kids.shape[1]
+        kids = np.concatenate([kids, _rule(ev, kids)])
+        cells[:, split] = kids[:, :split.size]  # the low halves take their parents' places
+        cells = np.concatenate([cells, kids[:, split.size:]], axis=1)
+    return _ExactSum(cells[4]).total(), error, evals, over
 
 
 def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     """Adaptive polar quadrature of the spherical derivative over the unit
-    disk.
+    disk, checked against a refined root mesh.
 
-    Each open cell is probed with both one-dimensional bisections (radial and
-    angular midpoints, 4 evaluations); their sum minus the parent midpoint is
-    the fully-refined estimate, giving the usual Richardson discrepancy.  A
-    cell is accepted when that discrepancy is below its area share of tol
-    (err <= tol * area / pi); otherwise it splits along the dimension whose
-    discrepancy dominates, so ridge-like integrands (P^# concentrates where
-    |P| is near 1) refine across the ridge instead of exploding four ways.
-    A level is refined only if its 4 evaluations per open cell fit in
-    EVAL_BUDGET, so evaluations exceed it only when the seed scan and root
-    mesh (about 2e4) already do; cells still open then (or after
-    _MAX_LEVELS levels) are added at the midpoint values they carry, with
-    error_bound = inf and budget_exceeded set.  Every probe must give
-    a finite spherical derivative, else OverflowSentinel.
-
-    With a declared symmetry (see the module docstring) only the sector
-    [0, 2 pi / fold) is meshed: the first 16 / fold angular cells of the
-    16-cell mesh, refined by the same rule.  value and error_bound are fold
-    times the sector's correctly rounded sums of accepted values and of
-    error estimates, so error_bound stays at most tol within the budget;
-    evaluations counts only what was evaluated.  With fold 1 this is the
-    whole disk.
-
-    Each level streams through chunks of _LEVEL_SLICE = 4096 open cells,
-    refined one at a time (a chunk's 16,384 probes stay in a 2 MB L2
-    cache); a chunk's rejected cells write their 4 child groups, in order,
-    into the next level's chunks (timings and peaks in the module
-    docstring).  The budget is checked per level, from the chunk sizes, and
-    the sums are exact, so the result has the same bits for any slice size.
-    The cells' angles come from one table of intervals (_Angles), computed
-    once per interval and split once per level."""
+    The root mesh is the symmetry sector's 16 / fold angular cells times the
+    radial bands of _radial_edges.  _integrate refines it until fold times
+    its error sum is at most tol / 2; then the root mesh is halved in r and
+    theta and integrated again, until two successive values agree within
+    tol / 2.  value is the last one, and error_bound its error sum plus the
+    distance between the two: at most tol to the bit, since the stopping
+    tests read the same floats.  Every node must give a finite spherical
+    derivative, else OverflowSentinel.  Past EVAL_BUDGET (a round that does
+    not fit, or a root mesh after the first) the last value reached is
+    returned with error_bound = inf and budget_exceeded set."""
     if not (0.0 < tol < math.inf):
         raise BadParams("tol must be positive and finite")
     fold = _fold(ev)
-
-    r_edges, evals = _seed_radial_edges(ev)
-    nt = 16 // fold
-    angles = _Angles(np.linspace(0.0, math.tau, 17)[:nt + 1])
-    nr = r_edges.size - 1
-    r0 = np.repeat(r_edges[:-1], nt)
-    r1 = np.repeat(r_edges[1:], nt)
-    aid = np.tile(np.arange(nt), nr)
-    coarse = (_sph_many(ev, 0.5 * (r0 + r1) * angles.e[aid])
-              * (0.5 * (r1**2 - r0**2) * angles.dt[aid]))
-    evals += r0.size
-
-    value = _ExactSum()  # the accepted cells' estimates
-    error = _ExactSum()  # and their error estimates
-
-    level = [tuple(a[lo:lo + _LEVEL_SLICE] for a in (r0, r1, aid, coarse))
-             for lo in range(0, r0.size, _LEVEL_SLICE)]  # the open cells, in chunks
-    for _level in range(_MAX_LEVELS):
-        n = sum(chunk[0].size for chunk in level)
-        if n == 0 or evals + 4 * n > EVAL_BUDGET:
-            break
-        evals += 4 * n
-        children = _Chunks()
-        needed = np.zeros(angles.t0.size, dtype=bool)
-        while level:  # each chunk is dropped once refined
-            accepted, errs = _refine_slice(ev, tol, angles, *level.pop(0), children, needed)
-            value.add(accepted)
-            error.add(errs)
-        angles.split(needed)
-        level = children.chunks
-
-    budget_hit = bool(level)  # over budget, or out of levels
-    for chunk in level:
-        value.add(chunk[3])  # the open cells at their midpoint values
-    return IntegralEstimate(
-        value=fold * value.total(),
-        error_bound=math.inf if budget_hit else fold * error.total(),
-        evaluations=evals,
-        degree=int(ev.degree),
-        budget_exceeded=budget_hit,
-    )
+    r_edges = _radial_edges(ev)
+    t_edges = np.linspace(0.0, math.tau, 17)[:16 // fold + 1]
+    evals, last = 0, None
+    while True:
+        (rc, hr), (tc, ht) = ((0.5 * (e[1:] + e[:-1]), 0.5 * np.diff(e))
+                              for e in (r_edges, t_edges))
+        cells = np.array(np.broadcast_arrays(rc[:, None], tc, hr[:, None], ht)).reshape(4, -1)
+        if last is not None and evals + _NODES * cells.shape[1] > EVAL_BUDGET:
+            return IntegralEstimate(last, math.inf, evals, int(ev.degree), True)
+        value, error, evals, over = _integrate(ev, cells, 0.5 * tol / fold, evals)
+        value *= fold
+        if over:
+            return IntegralEstimate(value, math.inf, evals, int(ev.degree), True)
+        if last is not None and abs(value - last) <= 0.5 * tol:
+            return IntegralEstimate(value, fold * error + abs(value - last), evals,
+                                    int(ev.degree))
+        last = value
+        r_edges, t_edges = (np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])]))
+                            for e in (r_edges, t_edges))
 
 
 def cs_bound(degree: int) -> float:
@@ -580,33 +425,26 @@ def _dyadic_gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 def iterate_family_integrals(c: complex, n_max: int, tol: float):
     """IntegralEstimates for the iterates n = 1..n_max of z^2 + c."""
-    if not (1 <= n_max <= 14):
-        raise BadParams("n_max must be in 1..14")
-    return [
-        disk_integral(iterate_evaluator(c, n), tol=tol)
-        for n in range(1, n_max + 1)
-    ]
+    if not (1 <= n_max <= 10):  # past degree 1024 the estimates move with the root mesh
+        raise BadParams("n_max must be in 1..10")
+    return [disk_integral(iterate_evaluator(c, n), tol=tol) for n in range(1, n_max + 1)]
 
 
 def exponent_fit(estimates) -> ExponentFit:
     """Least squares of log value against log degree; alpha_hat = 1/2 - slope."""
     by_degree = sorted(estimates, key=lambda e: e.degree)
-    degrees = [e.degree for e in by_degree]
-    if len(set(degrees)) < 4:
+    if len({e.degree for e in by_degree}) < 4:
         raise InsufficientData("need at least 4 estimates with distinct degrees")
     x = np.log([float(e.degree) for e in by_degree])
     y = np.log([e.value for e in by_degree])
     slope, intercept = np.polyfit(x, y, 1)
     fit = slope * x + intercept
-    return ExponentFit(
-        pairs=list(zip(x.tolist(), y.tolist())),
-        slope=float(slope),
-        alpha_hat=0.5 - float(slope),
-        residual=float(np.sqrt(np.mean((y - fit) ** 2))),
-    )
+    return ExponentFit(pairs=list(zip(x.tolist(), y.tolist())), slope=float(slope),
+                       alpha_hat=0.5 - float(slope),
+                       residual=float(np.sqrt(np.mean((y - fit) ** 2))))
 
 
 def family_csv(estimates) -> str:
-    return csv_text(["degree", "value", "error_bound", "cs_bound", "evaluations"],
+    return csv_text(["degree", "value", "error_estimate", "cs_bound", "evaluations"],
                     [[e.degree, e.value, e.error_bound, cs_bound(e.degree), e.evaluations]
                      for e in estimates])

@@ -186,9 +186,14 @@ def orbit_preimages(ib: InverseBranch, w: np.ndarray, k_max: int):
     """The arrays (g, z) for the array w, both of shape (len(w), k_max + 1):
     g[i, k] = g0(P^{-k} w_i) and z[i, k] = mu^k g[i, k], the orbit
     preimages.  h^{-1} is solved once per w and every (w, k) is continued
-    in a single branch_continue call."""
+    in a single branch_continue call.  A k_max with |mu|^k_max past 1e300
+    is refused: mu^k overflows at about 1e308, and the survey's radii carry
+    a further factor."""
     if k_max < 0:
         raise BadParams("k_max must be >= 0")
+    if k_max * math.log(abs(ib.pm.mu)) > 300.0 * math.log(10.0):
+        raise BadParams(f"k_max = {k_max} puts |mu|^k_max past 1e300 "
+                        f"(|mu| = {abs(ib.pm.mu):.6g})")
     g = branch_continue(ib, p_inverse_many(ib.sm, w, range(k_max + 1)))
     return g, g * np.array([ib.pm.mu**k for k in range(k_max + 1)])
 

@@ -62,8 +62,14 @@ def test_usage_errors_exit_2(tmp_path):
     ["chebyshev", "--q", ","],
     ["chebyshev", "--q", "0"],
     ["chebyshev", "--q", "2,3", "--terms", "32"],
+    ["littlewood", "--nmax", "11"],
+    ["exceptional", "--samples", "10", "--kmax", "700"],
+    ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02", "--r", "200",
+     "--kmax", "700"],
+    ["render", "--what", "orbit", "--size", "32", "--kmax", "700", "--out", "x.ppm"],
 ], ids=["q", "gamma-cf", "monomials-nmax", "size-negative", "size-zero", "q-empty", "q-zero",
-        "terms-32"])
+        "terms-32", "iterates-nmax-11", "exceptional-kmax-700", "preimages-kmax-700",
+        "render-kmax-700"])
 def test_malformed_flags_exit_2(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("BadParams: ")
@@ -166,16 +172,16 @@ def test_littlewood_iterates_with_fit(tmp_path):
 
 
 def test_littlewood_over_budget_exits_4_with_files(tmp_path, capsys, monkeypatch):
-    # n = 1..3 need at most 224,632 evaluations at the default tol, n = 4
-    # and 5 far more: their rows are written with no error bound
-    monkeypatch.setattr(littlewood, "EVAL_BUDGET", 500_000)
+    # n = 1..3 need at most 5,678 evaluations at the default tol, n = 4 and
+    # 5 need 11,730 and 28,458: their rows are written with no error estimate
+    monkeypatch.setattr(littlewood, "EVAL_BUDGET", 8_000)
     assert run(tmp_path, "littlewood", "--nmax", "5") == 4
-    assert "evaluation budget of 500000 exceeded" in capsys.readouterr().err
+    assert "evaluation budget of 8000 exceeded" in capsys.readouterr().err
     rows = list(csv.DictReader((tmp_path / "littlewood.csv").open()))
     assert [r["degree"] for r in rows] == ["2", "4", "8", "16", "32"]
-    assert [r["error_bound"] for r in rows[3:]] == ["inf", "inf"]
-    assert all(float(r["error_bound"]) <= 1e-4 for r in rows[:3])
-    assert all(int(r["evaluations"]) <= 500_000 for r in rows)
+    assert [r["error_estimate"] for r in rows[3:]] == ["inf", "inf"]
+    assert all(float(r["error_estimate"]) <= 1e-4 for r in rows[:3])
+    assert all(int(r["evaluations"]) <= 8_000 for r in rows)
     fit = read_json(tmp_path / "littlewood_fit.json")
     assert len(fit["pairs"]) == 5
 

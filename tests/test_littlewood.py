@@ -188,18 +188,16 @@ def test_fold_is_exact_reexpression(ev):
 
 
 def test_undeclared_evaluator_bits_unchanged():
-    # value, error bound and evaluation count of the whole-disk quadrature
-    # before sector folding was added, and of folded quadratures (fold 4, 2
-    # and 16) before the angle table and the exact streaming sum, which
-    # replaced per-cell angles and one math.fsum over every accepted cell
+    # value, error estimate and evaluation count of the whole-disk quadrature
+    # (fold 1) and of folded ones (fold 4, 2 and 16)
     cases = [(lw.coeff_evaluator([-1, 0, 1]),
-              (4.059547408866901, 5.701383919948615e-05, 76640, False)),
+              (4.059543827657338, 1.045385665871337e-06, 10880, False)),
              (lw.iterate_evaluator(-1, 5),
-              (12.708514732898918, 6.185893823336146e-05, 3979616, False)),
+              (12.708515958514564, 4.341676439931543e-05, 28458, False)),
              (lw.iterate_evaluator(0.3 + 0.2j, 4),
-              (9.430787651948988, 5.655788453307823e-05, 1561928, False)),
+              (9.430776784926632, 4.029354176639562e-05, 32164, False)),
              (lw.monomial_evaluator(64),
-              (9.692679339742643, 1.9133958347280505e-05, 20201, False))]
+              (9.692681015005174, 1.401305172202822e-05, 1207, False))]
     for ev, expected in cases:
         est = lw.disk_integral(ev, 1e-4)
         assert (est.value, est.error_bound, est.evaluations, est.budget_exceeded) == \
@@ -207,27 +205,26 @@ def test_undeclared_evaluator_bits_unchanged():
 
 
 # (value, error_bound, evaluations, budget_exceeded) of the benchmark's
-# quadrature workload at tol 1e-4, captured before the level slices shrank
-# to fit in L2 and the exact sums were binned in blocks
+# quadrature workload at tol 1e-4
 _WORKLOAD_BITS = {
-    "iterate n=1": (4.059547408866901, 5.701383919949261e-05, 31448, False),
-    "iterate n=2": (7.756258140547021, 5.839085673477201e-05, 67164, False),
-    "iterate n=3": (9.093779000690654, 5.7991036905980294e-05, 224632, False),
-    "iterate n=4": (11.680621086827099, 5.9474314297860714e-05, 860664, False),
-    "iterate n=5": (12.708514732898918, 6.185893823336146e-05, 3979616, False),
-    "z^1": (4.355172180753951, 5.4828640492553564e-05, 19728, False),
-    "z^2": (6.126049214256292, 7.449466812047554e-05, 20380, False),
-    "z^4": (7.597939517191959, 5.8784786095300356e-05, 18498, False),
-    "z^8": (8.599504372054913, 5.330762243934597e-05, 17779, False),
-    "z^16": (9.19491087086075, 5.026228528574087e-05, 18341, False),
-    "z^32": (9.521427223229566, 3.3004731648895546e-05, 18959, False),
-    "z^64": (9.692679339742643, 1.9133958347280505e-05, 20201, False),
-    "z^128": (9.780414375131619, 1.3624162062419667e-05, 21515, False),
-    "z^256": (9.824826554861609, 5.444371762639606e-06, 23635, False),
-    "z^512": (9.84716903183088, 3.154274997024899e-06, 26285, False),
-    "z^1024": (9.858375047525627, 1.6556588258369798e-06, 31692, False),
-    "z^2048": (9.863986867659243, 8.792559128181951e-07, 36339, False),
-    "z^4096": (9.866794896441702, 5.391553090056583e-07, 46877, False),
+    "iterate n=1": (4.059543827657338, 1.045385665037694e-06, 2720, False),
+    "iterate n=2": (7.756260195746372, 3.143276251112474e-05, 3230, False),
+    "iterate n=3": (9.093779189001484, 5.079159743118429e-05, 5678, False),
+    "iterate n=4": (11.68061427688416, 3.4626564576741115e-05, 11730, False),
+    "iterate n=5": (12.708515958514564, 4.341676439931543e-05, 28458, False),
+    "z^1": (4.355172180607205, 9.367451345859701e-11, 5440, False),
+    "z^2": (6.126049055452637, 1.2402780901377315e-09, 2720, False),
+    "z^4": (7.597939514668651, 2.216892485592034e-08, 1530, False),
+    "z^8": (8.59950456345869, 3.604361965786831e-07, 850, False),
+    "z^16": (9.19491543770942, 2.6298000412092237e-06, 969, False),
+    "z^32": (9.52142863238953, 9.472881126574197e-06, 1088, False),
+    "z^64": (9.692681015005174, 1.401305172202822e-05, 1207, False),
+    "z^128": (9.780417002533346, 1.4085022138390374e-05, 1292, False),
+    "z^256": (9.824827120934183, 1.4111653278075525e-05, 1377, False),
+    "z^512": (9.847169599499837, 1.4124251190960885e-05, 1462, False),
+    "z^1024": (9.858375433126707, 1.4130414124939871e-05, 1547, False),
+    "z^2048": (9.863987028684734, 1.4133466977016724e-05, 1632, False),
+    "z^4096": (9.866794999933607, 1.4134987382396297e-05, 1717, False),
 }
 
 
@@ -247,10 +244,11 @@ _SLICED = ([lw.iterate_evaluator(c, n) for c in (-1 + 0j, 0.3 + 0.2j) for n in (
 
 @pytest.mark.parametrize("ev", _SLICED, ids=lambda ev: ev.label)
 def test_level_slices_do_not_change_estimates(ev, monkeypatch):
-    # tol 1e-2 keeps the one-cell slices affordable
+    # the rule runs over slices of _CELL_SLICE cells; tol 1e-2 keeps the
+    # one-cell slices affordable
     whole = lw.disk_integral(ev, 1e-2)
     for size in (1, 3):
-        monkeypatch.setattr(lw, "_LEVEL_SLICE", size)
+        monkeypatch.setattr(lw, "_CELL_SLICE", size)
         assert lw.disk_integral(ev, 1e-2) == whole
 
 
@@ -267,49 +265,41 @@ _evaluator = st.one_of(
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
 @given(ev=_evaluator, tol=st.floats(-3.0, -1.0).map(lambda e: 10.0**e),
-       budget=st.one_of(st.none(), st.integers(17_000, 60_000)))
-@example(ev=lw.iterate_evaluator(0.3 + 0.5j, 3), tol=1e-3, budget=40_000)
+       budget=st.one_of(st.none(), st.integers(2_000, 20_000)))
+@example(ev=lw.iterate_evaluator(0.3 + 0.5j, 3), tol=1e-3, budget=2_000)
 def test_chunk_boundaries_do_not_change_estimates(ev, tol, budget):
-    # the open cells stream through chunks of _LEVEL_SLICE cells; any
-    # chunk size, and so any chunk boundary, gives the same estimate, over
-    # the budget too
+    # any slice size of the rule, and so any slice boundary, gives the same
+    # estimate, over the budget too (the budgets are those the rule can
+    # pass at these tolerances)
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr(lw, "EVAL_BUDGET", budget)
         whole = lw.disk_integral(ev, tol)
+        assert whole.budget_exceeded or whole.error_bound <= tol
         for size in (1, 3, 7):
-            mp.setattr(lw, "_LEVEL_SLICE", size)
+            mp.setattr(lw, "_CELL_SLICE", size)
             assert lw.disk_integral(ev, tol) == whole, size
 
 
 def test_over_budget_estimate_is_capped_and_slice_free(monkeypatch):
-    # n = 5 needs 3,979,616 evaluations at tol 1e-4; under a cap of 300,000
-    # the open cells join the sum at their midpoint values, with no bound
-    monkeypatch.setattr(lw, "EVAL_BUDGET", 300_000)
+    # n = 5 needs 28,458 evaluations at tol 1e-4; under a cap of 10,000 the
+    # last round splits only the worst cells that fit, spending the budget
+    # to within one split (34 evaluations), and no estimate is claimed
+    monkeypatch.setattr(lw, "EVAL_BUDGET", 10_000)
     ev = lw.iterate_evaluator(-1 + 0j, 5)
-    for size in (3, lw._LEVEL_SLICE):
-        monkeypatch.setattr(lw, "_LEVEL_SLICE", size)
+    for size in (3, lw._CELL_SLICE):
+        monkeypatch.setattr(lw, "_CELL_SLICE", size)
         est = lw.disk_integral(ev, 1e-4)
         assert est == lw.IntegralEstimate(
-            value=12.708612034065217, error_bound=math.inf,
-            evaluations=269256, degree=32, budget_exceeded=True)
-        assert est.evaluations <= lw.EVAL_BUDGET
-
-
-def test_out_of_levels_is_over_budget(monkeypatch):
-    # two levels cannot meet tol 1e-4 on n = 3: the cells left open are
-    # summed at their midpoint values, as over the budget
-    monkeypatch.setattr(lw, "_MAX_LEVELS", 2)
-    est = lw.disk_integral(lw.iterate_evaluator(-1 + 0j, 3), 1e-4)
-    assert est.budget_exceeded and est.error_bound == math.inf
-    assert abs(est.value - _WORKLOAD_BITS["iterate n=3"][0]) < 0.05
+            value=12.708693016581098, error_bound=math.inf,
+            evaluations=9996, degree=32, budget_exceeded=True)
+        assert lw.EVAL_BUDGET - 34 < est.evaluations <= lw.EVAL_BUDGET
 
 
 def test_non_finite_probes_fail_fast():
     # 1e308 z^2 has a derivative past the float range on the outer disk
     # (2e308 z): the first probes that see it raise, long before the
-    # budget.  The derivative's coefficients and the seed scan overflow on
-    # their way there.
+    # budget.  The derivative's coefficients overflow on their way there.
     probed = []
     with np.errstate(over="ignore", invalid="ignore"):
         ev = lw.coeff_evaluator([0, 0, 1e308])
@@ -327,7 +317,7 @@ def test_non_finite_probes_fail_fast():
         warnings.simplefilter("error")
         with pytest.raises(OverflowSentinel):
             spherical_derivative(ev, 0.95 + 0j)
-    # nor does building the evaluator, the seed scan or the root mesh warn
+    # nor does building the evaluator or the root mesh warn
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(OverflowSentinel):
@@ -487,24 +477,27 @@ def test_monomial_integrals_match_oracle(n):
     assert abs(est.value - lw.monomial_integral_oracle(n)) < 2e-4
 
 
-# Independent references for two iterate integrals at n = 6: uniform polar
-# midpoint sums of the integrand on N x N cells (N radii by N angles) at
-# N = 4096 and 8192, extrapolated by Richardson as (4 I_8192 - I_4096) / 3.
-# They do not call iterate_evaluator.  The golden value's two sums and its
-# extrapolation spread by 1.1e-6.
+# Independent references for iterate integrals: uniform polar midpoint sums
+# of the integrand on N x N cells (N radii by N angles) at N = 4096 and
+# 8192, extrapolated by Richardson as (4 I_8192 - I_4096) / 3.  They do not
+# call iterate_evaluator.  The golden value's two sums and its extrapolation
+# spread by 1.1e-6, those of c = -1 by at most 3.3e-6 for n <= 6.  At
+# c = -1, n = 7 the sums are 16.0044671 and 16.0045367 and the
+# extrapolation 16.0045600: a spread of 9.3e-5, of 2.3e-5 between the finer
+# sum and the extrapolation.
 _GOLDEN_LAM = cmath.exp(2j * math.pi * (math.sqrt(5.0) - 1.0) / 2.0)
 
 
-@pytest.mark.parametrize("c,reference", [
-    pytest.param(_GOLDEN_LAM / 2 - _GOLDEN_LAM**2 / 4, 16.691148, id="golden-siegel"),
-    # the estimate is 7.0990436 with an error_bound of 3.1e-5: Richardson
-    # accepts cells holding ridges of |P| = 1 that none of their probes touch
-    pytest.param(-2 + 0j, 7.0976813, id="c=-2", marks=pytest.mark.xfail(
-        strict=True, reason="accepted cells miss ridges; needs the enclosure gate")),
+@pytest.mark.parametrize("c,n,reference", [
+    pytest.param(_GOLDEN_LAM / 2 - _GOLDEN_LAM**2 / 4, 6, 16.691148, id="golden-siegel"),
+    pytest.param(-2 + 0j, 6, 7.0976813, id="c=-2"),
+    *(pytest.param(-1 + 0j, n, reference, id=f"c=-1,n={n}") for n, reference in [
+        (1, 4.0595438), (2, 7.7562552), (3, 9.0937773), (4, 11.6806135),
+        (5, 12.7085111), (6, 14.7672219), (7, 16.0045600)]),
 ])
-def test_iterate_integral_matches_reference(c, reference):
+def test_iterate_integral_matches_reference(c, n, reference):
     tol = 1e-4
-    est = lw.disk_integral(lw.iterate_evaluator(c, 6), tol=tol)
+    est = lw.disk_integral(lw.iterate_evaluator(c, n), tol=tol)
     assert not est.budget_exceeded
     assert abs(est.value - reference) <= tol + est.error_bound
 
@@ -535,11 +528,12 @@ def test_tolerance_refinement_consistent():
 
 
 def test_budget_trips_honestly(monkeypatch):
-    monkeypatch.setattr(lw, "EVAL_BUDGET", 60_000)
+    # z^64 at tol 1e-10 needs 9,435 evaluations
+    monkeypatch.setattr(lw, "EVAL_BUDGET", 5_000)
     est = lw.disk_integral(lw.monomial_evaluator(64), tol=1e-10)
     assert est.budget_exceeded
-    assert est.error_bound == math.inf and est.evaluations <= 60_000
-    # the open cells at their midpoint values still land near the oracle
+    assert est.error_bound == math.inf and est.evaluations <= 5_000
+    # the cells as far as they were refined still land near the oracle
     assert abs(est.value - lw.monomial_integral_oracle(64)) < 0.05
 
 
@@ -555,6 +549,10 @@ def test_iterate_family_rows():
     assert [est.degree for est in rows] == [2, 4, 8, 16]
     for est in rows:
         assert 0 < est.value <= lw.cs_bound(est.degree) + est.error_bound
+    # past degree 1024 the estimates move with the root mesh
+    for n_max in (0, 11):
+        with pytest.raises(BadParams):
+            lw.iterate_family_integrals(-1 + 0j, n_max=n_max, tol=1e-3)
 
 
 def test_exponent_fit_recovers_synthetic_slope():
@@ -583,7 +581,7 @@ def test_family_csv_header():
     rows = lw.iterate_family_integrals(-1 + 0j, n_max=2, tol=1e-3)
     text = lw.family_csv(rows)
     lines = text.strip().splitlines()
-    assert lines[0] == "degree,value,error_bound,cs_bound,evaluations"
+    assert lines[0] == "degree,value,error_estimate,cs_bound,evaluations"
     assert len(lines) == 3
     assert "np.float64" not in text
 

@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 51 invocations that cover every subcommand, each
+`src`).  RUNS lists 56 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -60,6 +60,8 @@ RUNS = [
     ("littlewood_monomials_deep", ["littlewood", "--family", "monomials", "--nmax", "12"]),
     ("littlewood_complex_c", ["littlewood", "--c", "0.3,0.2", "--nmax", "3"]),
     ("littlewood_no_fit", ["littlewood", "--nmax", "2"]),
+    # the default n = 1..10, degrees up to 1024
+    ("littlewood_nmax_10", ["littlewood", "--nmax", "10"]),
     ("chebyshev", ["chebyshev", "--q", "1,2,3"]),
     ("chebyshev_q8", ["chebyshev", "--q", "1,2,3,4,5,6,7,8"]),
     ("chebyshev_q10", ["chebyshev", "--q", "1,2,3,4,5,6,7,8,9,10"]),
@@ -102,6 +104,13 @@ RUNS += [
     ("render_size_zero", ["render", "--what", "domain", "--size", "0", "--out", "x.ppm"]),
     ("chebyshev_no_q", ["chebyshev", "--q", ","]),
     ("chebyshev_q_zero", ["chebyshev", "--q", "0"]),
+    ("littlewood_nmax_11", ["littlewood", "--nmax", "11"]),
+    # |mu|^700 passes 1e300: refused before the orbit is continued
+    ("exceptional_kmax_700", ["exceptional", "--samples", "10", "--kmax", "700"]),
+    ("preimages_kmax_700", ["preimages", "--lambda-gamma", "golden", "--w", "0.05,0.02",
+                            "--r", "200", "--kmax", "700"]),
+    ("render_orbit_kmax_700", ["render", "--what", "orbit", "--size", "32", "--kmax", "700",
+                               "--out", "orbit.ppm"]),
 ]
 
 
