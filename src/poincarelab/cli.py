@@ -166,6 +166,7 @@ def cmd_siegel(args):
 def cmd_preimages(args):
     qmap, angle = _build_map(args)
     pm = build_poincare_map(qmap, N=args.terms)
+    preimage.check_orbit_depth(pm, args.kmax)
     w = _parse_complex(args.w)
     S = _build_set(args)
     count = preimage.argument_principle_count(pm, w, args.r)
@@ -193,6 +194,7 @@ def cmd_exceptional(args):
     angle = _angle_from_flag(args.lambda_gamma or "golden")
     qmap = QuadMap(kind="lambda", param=angle.lam)
     pm = build_poincare_map(qmap, N=args.terms)
+    preimage.check_orbit_depth(pm, args.kmax)
     sm = build_siegel_map(angle, N=args.siegel_terms)
     ib = preimage.find_base_preimage(pm, sm)
     report = exceptional.exceptional_survey(
@@ -341,6 +343,7 @@ def cmd_render(args):
         if angle is None:
             raise BadParams("render --what orbit needs --lambda-gamma")
         pm = build_poincare_map(qmap, N=args.terms)
+        preimage.check_orbit_depth(pm, args.kmax)
         sm = build_siegel_map(angle, N=args.siegel_terms)
         ib = preimage.find_base_preimage(pm, sm)
         w = complex(sub_siegel_sample(sm, 1, args.seed)[0])

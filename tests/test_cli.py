@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from poincarelab import littlewood
+from poincarelab import littlewood, preimage
 from poincarelab.cli import main
 
 
@@ -70,9 +70,17 @@ def test_usage_errors_exit_2(tmp_path):
 ], ids=["q", "gamma-cf", "monomials-nmax", "size-negative", "size-zero", "q-empty", "q-zero",
         "terms-32", "iterates-nmax-11", "exceptional-kmax-700", "preimages-kmax-700",
         "render-kmax-700"])
-def test_malformed_flags_exit_2(tmp_path, capsys, argv):
+def test_malformed_flags_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # every flag is refused before any preimage work starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("preimage work ran before the flags were checked")
+
+    for name in ("find_base_preimage", "argument_principle_count"):
+        monkeypatch.setattr(preimage, name, refuse)
     assert run(tmp_path, *argv) == 2
-    assert capsys.readouterr().err.startswith("BadParams: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("BadParams: ")
+    assert "count" not in out  # the preimages run prints no argument count
     assert not any(tmp_path.iterdir())
 
 

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poincarelab import QuadMap
+from poincarelab import QuadMap, RotationAngle
 from poincarelab import poincare as pc
 from poincarelab import series
 from poincarelab.errors import BadParams, NotRepelling, OutOfSafeRadius, OverflowSentinel
@@ -25,7 +26,7 @@ from poincarelab.poincare import (
     pullback_depth,
     pullback_depths,
 )
-from poincarelab.series import series_eval
+from poincarelab.series import series_derivative, series_eval
 
 
 def cosh_model(z: complex) -> complex:
@@ -90,8 +91,8 @@ def unique_depth_pullback(pm, z, depths):
     for k in np.unique(depths):
         idx = np.flatnonzero(depths == k)
         scale = pm.mu ** int(k)
-        u = series_eval(pm.series_f, z[idx] / scale)
-        d = series_eval(pm.series_df, z[idx] / scale) / scale
+        u = series_eval(pm.head_f, z[idx] / scale)
+        d = series_eval(pm.head_df, z[idx] / scale) / scale
         for _ in range(k):
             d = pm.map.deriv(u) * d
             u = pm.map(u)
@@ -230,15 +231,15 @@ def test_pullback_evaluates_each_series_once(monkeypatch, golden_poincare):
     for lanes in (z, z[3:4]):
         calls.clear()
         poincare_eval_many(pm, lanes)
-        assert len(calls) == 1 and calls[0] is pm.series_f
+        assert len(calls) == 1 and calls[0] is pm.head_f
         calls.clear()
         poincare_derivative_eval(pm, lanes)
-        assert len(calls) == 2 and calls[0] is pm.series_f and calls[1] is pm.series_df
+        assert len(calls) == 2 and calls[0] is pm.head_f and calls[1] is pm.head_df
     calls.clear()
     poincare_eval(pm, z[3])
-    assert calls == [pm.series_f]
+    assert calls == [pm.head_f]
     # every lane at one larger depth
-    for derivative, want in ((False, [pm.series_f]), (True, [pm.series_f, pm.series_df])):
+    for derivative, want in ((False, [pm.head_f]), (True, [pm.head_f, pm.head_df])):
         calls.clear()
         pc._pullback(pm, z, np.full(z.shape, 9), derivative)
         assert calls == want
@@ -268,6 +269,38 @@ def test_explicit_depth_must_reach_disk(cheb_poincare):
     z = np.array([100.0 * cheb_poincare.r0], dtype=complex)
     with pytest.raises(OutOfSafeRadius):
         pc._pullback(cheb_poincare, z, np.array([1]), derivative=False)
+
+
+def test_working_head_lengths(golden_poincare, cheb_poincare):
+    # the prefixes whose dropped tail at r0 is at most 1e-17 (1 + |z0|)
+    for pm, n_f, n_df in ((cheb_poincare, 28, 27), (golden_poincare, 37, 36)):
+        assert len(pm.series_f.coeffs) == 65
+        assert (len(pm.head_f.coeffs), len(pm.head_df.coeffs)) == (n_f, n_df)
+        assert pm.head_f.safe_radius == pm.head_df.safe_radius == pm.r0
+
+
+_HEAD_MAPS = [("c", complex(c)) for c in (-2, -1, 1j, -1.75, 0.3 + 0.2j)] + [("golden", None)]
+
+
+@functools.lru_cache(maxsize=None)
+def _head_map(kind, param):
+    if kind == "golden":
+        return build_poincare_map(QuadMap(kind="lambda", param=RotationAngle.golden().lam))
+    return build_poincare_map(QuadMap(kind=kind, param=param))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(which=st.sampled_from(_HEAD_MAPS), frac=st.floats(0.0, 1.0),
+       theta=st.floats(0.0, 2.0 * math.pi))
+def test_working_heads_match_full_series(which, frac, theta):
+    """On |z| <= r0 the heads of f and f' agree with the whole series to
+    far below the pullback's own error."""
+    pm = _head_map(*which)
+    z = np.array([frac * pm.r0 * cmath.exp(1j * theta)])
+    for head, full in ((pm.head_f, pm.series_f),
+                       (pm.head_df, series_derivative(pm.series_f))):
+        want = series_eval(full, z)[0]
+        assert abs(series_eval(head, z)[0] - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def test_overflow_sentinel(cheb_poincare):
