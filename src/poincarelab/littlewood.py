@@ -19,8 +19,10 @@ then `fold` copies of one sector [0, 2 pi / fold), where fold = k (times 2
 with conjugation) and k = gcd(m, 8) with conjugation, gcd(m, 16) without, so
 fold divides 16 and the sector is the first 16 / fold cells of the 16-cell
 angular mesh.  Only the sector is integrated; its sums, correctly rounded by
-_ExactSum, are multiplied by fold, a power of 2, so every stopping test on
-the disk's error is exact.  An evaluator without a declaration has fold 1.
+math.fsum, are multiplied by fold, a power of 2, so every stopping test on
+the disk's error is exact (a round's test calls fsum only when a float sum
+and its rounding error bracket cannot decide: _sum_at_most).  An evaluator
+without a declaration has fold 1.
 
 Iterates are never expanded into coefficients; P^n and its derivative are
 computed by forward iteration with the chain rule.  Lanes whose orbit passes
@@ -44,22 +46,19 @@ from .serialize import csv_text
 
 EVAL_BUDGET = 100_000_000
 ESCAPE_BOUND = 1e50
-_SUM_BLOCK = 1 << 14  # floats binned at a time by _ExactSum (keeps its bin sums exact)
 _CELL_SLICE = 1 << 12  # cells the rule evaluates at a time (bounds a round's temporaries)
 
 # The degree-7 Genz-Malik rule on [-1, 1]^2 and its embedded degree-5 rule
 # (Genz & Malik, J. Comput. Appl. Math. 6, 1980), weights scaled to sum to 1.
 # Node j is (_NODE_R[j], _NODE_T[j]): the centre, (+-l2, 0), (0, +-l2),
-# (+-l3, 0), (0, +-l3), (+-l3, +-l3) and (+-l5, +-l5); _W7 and _W5 weigh the
-# centre and the sums of the four groups of four after it.
+# (+-l3, 0), (0, +-l3), (+-l3, +-l3) and (+-l5, +-l5); _W7 weighs the centre
+# and the sums of the four groups of four after it, _W5 the first four of these.
 _L2, _L3, _L5 = math.sqrt(9 / 70), math.sqrt(9 / 10), math.sqrt(9 / 19)
-_NODE_R = np.array([0, _L2, -_L2, 0, 0, _L3, -_L3, 0, 0, _L3, _L3, -_L3, -_L3,
-                    _L5, _L5, -_L5, -_L5])
-_NODE_T = np.array([0, 0, 0, _L2, -_L2, 0, 0, _L3, -_L3, _L3, -_L3, _L3, -_L3,
-                    _L5, -_L5, _L5, -_L5])
+_NODE_R = np.array([0, _L2, -_L2, 0, 0, _L3, -_L3, 0, 0, _L3, _L3, -_L3, -_L3, _L5, _L5, -_L5, -_L5])
+_NODE_T = np.array([0, 0, 0, _L2, -_L2, 0, 0, _L3, -_L3, _L3, -_L3, _L3, -_L3, _L5, -_L5, _L5, -_L5])
 _NODES = _NODE_R.size
-_W7 = (-3816 / 19683, 980 / 6561, 1020 / 19683, 200 / 19683, 6859 / 78732)
-_W5 = (-971 / 729, 245 / 486, 65 / 1458, 25 / 729)
+_W7 = np.array([-3816 / 19683, 980 / 6561, 1020 / 19683, 200 / 19683, 6859 / 78732])[:, None]
+_W5 = np.array([-971 / 729, 245 / 486, 65 / 1458, 25 / 729])[:, None]
 
 
 @dataclass(frozen=True)
@@ -239,61 +238,27 @@ def _fold(ev: PolyEvaluator) -> int:
     return math.gcd(rotation, 16)
 
 
-class _ExactSum:
-    """The correctly rounded sum of float arrays added one at a time:
-    math.fsum's value, without keeping the floats.
+def _sum_at_most(x: np.ndarray, target: float) -> bool:
+    """math.fsum(x) <= target for floats x >= 0, decided by np.sum if it can.
 
-    A float of biased exponent k is a multiple of u_k = 2^(max(k, 1) - 1075),
-    below 2^53 u_k in modulus.  add() bins the floats by k with np.bincount,
-    _SUM_BLOCK = 2^14 at a time, each split exactly into hi, its significand
-    with the low 27 bits cleared, and lo = x - hi (below 2^27 u_k).  Every
-    partial sum in bin k is then below 2^40 (hi) or 2^41 (lo) of its units,
-    so float64 holds it exactly, and it moves into int64 accumulators, exact
-    below 2^36 floats added.  So the grouping of the floats into add() calls
-    cannot change the sum; total() rounds it once.
-
-    Floats of k >= _BINS (|x| >= 2^1009, where a hi sum of 2^14 floats
-    could overflow) are integers and join the exact sum as such; non-finite
-    floats go through math.fsum with the finite total, so NaN, infinities
-    and the errors of inf - inf and of a sum past the largest float are
-    those of math.fsum."""
-
-    _BINS = 2032  # k = 0 .. 2031; larger k are kept apart
-    _UNIT = np.maximum(np.arange(_BINS), 1) - 1075  # log2 u_k
-
-    def __init__(self, x=()):
-        self._low = np.zeros(self._BINS, dtype=np.int64)  # units u_k
-        self._high = np.zeros(self._BINS, dtype=np.int64)  # units 2^27 u_k
-        self._rare: list[float] = []
-        self.add(x)
-
-    def add(self, x) -> None:
-        bits = np.asarray(x, dtype=np.float64).ravel().view(np.int64)
-        for lo in range(0, bits.size, _SUM_BLOCK):
-            b = bits[lo:lo + _SUM_BLOCK]
-            k = b >> 52
-            k &= 0x7FF
-            if k.max(initial=0) >= self._BINS:
-                rare = k >= self._BINS
-                self._rare.extend(b[rare].view(np.float64).tolist())
-                b, k = b[~rare], k[~rare]
-            hi = (b & ~((1 << 27) - 1)).view(np.float64)
-            lo_part = b.view(np.float64) - hi
-            high = np.bincount(k, weights=hi, minlength=self._BINS)
-            low = np.bincount(k, weights=lo_part, minlength=self._BINS)
-            self._high += np.ldexp(high, -27 - self._UNIT).astype(np.int64)
-            self._low += np.ldexp(low, -self._UNIT).astype(np.int64)
-
-    def total(self) -> float:
-        exact = 0  # the sum in units of 2^-1074
-        for k in np.flatnonzero(self._low | self._high).tolist():
-            exact += ((int(self._high[k]) << 27) + int(self._low[k])) << max(k - 1, 0)
-        exact += sum(int(x) << 1074 for x in self._rare if math.isfinite(x))
-        special = [x for x in self._rare if not math.isfinite(x)]
-        # int / int is correctly rounded and raises OverflowError past the
-        # largest float, as math.fsum does
-        finite = exact / (1 << 1074)
-        return math.fsum([finite, *special]) if special else finite
+    Proof.  Let S be the exact sum of the n floats.  However numpy orders
+    them, s = np.sum(x) takes n - 1 additions of floats >= 0, each exact or
+    rounded by a factor 1 + d, |d| <= u = 2^-53 (subnormal sums are exact),
+    so |s - S| <= g S with g = (n-1) u / (1 - (n-1) u) (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4).  For n < 2^50, m = (n+2) 2^-52
+    keeps 1 +- m exact and exceeds g + u (1 + m); rounding s (1 +- m) moves
+    it by at most u s (1 + m), and a subnormal s is S itself, so
+    hi = fl(s (1 + m)) >= S >= fl(s (1 - m)) = lo.  fsum rounds S to nearest,
+    a monotone map that fixes floats, so lo <= fsum(x) <= hi (a finite hi
+    also keeps fsum from overflowing): hi <= target or lo > target decides.
+    Else (undecided, inf or NaN) fsum decides, errors and all."""
+    with np.errstate(over="ignore"):
+        s = float(np.sum(x))
+    m = (x.size + 2) * 2.0**-52
+    hi = s * (1.0 + m)
+    if hi < math.inf and (hi <= target or s * (1.0 - m) > target):
+        return hi <= target
+    return math.fsum(x.tolist()) <= target
 
 
 def _radial_edges(ev: PolyEvaluator) -> np.ndarray:
@@ -319,11 +284,10 @@ def _rule(ev: PolyEvaluator, cells: np.ndarray) -> np.ndarray:
         r = rc + hr * _NODE_R[:, None]
         z = r * np.exp(1j * (tc + ht * _NODE_T[:, None]))
         f = _sph_many(ev, z.ravel()).reshape(z.shape) * r
-        groups = (f[0], f[1] + f[2] + f[3] + f[4], f[5] + f[6] + f[7] + f[8],
-                  f[9] + f[10] + f[11] + f[12], f[13] + f[14] + f[15] + f[16])
+        groups = np.concatenate([f[:1], f[1:].reshape(4, 4, -1).sum(axis=1)])
         area = 4.0 * hr * ht
-        i7 = area * sum(w * g for w, g in zip(_W7, groups))
-        i5 = area * sum(w * g for w, g in zip(_W5, groups))
+        i7 = area * (_W7 * groups).sum(axis=0)
+        i5 = area * (_W5 * groups[:4]).sum(axis=0)
         two = 2.0 * f[0]
         across_r = np.abs(f[1] + f[2] - two - (f[5] + f[6] - two) / 7.0)
         across_t = np.abs(f[3] + f[4] - two - (f[7] + f[8] - two) / 7.0)
@@ -340,10 +304,7 @@ def _integrate(ev: PolyEvaluator, cells: np.ndarray, target: float, evals: int):
     cells = np.concatenate([cells, _rule(ev, cells)])
     evals += _NODES * cells.shape[1]
     over = False
-    while not over:
-        error = _ExactSum(cells[5]).total()
-        if error <= target:
-            break
+    while not (over or _sum_at_most(cells[5], target)):
         order = np.argsort(cells[5], kind="stable")
         whole = np.searchsorted(np.cumsum(cells[5, order]), 0.5 * target, side="right")
         split = order[min(whole, order.size - 1):]
@@ -358,7 +319,7 @@ def _integrate(ev: PolyEvaluator, cells: np.ndarray, target: float, evals: int):
         kids = np.concatenate([kids, _rule(ev, kids)])
         cells[:, split] = kids[:, :split.size]  # the low halves take their parents' places
         cells = np.concatenate([cells, kids[:, split.size:]], axis=1)
-    return _ExactSum(cells[4]).total(), error, evals, over
+    return math.fsum(cells[4].tolist()), math.fsum(cells[5].tolist()), evals, over
 
 
 def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
@@ -392,8 +353,7 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
         if over:
             return IntegralEstimate(value, math.inf, evals, int(ev.degree), True)
         if last is not None and abs(value - last) <= 0.5 * tol:
-            return IntegralEstimate(value, fold * error + abs(value - last), evals,
-                                    int(ev.degree))
+            return IntegralEstimate(value, fold * error + abs(value - last), evals, int(ev.degree))
         last = value
         r_edges, t_edges = (np.sort(np.concatenate([e, 0.5 * (e[:-1] + e[1:])]))
                             for e in (r_edges, t_edges))

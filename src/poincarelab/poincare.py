@@ -102,7 +102,12 @@ class OrderEstimate:
 
 def poincare_coefficients(qmap: QuadMap, z0: complex, N: int) -> TruncatedSeries:
     """Series of f at a repelling fixed point z0: a0=z0, a1=1, and
-    a_n = (sum_{i+j=n} a_i a_j)/(mu^n - mu) for the quadratic local form."""
+    a_n = (sum_{i+j=n} a_i a_j)/(mu^n - mu) for the quadratic local form.
+
+    The safe radius comes from the coefficients up to the last nonzero one:
+    past it they have underflowed to 0 (past n = 88 for c = -2), which
+    make_series would read as a polynomial of infinite radius.  The list
+    itself is kept whole."""
     if N < 1:
         raise BadParams("N must be >= 1")
     if abs(qmap(z0) - z0) > 1e-9 * (1.0 + abs(z0)):
@@ -112,7 +117,8 @@ def poincare_coefficients(qmap: QuadMap, z0: complex, N: int) -> TruncatedSeries
         raise NotRepelling(f"|mu| = {abs(mu)} <= 1 at z0 = {z0}")
     coeffs = conjugacy_coeffs([mu], N)
     coeffs[0] = z0
-    return make_series(coeffs)
+    top = int(np.flatnonzero(coeffs)[-1])
+    return TruncatedSeries(coeffs, make_series(coeffs[:top + 1]).safe_radius)
 
 
 def _log_terms(coeffs: np.ndarray, r: float) -> np.ndarray:

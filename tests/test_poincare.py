@@ -428,3 +428,16 @@ def test_coefficients_prefix_stable_under_truncation():
     short = poincare_coefficients(qm, 2 + 0j, 24)
     long = poincare_coefficients(qm, 2 + 0j, 48)
     assert np.allclose(short.coeffs[:25], long.coeffs[:25], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("c", [-2 + 0j, -1.5 + 0.3j])
+def test_underflowed_coefficients_keep_the_certificate(c):
+    # the coefficients underflow to 0 past n = 88 (c = -2) or n = 94
+    # (c = -1.5+0.3i); the longer lists keep those zeros, and their
+    # certificate and r0 are those of N = 128
+    qm = QuadMap(kind="c", param=c)
+    maps = [build_poincare_map(qm, N) for N in (128, 192, 256)]
+    assert [len(pm.series_f.coeffs) for pm in maps] == [129, 193, 257]
+    assert not np.any(maps[-1].series_f.coeffs[128:])
+    assert len({pm.series_f.safe_radius for pm in maps}) == 1
+    assert len({pm.r0 for pm in maps}) == 1

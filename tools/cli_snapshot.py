@@ -5,7 +5,7 @@ Usage:
     python tools/cli_snapshot.py SRC_DIR OUT_DIR
 
 SRC_DIR is the directory that holds the `poincarelab` package (the repo's
-`src`).  RUNS lists 56 invocations that cover every subcommand, each
+`src`).  RUNS lists 59 invocations that cover every subcommand, each
 target set and each branch of the file writers, failed runs included.
 Each invocation runs as `python -m poincarelab ... --out-dir .` from its
 own subdirectory of OUT_DIR, so its output files land there and its
@@ -29,6 +29,10 @@ RUNS = [
     ("poincare_no_map", ["poincare"]),
     ("poincare_overflow_eval", ["poincare", "--c", "-2,0", "--eval", "1e300,0"]),
     ("poincare_terms_1024", ["poincare", "--c", "-1.5,0.3", "--terms", "1024"]),
+    # coefficients that underflow to 0 in the top of the list (past n = 88
+    # at c = -2, n = 94 at c = -1.5+0.3i)
+    ("poincare_cheb_terms_256", ["poincare", "--c", "-2,0", "--terms", "256"]),
+    ("poincare_terms_256", ["poincare", "--c", "-1.5,0.3", "--terms", "256"]),
     ("siegel_golden", ["siegel", "--lambda-gamma", "golden"]),
     ("siegel_gamma", ["siegel", "--lambda-gamma", "0.38297", "--terms", "128"]),
     ("siegel_terms_1024", ["siegel", "--lambda-gamma", "golden", "--terms", "1024"]),
@@ -62,6 +66,8 @@ RUNS = [
     ("littlewood_no_fit", ["littlewood", "--nmax", "2"]),
     # the default n = 1..10, degrees up to 1024
     ("littlewood_nmax_10", ["littlewood", "--nmax", "10"]),
+    # deep refinement: tens of thousands of cells and many rounds per degree
+    ("littlewood_tol_1e-6", ["littlewood", "--nmax", "10", "--tol", "1e-6"]),
     ("chebyshev", ["chebyshev", "--q", "1,2,3"]),
     ("chebyshev_q8", ["chebyshev", "--q", "1,2,3,4,5,6,7,8"]),
     ("chebyshev_q10", ["chebyshev", "--q", "1,2,3,4,5,6,7,8,9,10"]),
