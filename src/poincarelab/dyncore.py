@@ -17,17 +17,20 @@ Also here: find_cycle, the scalar Newton for periodic points, and
 newton_lanes, the damped lane-wise Newton that inverts both the Poincare
 function (preimage.newton_solve) and the Siegel linearizer (h_inverse_many).
 It takes one callable giving the function and its derivative together, and
-makes at most two batched calls of it per round: the full step on the 1-D
-array of live lanes, then all the halved steps of the lanes it did not help.
-It returns the function and its derivative at each lane's last iterate, and
-takes them at the seeds when the caller has them (at_seed), so a
-continuation that seeds each solve with the previous solution evaluates no
-point twice.
+calls it on one 1-D array at a time, to which each live lane adds the
+candidates its own iteration needs next: its full step, or all its halved
+steps when its full step in the call before did not help.  So the lanes
+whose full step did not help halve in the same call as the other lanes
+step.  It returns the function and its derivative at each lane's last
+iterate, and takes them at the seeds when the caller has them (at_seed),
+so a continuation that seeds each solve with the previous solution
+evaluates no point twice.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -157,12 +160,17 @@ def newton_lanes(FdF, target, seed, iters: int, at_seed=None):
     the t it would take gives NaN (an overflow); its z is then the last
     iterate.
 
-    A round makes at most two FdF calls: one at t = 1 on the 1-D array of
-    the live lanes, then one over all the halved t of the lanes that t = 1
-    did not help, as a (lanes, 39) array whose candidates past a lane's
-    first lowering t are not used.  F and F' at the point a step lands on
-    are kept for the next round and returned.  The outcome is the same as
-    trying one t after the other."""
+    Each FdF call evaluates one 1-D array that holds, for every live lane,
+    the candidates its own iteration needs next: the t = 1 candidate of a
+    lane that starts an iteration, or the 39 candidates t = 1/2 ... 2^-39
+    of a lane whose t = 1 in the call before did not lower the residual;
+    those past the lane's first lowering t are not used.  So lanes halve
+    their steps in the same calls as other lanes take full steps, and a
+    call with no halved lane is the t = 1 step of the live lanes alone.  A
+    lane's iterations are the calls it was in less its halved batches.  F
+    and F' at the point a step lands on are kept for the lane's next step
+    and returned.  The outcome is the same as trying one t after the
+    other."""
     target, z = np.broadcast_arrays(np.asarray(target, dtype=complex),
                                     np.asarray(seed, dtype=complex))
     target, z = target.reshape(-1).copy(), z.reshape(-1).copy()
@@ -173,21 +181,31 @@ def newton_lanes(FdF, target, seed, iters: int, at_seed=None):
         f, d = (np.array(v, dtype=complex).reshape(z.shape) for v in at_seed)
     res = np.abs(f - target)
     failed = np.isnan(res)
-    for _ in range(iters):
-        live = np.flatnonzero(~failed & ~(res <= tol))
-        if live.size == 0:
-            break
-        usable = np.abs(d[live]) >= 1e-14  # False for an overflowed (NaN) lane too
-        failed[live[~usable]] = True
-        live = live[usable]
-        if live.size == 0:
+    halving = np.zeros(z.shape, dtype=bool)  # lanes with their halved batch due
+    batches = np.zeros(z.shape, dtype=np.intp)  # halved batches made per lane
+    due, due_step = np.empty(0, dtype=np.intp), np.empty(0, dtype=complex)
+    for call in itertools.count():
+        live = np.flatnonzero(~(failed | halving | (res <= tol)))
+        if call >= iters:  # below that, every lane has iterations left
+            live = live[call - batches[live] < iters]
+        if live.size:
+            usable = np.abs(d[live]) >= 1e-14  # False for an overflowed (NaN) lane too
+            failed[live[~usable]] = True
+            live = live[usable]
+        if live.size == 0 and due.size == 0:
             break
         step = (f[live] - target[live]) / d[live]
-        # t = 1 on 1-D lanes: a lane takes the step when it lowers the
-        # residual and fails when it gives NaN.  1.0 * step is not step for
-        # a -0 or infinite component; it is the product every t makes.
+        # 1.0 * step is not step for a -0 or infinite component; it is the
+        # product every t makes
         cand = z[live] - 1.0 * step
-        f_cand, d_cand = FdF(cand)
+        if due.size:
+            grid = z[due, None] - _STEP_LENGTHS[1:] * due_step[:, None]
+            f_all, d_all = FdF(np.concatenate([cand, grid.reshape(-1)]))
+        else:
+            f_all, d_all = FdF(cand)
+        f_cand, d_cand = f_all[:live.size], d_all[:live.size]
+        # t = 1: a lane takes the step when it lowers the residual, fails
+        # when it gives NaN, and has its halved batch due otherwise
         res_cand = np.abs(f_cand - target[live])
         took = res_cand < res[live]
         lanes = live[took]
@@ -196,24 +214,26 @@ def newton_lanes(FdF, target, seed, iters: int, at_seed=None):
         nan = np.isnan(res_cand)
         failed[live[nan]] = True
         keep = ~took & ~nan
-        live, step = live[keep], step[keep]
-        if live.size == 0:
-            continue
-        lengths = _STEP_LENGTHS[1:]
-        cand = z[live, None] - lengths * step[:, None]
-        f_cand, d_cand = (v.reshape(cand.shape) for v in FdF(cand.reshape(-1)))
-        res_cand = np.abs(f_cand - target[live, None])
-        better = res_cand < res[live, None]
-        nan = np.isnan(res_cand)
-        first = np.argmax(better, axis=1)
-        first_nan = np.where(nan.any(axis=1), np.argmax(nan, axis=1), lengths.size)
-        # a lane takes its first lowering t unless a NaN came first; every
-        # other lane fails, on that NaN or as a stall
-        took = better.any(axis=1) & (first < first_nan)
-        lanes, rows, cols = live[took], np.flatnonzero(took), first[took]
-        z[lanes], f[lanes], d[lanes], res[lanes] = (
-            cand[rows, cols], f_cand[rows, cols], d_cand[rows, cols], res_cand[rows, cols])
-        failed[live[~took]] = True
+        if due.size:
+            f_grid, d_grid = (v[live.size:].reshape(grid.shape) for v in (f_all, d_all))
+            res_grid = np.abs(f_grid - target[due, None])
+            better = res_grid < res[due, None]
+            nan = np.isnan(res_grid)
+            first = np.argmax(better, axis=1)
+            first_nan = np.where(nan.any(axis=1), np.argmax(nan, axis=1), grid.shape[1])
+            # a lane takes its first lowering t unless a NaN came first;
+            # every other lane fails, on that NaN or as a stall
+            took = better.any(axis=1) & (first < first_nan)
+            rows, cols = np.flatnonzero(took), first[took]
+            moved = due[took]
+            z[moved], f[moved], d[moved], res[moved] = (
+                grid[rows, cols], f_grid[rows, cols], d_grid[rows, cols],
+                res_grid[rows, cols])
+            failed[due[~took]] = True
+            halving[due] = False
+            batches[due] += 1
+        due, due_step = live[keep], step[keep]
+        halving[due] = True
     return z, ~failed & (res <= tol), f, d
 
 

@@ -144,11 +144,12 @@ def test_newton_lanes_rules():
     assert ok[0] and abs(z[0] - 2.0) <= 1e-12 * 5.0
 
 
-def sequential_newton_lanes(F, dF, target, seed, iters: int):
+def sequential_newton_lanes(F, dF, target, seed, iters: int, trace=None):
     """The rule newton_lanes keeps, written step length by step length: one
     F call per t in 1, 1/2, ..., 2^-39 over the lanes still looking, and
     one dF call per round.  The reference for the batched solver: (z, ok)
-    and F at z."""
+    and F at z.  trace, when given, is a list that gets the t of each F
+    call after the seeds'."""
     target, z = np.broadcast_arrays(np.asarray(target, dtype=complex),
                                     np.asarray(seed, dtype=complex))
     target, z = target.reshape(-1).copy(), z.reshape(-1).copy()
@@ -171,6 +172,8 @@ def sequential_newton_lanes(F, dF, target, seed, iters: int):
                 break
             cand = z[live] - t * step
             f_cand = F(cand)
+            if trace is not None:
+                trace.append(t)
             res_cand = np.abs(f_cand - target[live])
             better = res_cand < res[live]
             took = live[better]
@@ -249,7 +252,8 @@ def test_batched_damping_cases(scale, ring, seed, t1, ok):
     _, ok_60, calls = assert_batched_matches_sequential(F, dF, 4.0, seed, 60)
     assert ok_60.tolist() == [ok]
     if t1 is None:
-        # the seed's evaluation and at most two in the round that fails
+        # the seed's evaluation, then the failing iteration's t = 1 call and
+        # the call with its halved steps
         assert calls <= 3
 
 
@@ -268,6 +272,53 @@ def test_batched_damping_matches_sequential_on_square(scale, ring, lanes, iters)
     F, dF = damped_square(scale, (ring[0], ring[0] + ring[1]))
     seed, target = (np.array(v, dtype=complex) for v in zip(*lanes))
     assert_batched_matches_sequential(F, dF, target, seed, iters)
+
+
+def split_square(right, left, ring):
+    """damped_square with F' scaled by `right` where Re z > 0 and by `left`
+    elsewhere: lanes on the two sides halve their steps in different
+    iterations, and a lane that crosses changes its damping."""
+    F, _ = damped_square(1.0, ring)
+
+    def dF(z):
+        return np.where(z.real > 0, right, left) * (2.0 * z)
+
+    return F, dF
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(right=st.sampled_from([1.0, 2.0, 0.5, 2.0**-6, 2.0**-12, 2.0**-40, -1.0, 1j]),
+       left=st.sampled_from([1.0, 2.0, 0.5, 2.0**-3, 2.0**-8, 2.0**-30, -0.01, -1j]),
+       ring=st.tuples(st.floats(0.0, 40.0), st.floats(0.0, 10.0)),
+       lanes=st.lists(st.tuples(st.complex_numbers(max_magnitude=50.0),
+                                st.complex_numbers(max_magnitude=20.0)),
+                      min_size=2, max_size=12),
+       iters=st.integers(0, 60))
+def test_staggered_halvings_match_sequential(right, left, ring, lanes, iters):
+    """Lanes whose damping depends on the side of the plane they are on:
+    in one call some lanes take their t = 1 step while others evaluate
+    t = 1/2 ... 2^-39, and every lane keeps the bits and the outcome of
+    trying one t after the other."""
+    F, dF = split_square(right, left, (ring[0], ring[0] + ring[1]))
+    seed, target = (np.array(v, dtype=complex) for v in zip(*lanes))
+    assert_batched_matches_sequential(F, dF, target, seed, iters)
+
+
+def test_staggered_halvings_share_calls():
+    """Steps twice too long from 0.5 and from 3: the first lane halves in
+    iterations 1, 3, 5, 7 and 9, the second in 2, 4, 6, 8 and 9.  A
+    schedule that follows each round's t = 1 call with a call for the
+    halved steps pays for a halved batch in almost every round; here the
+    halved steps of one lane ride along with the full steps of the other."""
+    F, dF = damped_square(0.5, (0.0, 0.0))
+    seed = np.array([0.5, 3.0])
+    trace = []
+    sequential_newton_lanes(F, dF, 4.0, seed, 60, trace)
+    # the seeds' call, one per round, and one per round with a halved step
+    round_calls = 1 + trace.count(1.0) + trace.count(0.5)
+    z, ok, calls = assert_batched_matches_sequential(F, dF, 4.0, seed, 60)
+    assert ok.all() and np.all(np.abs(z - 2.0) <= 5e-12)
+    assert calls <= round_calls - 1
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

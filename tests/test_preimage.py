@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from poincarelab import QuadMap, build_cycle_siegel_map, build_poincare_map, chebfamily
 from poincarelab import poincare as pc
 from poincarelab import preimage as pre
-from poincarelab.errors import BadParams
+from poincarelab.errors import BadParams, NotFound
 from poincarelab.poincare import poincare_eval
 from poincarelab.preimage import (
     InverseBranch,
@@ -96,14 +96,54 @@ def test_newton_overflow_fails_only_its_lane(cheb_poincare):
 
 def test_base_preimage_search_pullback_calls(monkeypatch, golden_branch,
                                              golden_poincare, golden_siegel):
-    # each Newton round is at most two fused (f, f') pullbacks: one at the
-    # full step, one for all the halved steps of the lanes it did not help
+    # one fused (f, f') pullback per Newton call, in which the lanes'
+    # t = 1 steps ride with all the halved steps of the lanes whose t = 1
+    # in the call before did not help, and one pullback for the base
+    # point's residual: 64 pullbacks over 26,735 lanes, the lanes that a
+    # call for the full steps and one for the halved steps of each round
+    # evaluated in 117
     calls, pullback = [], pc._pullback
     monkeypatch.setattr(pc, "_pullback",
                         lambda *args: calls.append(args[1].size) or pullback(*args))
     ib = find_base_preimage(golden_poincare, golden_siegel)
     assert ib.base_point == golden_branch.base_point
-    assert 0 < len(calls) <= 120
+    assert 0 < len(calls) <= 70
+    assert sum(calls) <= 26_735
+
+
+def _grids_failing_below(monkeypatch, radius):
+    """Make every lane of the seed grids of modulus at most `radius` fail
+    in preimage.newton_solve; the list it returns gets each grid's
+    largest seed modulus."""
+    grids, solve = [], pre.newton_solve
+
+    def patched(pm, target, seed, at_seed=None):
+        z, ok, f, d = solve(pm, target, seed, at_seed)
+        grids.append(float(np.max(np.abs(seed))))
+        return z, ok & (grids[-1] > radius), f, d
+
+    monkeypatch.setattr(pre, "newton_solve", patched)
+    return grids
+
+
+def test_base_preimage_enlarges_its_grid_once(monkeypatch, golden_poincare, golden_siegel):
+    # no converged lane on the 20 r0 grid: the 40 r0 grid is solved
+    r0 = golden_poincare.r0
+    grids = _grids_failing_below(monkeypatch, 20.0 * r0 * (1.0 + 1e-12))
+    ib = find_base_preimage(golden_poincare, golden_siegel)
+    assert grids == pytest.approx([20.0 * r0, 40.0 * r0], rel=1e-12)
+    center = golden_siegel.center_value
+    residual = abs(poincare_eval(golden_poincare, ib.base_point) - center)
+    assert residual <= pre.BASE_RESIDUAL * (1.0 + abs(center))
+    assert abs(ib.base_point) > golden_siegel.radius_hat
+
+
+def test_base_preimage_not_found_after_both_grids(monkeypatch, golden_poincare,
+                                                  golden_siegel):
+    grids = _grids_failing_below(monkeypatch, np.inf)
+    with pytest.raises(NotFound, match="after one enlargement"):
+        find_base_preimage(golden_poincare, golden_siegel)
+    assert len(grids) == 2
 
 
 def test_newton_solve_evaluates_f_with_f_prime(monkeypatch, golden_poincare, golden_siegel):
