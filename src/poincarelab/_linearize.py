@@ -21,6 +21,17 @@ For q = 1 this is the familiar b_n = (sum_{i+j=n} b_i b_j) / (m**n - m).
 A cycle costs q quadratic steps per coefficient, never a composed
 polynomial of degree 2**q.
 
+Each quadratic step costs one dot product of length n + 1: [z^n] g_i**2 is
+np.dot(g, g[::-1].copy()) over g = g_i[:n + 1], so the recursion costs
+O(q N**2) where a full np.convolve(g, g) per coefficient cost O(q N**3).
+The bits are those of np.convolve(g, g)[n]: convolve correlates g with a
+contiguous copy of g reversed and computes its one full-overlap output with
+the dtype's dot over all n + 1 products, which is the call np.dot makes on
+two contiguous vectors.  A half sum (twice the products below n/2, plus a
+square) or the shorter slice g[1:n] would reorder the additions and move
+bits.  The N = 1024 recursion at mu = 4 takes about 5 ms on a 2-vCPU Xeon,
+down from about 200 ms.
+
 The divisors m**n - m are the whole story: bounded away from zero for a
 repelling multiplier |m| > 1, and arbitrarily small for rotation numbers
 close to rationals (|m**n - m| = 2|sin(pi (n-1) gamma)| on the unit circle).
@@ -57,7 +68,7 @@ def conjugacy_coeffs(slopes, N: int) -> np.ndarray:
         # the squares it meets only the zero constant terms
         for i in range(s.size):
             g = chain[i][: n + 1]
-            chain[i + 1][n] = s[i] * g[n] + np.convolve(g, g)[n]
+            chain[i + 1][n] = s[i] * g[n] + np.dot(g, g[::-1].copy())
         divisor = m**n - m
         if abs(divisor) < RESONANCE_EPS:
             raise ResonantAngle(

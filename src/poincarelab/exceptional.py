@@ -28,7 +28,7 @@ import numpy as np
 from .dyncore import order_from_multiplier
 from .errors import BadParams
 from .preimage import InverseBranch, orbit_preimages
-from .serialize import csv_text, json_text
+from .serialize import csv_text, survey_json_text
 from .sets import SetModel
 from .siegel import sub_siegel_sample
 
@@ -163,7 +163,7 @@ def ratio_table_csv(report: ExceptionalReport) -> str:
 
 
 def report_to_json(report: ExceptionalReport) -> str:
-    return json_text({
+    return survey_json_text({
         "map": report.map_descriptor,
         "set": report.set_descriptor,
         "rho": report.rho,
@@ -174,17 +174,5 @@ def report_to_json(report: ExceptionalReport) -> str:
             {"r": row.r, "count": row.count, "ratio": row.ratio}
             for row in report.ratio_table
         ],
-        "records": [
-            {
-                "w": rec.w,
-                "liminf_proxy": rec.liminf_proxy,
-                "escaped": rec.escaped,
-                "conditional": rec.conditional,
-                "points": [
-                    {"k": k, "z": z, "in_S": hit}
-                    for k, z, hit in rec.points
-                ],
-            }
-            for rec in report.records
-        ],
-    })
+    }, [(rec.w, rec.liminf_proxy, rec.escaped, rec.conditional, rec.points)
+        for rec in report.records])

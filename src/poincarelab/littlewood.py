@@ -335,7 +335,10 @@ def disk_integral(ev: PolyEvaluator, tol: float) -> IntegralEstimate:
     tests read the same floats.  Every node must give a finite spherical
     derivative, else OverflowSentinel.  Past EVAL_BUDGET (a round that does
     not fit, or a root mesh after the first) the last value reached is
-    returned with error_bound = inf and budget_exceeded set."""
+    returned with error_bound = inf and budget_exceeded set.  When the next
+    refined root mesh does not fit, the budget left over is not spent: the
+    previous root mesh's value is returned as it stands, its worst cells
+    not refined further."""
     if not (0.0 < tol < math.inf):
         raise BadParams("tol must be positive and finite")
     fold = _fold(ev)

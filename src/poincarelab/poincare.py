@@ -36,11 +36,12 @@ changed, by at most 2.3e-12 relative; old and new values alike lie within
 poincare_eval evaluates one point and raises OverflowSentinel where its
 pullback overflows.  The array calls group their lanes by pullback depth,
 evaluate the series of f (and of f') once over the scaled lanes of every
-depth, and run each group's map steps; every lane is computed by the same
-numpy operations whatever the array around it, so its value does not depend
-on its batch.  poincare_eval_many raises OverflowSentinel if any lane
-overflows; poincare_derivative_eval gives the pair (f, f') from one
-pullback, NaN in the lanes that overflow, for Newton solvers.
+depth, and run each map step once, over the lanes deep enough to need it;
+every lane is computed by the same numpy operations whatever the array
+around it, so its value does not depend on its batch.  poincare_eval_many
+raises OverflowSentinel if any lane overflows; poincare_derivative_eval
+gives the pair (f, f') from one pullback, NaN in the lanes that overflow,
+for Newton solvers.
 
 An array call of more than series._HORNER_BLOCK (2^15) lanes runs them in
 blocks of that many, each through its own depths and pullback, into
@@ -121,20 +122,16 @@ def poincare_coefficients(qmap: QuadMap, z0: complex, N: int) -> TruncatedSeries
     return TruncatedSeries(coeffs, make_series(coeffs[:top + 1]).safe_radius)
 
 
-def _log_terms(coeffs: np.ndarray, r: float) -> np.ndarray:
-    """log |a_n| r^n for every n (-inf where a_n = 0), so large r cannot
-    overflow."""
+def _log_moduli(coeffs: np.ndarray) -> np.ndarray:
+    """log |a_n| for every n, -inf where a_n = 0."""
     with np.errstate(divide="ignore"):
-        return np.log(np.abs(coeffs)) + np.arange(len(coeffs)) * math.log(r)
+        return np.log(np.abs(coeffs))
 
 
-def _log_majorant(coeffs: np.ndarray, r: float) -> float:
-    """log of sum |a_n| r^n, computed in log space so large r cannot overflow."""
-    t = _log_terms(coeffs, r)
-    m = float(np.max(t))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(t - m))))
+def _log_terms(log_a: np.ndarray, r: float) -> np.ndarray:
+    """log |a_n| r^n for every n from log_a = log |a_n|, so large r cannot
+    overflow."""
+    return log_a + np.arange(len(log_a)) * math.log(r)
 
 
 def conditioning_radius(series: TruncatedSeries, scale: float) -> float:
@@ -144,15 +141,26 @@ def conditioning_radius(series: TruncatedSeries, scale: float) -> float:
     The tail certificate bounds truncation error, not cancellation: the
     majorant can exceed |f| by many orders of magnitude well inside the
     certified radius once the series is long, and evaluation loses exactly
-    those digits.  Monotone bisection in log r."""
+    those digits.  Monotone bisection in log r on log sum |a_n| r^n, summed
+    in log space so large r cannot overflow; log |a_n| is computed once and
+    each probe adds n log r to it."""
     log_cap = math.log(EVAL_ROUNDOFF_TARGET * scale / np.finfo(float).eps)
+    log_a = _log_moduli(series.coeffs)
+
+    def within_cap(r: float) -> bool:
+        t = _log_terms(log_a, r)
+        m = float(np.max(t))
+        if math.isfinite(m):
+            m += math.log(float(np.sum(np.exp(t - m))))
+        return m <= log_cap
+
     hi = series.safe_radius
-    if _log_majorant(series.coeffs, hi) <= log_cap:
+    if within_cap(hi):
         return hi
     lo = hi * 1e-9
-    if _log_majorant(series.coeffs, lo) > log_cap:
+    if not within_cap(lo):
         return lo
-    return log_bisect(lambda r: _log_majorant(series.coeffs, r) <= log_cap, lo, hi)
+    return log_bisect(within_cap, lo, hi)
 
 
 def _working_head(series: TruncatedSeries, r0: float, scale: float) -> TruncatedSeries:
@@ -161,7 +169,7 @@ def _working_head(series: TruncatedSeries, r0: float, scale: float) -> Truncated
     its safe radius is r0, so series_eval refuses any lane past the disk on
     which the dropped tail was measured."""
     a = series.coeffs
-    t = np.exp(_log_terms(a, r0))
+    t = np.exp(_log_terms(_log_moduli(a), r0))
     # tail[D] = sum_{n>D} t_n, summed from the top down
     tail = np.append(np.cumsum(t[:0:-1])[::-1], 0.0)
     degree = int(np.argmax(tail <= HEAD_TAIL_TARGET * scale))
@@ -218,41 +226,52 @@ def _pullback(pm: PoincareMap, z: np.ndarray, depths: np.ndarray, derivative: bo
     whose iterate or derivative passes OVERFLOW_BOUND, gets ok False and NaN
     values.
 
-    The finite lanes are gathered depth by depth, and each depth-k group's
-    z / mu^k is written into its slice of one buffer, so the working head of
-    f (and of f') is evaluated once over all depths; each group then runs
-    its k map steps on its own slice of the values."""
+    The finite lanes are gathered by ascending depth, and each depth-k
+    group's z / mu^k is written into its slice of one buffer, so the working
+    head of f (and of f') is evaluated once over all depths.  The lanes
+    deeper than s are then a suffix of the buffer: map step s runs once,
+    over that suffix, and f, f' and ok are scattered back once at the end.
+    f' takes its 1/mu^k out of place, group by group, and every step is out
+    of place, so each lane gets the bits of its own one-lane call."""
     f = np.full(z.shape, complex(math.nan, math.nan))
     df = f.copy() if derivative else None
     ok = np.zeros(z.shape, dtype=bool)
     live = np.isfinite(z)
     zk = np.empty(np.count_nonzero(live), dtype=complex)
+    order = np.empty(zk.size, dtype=np.intp)  # buffer slot -> lane
     groups, lo = [], 0
     # the depths present, ascending (np.unique would hash them)
     for k in np.flatnonzero(np.bincount(depths[live])):
         idx = np.flatnonzero(live & (depths == k))
         scale, part = pm.mu ** int(k), slice(lo, lo + idx.size)
         np.divide(z[idx], scale, out=zk[part])
-        groups.append((k, idx, scale, part))
+        order[part] = idx
+        groups.append((k, scale, part))
         lo = part.stop
-    u_all = series_eval(pm.head_f, zk)
-    d_all = series_eval(pm.head_df, zk) if derivative else None
+    u = series_eval(pm.head_f, zk)
+    d = series_eval(pm.head_df, zk) if derivative else None
     del zk  # free before the map steps allocate theirs
-    for k, idx, scale, part in groups:
-        u = u_all[part]
-        d = d_all[part] / scale if derivative else None
-        good = np.ones(idx.size, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(k):
+    if derivative:
+        for _, scale, part in groups:
+            d[part] = d[part] / scale
+    good = np.ones(u.size, dtype=bool)
+    done = 0  # map steps taken by every lane not yet finished
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, _, part in groups:
+            tail = slice(part.start, None)
+            for _ in range(done, k):
                 if derivative:
-                    d = pm.map.deriv(u) * d
-                    good &= np.abs(d) <= OVERFLOW_BOUND
-                u = pm.map(u)
-                good &= np.abs(u) <= OVERFLOW_BOUND
-        f[idx[good]] = u[good]
-        if derivative:
-            df[idx[good]] = d[good]
-        ok[idx] = good
+                    dt = pm.map.deriv(u[tail]) * d[tail]
+                    d[tail] = dt
+                    good[tail] &= np.abs(dt) <= OVERFLOW_BOUND
+                ut = pm.map(u[tail])
+                u[tail] = ut
+                good[tail] &= np.abs(ut) <= OVERFLOW_BOUND
+            done = k
+    f[order[good]] = u[good]
+    if derivative:
+        df[order[good]] = d[good]
+    ok[order] = good
     return f, df, ok
 
 

@@ -74,10 +74,11 @@ def _safe_radius(coeffs: np.ndarray, eps: float) -> float:
         # top half identically zero: the list is a polynomial
         return math.inf
 
-    # stepwise ratios between consecutive nonzero coefficients (last 8)
-    support = nz[nz >= 1]
+    # stepwise ratios between consecutive nonzero coefficients: the last 8,
+    # from the last 9 indices of the support
+    support = nz[nz >= 1][-9:]
     step_rates = [(a[j] / a[i]) ** (1.0 / (j - i))
-                  for i, j in zip(support[:-1], support[1:])][-8:]
+                  for i, j in zip(support[:-1], support[1:])]
     q = max(max(step_rates, default=0.0), root_test_rate(a, nz))
     if q == 0.0:
         return math.inf

@@ -8,8 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poincarelab import QuadMap, RotationAngle
-from poincarelab._linearize import conjugacy_coeffs, resubstitution_residuals
-from poincarelab.errors import OverflowSentinel
+from poincarelab._linearize import (
+    RESONANCE_EPS,
+    conjugacy_coeffs,
+    resubstitution_residuals,
+)
+from poincarelab.errors import OverflowSentinel, PoincareLabError, ResonantAngle
 from poincarelab.poincare import build_poincare_map
 from poincarelab.siegel import build_siegel_map
 
@@ -26,6 +30,73 @@ def composed_steps(slopes):
         sq[: p.size] += s * p
         p = sq
     return p
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def convolve_coeffs(slopes, N):
+    """The chain recursion with each square's coefficient read off a full
+    np.convolve(g, g): the reference for conjugacy_coeffs' dot products."""
+    s = np.asarray(slopes, dtype=complex)
+    chain = [np.zeros(max(N, 1) + 1, dtype=complex) for _ in range(s.size + 1)]
+    b = chain[0]
+    b[1] = 1.0
+    for i in range(s.size):
+        chain[i + 1][1] = s[i] * chain[i][1]
+    m = chain[-1][1]
+    for n in range(2, N + 1):
+        for i in range(s.size):
+            g = chain[i][: n + 1]
+            chain[i + 1][n] = s[i] * g[n] + np.convolve(g, g)[n]
+        divisor = m**n - m
+        if abs(divisor) < RESONANCE_EPS:
+            raise ResonantAngle(
+                f"divisor |m^{n} - m| = {abs(divisor):.3e} below resonance threshold"
+            )
+        b[n] = chain[-1][n] / divisor
+        if not np.isfinite(b[n]):
+            raise OverflowSentinel(f"linearizer coefficient b_{n} left double range")
+        for g in chain[1:-1]:
+            g[n] += g[1] * b[n]
+    return b[: N + 1]
+
+
+def assert_same_as_convolve(slopes, N):
+    """conjugacy_coeffs(slopes, N), with np.convolve out of reach, has the
+    bytes of the convolve recursion, or raises the same error with the same
+    message (the same b_n)."""
+    try:
+        want = convolve_coeffs(slopes, N)
+    except PoincareLabError as exc:
+        want = exc
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "convolve", None)
+        if isinstance(want, PoincareLabError):
+            with pytest.raises(type(want)) as got:
+                conjugacy_coeffs(slopes, N)
+            assert str(got.value) == str(want)
+        else:
+            assert conjugacy_coeffs(slopes, N).tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(args=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+       moduli=st.one_of(st.none(), st.lists(st.floats(1.0, 4.0, exclude_min=True),
+                                            min_size=4, max_size=4)),
+       N=st.integers(2, 300))
+def test_dot_products_keep_the_convolve_bits(args, moduli, N):
+    """One dot product per quadratic step gives the convolve recursion's
+    bytes, for chains of rotations (small divisors) and of repelling
+    steps, or raises where it raises."""
+    slopes = [cmath.rect(1.0 if moduli is None else r, math.tau * a)
+              for r, a in zip(moduli or [1.0] * 4, args)]
+    assert_same_as_convolve(slopes, N)
+
+
+@pytest.mark.parametrize("m", [LAM, 4.0], ids=["golden", "mu4"])
+def test_long_recursions_keep_the_convolve_bits(m):
+    """N = 1024: the golden chain overflows at b_643, mu = 4 runs to the
+    end."""
+    assert_same_as_convolve([m], 1024)
 
 
 @pytest.mark.parametrize("m, N", [

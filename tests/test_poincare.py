@@ -83,21 +83,31 @@ def test_eval_many_matches_scalar_across_depths(cheb_poincare):
         assert abs(v - poincare_eval(cheb_poincare, complex(zz))) < 1e-9 * (1 + abs(v))
 
 
-def unique_depth_pullback(pm, z, depths):
-    """`poincare._pullback` with the depth groups taken from np.unique: the
-    reference for its bincount grouping."""
+def unique_depth_pullback(pm, z, depths, derivative=True):
+    """`poincare._pullback` as each depth group alone, the groups taken from
+    np.unique, every group running its own map steps: the reference for the
+    bincount grouping and the suffix-stepped map steps.  A lane is ok when
+    it is finite and its iterate (and derivative) stays within
+    OVERFLOW_BOUND after every step."""
     f = np.full(z.shape, complex(math.nan, math.nan))
     df = f.copy()
-    for k in np.unique(depths):
-        idx = np.flatnonzero(depths == k)
+    ok = np.zeros(z.shape, dtype=bool)
+    live = np.isfinite(z)
+    for k in np.unique(depths[live]):
+        idx = np.flatnonzero(live & (depths == k))
         scale = pm.mu ** int(k)
         u = series_eval(pm.head_f, z[idx] / scale)
         d = series_eval(pm.head_df, z[idx] / scale) / scale
-        for _ in range(k):
-            d = pm.map.deriv(u) * d
-            u = pm.map(u)
-        f[idx], df[idx] = u, d
-    return f, df
+        good = np.ones(idx.size, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k):
+                if derivative:
+                    d = pm.map.deriv(u) * d
+                    good &= np.abs(d) <= pc.OVERFLOW_BOUND
+                u = pm.map(u)
+                good &= np.abs(u) <= pc.OVERFLOW_BOUND
+        f[idx[good]], df[idx[good]], ok[idx] = u[good], d[good], good
+    return f, (df if derivative else None), ok
 
 
 def test_pullback_depth_groups_with_gaps(cheb_poincare):
@@ -109,9 +119,42 @@ def test_pullback_depth_groups_with_gaps(cheb_poincare):
     depths = pullback_depths(pm, np.abs(z))
     assert sorted(set(depths.tolist())) == [0, 5]
     f, df, ok = pc._pullback(pm, z, depths, derivative=True)
-    f_ref, df_ref = unique_depth_pullback(pm, z, depths)
-    assert ok.all()
+    f_ref, df_ref, ok_ref = unique_depth_pullback(pm, z, depths)
+    assert ok.all() and ok_ref.all()
     assert f.tobytes() == f_ref.tobytes() and df.tobytes() == df_ref.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(golden=st.booleans(), derivative=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       present=st.sets(st.integers(0, 7), max_size=8), n=st.integers(0, 30),
+       hot=st.lists(st.integers(0, 15), max_size=4), specials=st.integers(0, 4))
+def test_suffix_steps_match_per_group_steps(golden, derivative, seed, present, n, hot,
+                                            specials, golden_poincare, cheb_poincare):
+    """Stepping the buffer's suffix of deeper lanes once per depth gives f,
+    f' and ok bit for bit as every depth group stepping alone, and so does
+    each lane alone as a one-lane array: for lanes over a subset of the
+    depths 0..7 (with gaps), non-finite lanes, and depth-7 lanes on the
+    edge of their shell, which pass 1e290 at step 6 or 7 of 7 (at step 6
+    for the angle 0 of c = -2 and the angle 7/16 of a turn of the golden
+    map, which are always there)."""
+    pm = golden_poincare if golden else cheb_poincare
+    rng = np.random.default_rng(seed)
+    k = rng.choice(sorted(present), n) if present else np.zeros(0, dtype=np.int64)
+    expo = k - rng.uniform(0.0, 1.5, k.size)  # |z / mu^k| <= r0 |mu|^0
+    z = pm.r0 * abs(pm.mu) ** expo * np.exp(2j * np.pi * rng.random(k.size))
+    turns = np.array([7 if golden else 0] + hot) / 16.0
+    z = np.concatenate([z, pm.r0 * abs(pm.mu) ** 7 * np.exp(2j * np.pi * turns),
+                        _SPECIAL_LANES[:specials]])  # the non-finite ones
+    depths = np.concatenate([k, np.full(turns.size, 7), rng.integers(0, 8, specials)])
+    order = rng.permutation(z.size)
+    z, depths = z[order], depths[order]
+    want = unique_depth_pullback(pm, z, depths, derivative)
+    assert not want[2][np.flatnonzero(order == k.size)[0]]  # the lane at angle 0 or 7/16
+    for i in [slice(None)] + [slice(j, j + 1) for j in range(z.size)]:
+        got = pc._pullback(pm, z[i], depths[i], derivative)
+        assert (got[1] is None) == (not derivative)
+        assert [a.tobytes() for a in got if a is not None] == \
+            [a[i].tobytes() for a in want if a is not None]
 
 
 _SPECIAL_LANES = [complex(math.nan, math.nan), complex(math.inf, 0.0),

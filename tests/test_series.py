@@ -139,6 +139,56 @@ def test_certificate_shrinks_with_tighter_eps():
     assert 0.0 < tight < loose < 1.0
 
 
+def all_ratios_safe_radius(coeffs, eps):
+    """`series._safe_radius` forming the stepwise ratio of every pair of
+    consecutive nonzero coefficients and keeping the last 8: the reference
+    for its window of the last 9 support indices."""
+    a = np.abs(np.asarray(coeffs, dtype=complex))
+    nz = np.flatnonzero(a > 0.0)
+    if len(nz) == 0 or nz[-1] == 0:
+        return math.inf
+    M = int(nz[-1])
+    if len(a) >= 16 and M < len(a) // 2:
+        return math.inf
+    support = nz[nz >= 1]
+    step_rates = [(a[j] / a[i]) ** (1.0 / (j - i))
+                  for i, j in zip(support[:-1], support[1:])][-8:]
+    q = max(max(step_rates, default=0.0), series.root_test_rate(a, nz))
+    if q == 0.0:
+        return math.inf
+    log_am, log_eps = math.log(a[M]), math.log(eps)
+
+    def log_tail_minus_eps(r):
+        return log_am + M * math.log(r) + math.log(q * r) - math.log1p(-q * r) - log_eps
+
+    hi = (1.0 - 1e-12) / q
+    if log_tail_minus_eps(hi) <= 0.0:
+        return hi
+    lo_r = hi * 1e-12
+    while log_tail_minus_eps(lo_r) > 0.0 and lo_r > 1e-280:
+        lo_r *= 1e-12
+    if log_tail_minus_eps(lo_r) > 0.0:
+        return lo_r
+    return series.log_bisect(lambda r: log_tail_minus_eps(r) <= 0.0, lo_r, hi)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 300), nonzero=st.integers(1, 300), spread=st.floats(0.0, 30.0),
+       seed=st.integers(0, 2**32 - 1), eps=st.sampled_from([1e-16, 1e-8, 1e-2]))
+def test_certificate_window_matches_all_ratios(n, nonzero, spread, seed, eps):
+    """The certificate read from the last 9 support indices equals the one
+    that forms every stepwise ratio and keeps the last 8, for lists with
+    zero gaps, of 2..300 coefficients, some with fewer than 9 nonzero ones
+    (and some degenerate)."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(n, dtype=complex)
+    at = rng.choice(n, min(nonzero, n), replace=False)
+    coeffs[at] = ((rng.standard_normal(at.size) + 1j * rng.standard_normal(at.size))
+                  * np.exp(spread * rng.standard_normal(at.size)))
+    got, want = series._safe_radius(coeffs, eps), all_ratios_safe_radius(coeffs, eps)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_series_derivative_coefficients():
     # padded to 32 coefficients, so the derivative's 31 keep an unbounded
     # domain as well
